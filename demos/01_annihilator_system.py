@@ -36,12 +36,11 @@ print(f"\nT({m}) == T0({k - m}) + sum_h s_h A(h,{m},1):", op_T(k, m) == acc)
 
 # Weight bookkeeping: commuting a generator past the Euler operator
 # U0 = sum h s_h d_h reads off its pure weight.
-from symtrace.weyl import weight_of, weyl_commutator
 
 u0 = op_U0(k)
 for gid, op in generator_system(k, "trace"):
-    w = weight_of(op)
-    assert weyl_commutator(op, u0) == op.scale(-w.value)
+    w = op.weight()
+    assert op.commutator(u0) == op.scale(-w.value)
     print(f"  {gid:10s} has pure weight {w}")
 
 # The lowering derivation nabla shifts N_m to m N_{m-1}.

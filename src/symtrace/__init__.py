@@ -10,7 +10,7 @@ contour integrals.
 
 __version__ = "1.0.0"
 
-from .poly import NON_PURE, Poly, Weight, poly_arith, poly_partial
+from .poly import NON_PURE, Poly, Weight
 from .spaces import (
     SpaceMismatchError,
     VarSpace,
@@ -20,7 +20,7 @@ from .spaces import (
     x_space,
     x_xi_space,
 )
-from .weyl import WeylOp, symbol, weight_of, weyl_apply, weyl_commutator, weyl_mul
+from .weyl import WeylOp
 
 __all__ = [
     "NON_PURE",
@@ -30,16 +30,9 @@ __all__ = [
     "Weight",
     "WeylOp",
     "__version__",
-    "poly_arith",
-    "poly_partial",
     "sigma_aux_space",
     "sigma_eta_space",
     "sigma_space",
-    "symbol",
-    "weight_of",
-    "weyl_apply",
-    "weyl_commutator",
-    "weyl_mul",
     "x_space",
     "x_xi_space",
 ]

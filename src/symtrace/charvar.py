@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly
+from .poly import Poly, _accumulate, _add_product
 from .spaces import VarSpace, sigma_eta_space, sigma_space
 from .weyl import WeylOp
 
@@ -100,19 +100,18 @@ def rewrite_eta_product(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Po
         result: tuple[dict[MinorId, Poly], Poly] = ({}, _eta(k, i))
     elif i == 1:
         u: dict[MinorId, Poly] = {(1, j + 1): Poly.one(ss)}
-        v = Poly.zero(se)
+        v: dict[tuple[int, ...], Fraction] = {}
         for p in range(1, k + 1):
             up, vp = rewrite_eta_product(k, p, j + 1)
             sp_s = Poly.variable(ss, "sigma", p)
-            sp_se = Poly.variable(se, "sigma", p)
             for mid, c in up.items():
-                u[mid] = u.get(mid, Poly.zero(ss)) - sp_s * c
-            v = v - sp_se * vp
-        result = ({mid: c for mid, c in u.items() if not c.is_zero()}, v)
+                _accumulate(u, mid, -(sp_s * c))
+            _add_product(v, Poly.variable(se, "sigma", p).terms, vp.terms, -1)
+        result = (u, Poly._trusted(se, v))
     else:
         up, vp = rewrite_eta_product(k, i - 1, j + 1)
         u = dict(up)
-        u[(i, j + 1)] = u.get((i, j + 1), Poly.zero(ss)) + Poly.one(ss)
+        _accumulate(u, (i, j + 1), Poly.one(ss))
         result = (u, vp)
     _rewrite_cache[key] = result
     return result
@@ -128,10 +127,11 @@ def embed_sigma(p: Poly, k: int) -> Poly:
 def recombine(k: int, coeffs: dict[MinorId, Poly]) -> Poly:
     """sum_a c_a m_a with coefficients over sigma or (sigma, eta)."""
     ms = minors(k)
-    acc = Poly.zero(sigma_eta_space(k))
+    acc: dict[tuple[int, ...], Fraction] = {}
     for mid, c in coeffs.items():
-        acc = acc + embed_sigma(c, k) * ms.get(*mid)
-    return acc
+        for exp, v in (embed_sigma(c, k) * ms.get(*mid)).terms.items():
+            _accumulate(acc, exp, v)
+    return Poly._trusted(sigma_eta_space(k), acc)
 
 
 def _eta_homogeneous_parts(f: Poly, k: int) -> dict[int, Poly]:
@@ -140,7 +140,7 @@ def _eta_homogeneous_parts(f: Poly, k: int) -> dict[int, Poly]:
     for exp, c in f.terms.items():
         d = sum(exp[off:off + k])
         parts.setdefault(d, {})[exp] = c
-    return {d: Poly(f.space, ts) for d, ts in parts.items()}
+    return {d: Poly._trusted(f.space, ts) for d, ts in parts.items()}
 
 
 def _chart_space(k: int) -> VarSpace:
@@ -210,38 +210,37 @@ def _descend(f: Poly, k: int) -> dict[MinorId, Poly]:
         # vanishing of the ambient input on the variety forces zero here
         raise NotOnVarietyError("descent reached a nonzero low-degree cofactor")
     eta_k_pos = se.position("eta", k)
-    h_terms: dict[tuple[int, ...], Fraction] = {}
-    g_terms: dict[tuple[int, ...], Fraction] = {}
-    for exp, c in f.terms.items():
-        if exp[eta_k_pos]:
-            low = list(exp)
-            low[eta_k_pos] -= 1
-            g_terms[tuple(low)] = c
-        else:
-            h_terms[exp] = c
-    g = Poly(se, g_terms)
-
-    coeffs: dict[MinorId, Poly] = {}
-    vsum = Poly.zero(se)
     eta_off = se.offset("eta")
-    for exp, c in h_terms.items():
-        first = next(h for h in range(k) if exp[eta_off + h])
-        rest = list(exp)
-        rest[eta_off + first] -= 1
-        second = next(h for h in range(k) if rest[eta_off + h])
-        rest[eta_off + second] -= 1
-        w = Poly.monomial(se, rest, c)
-        u, v = rewrite_eta_product(k, first + 1, second + 1)
+    # rest accumulates g + sum v*w: the eta_k-divisible part of f divided
+    # by eta_k, plus the eta_k-multiples produced by the rewriting; the
+    # other terms are eta_i eta_j * w, grouped by (i, j)
+    rest: dict[tuple[int, ...], Fraction] = {}
+    groups: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
+    for exp, c in f.terms.items():
+        low = list(exp)
+        if exp[eta_k_pos]:
+            low[eta_k_pos] -= 1
+            rest[tuple(low)] = c
+            continue
+        first = next(h for h in range(k) if low[eta_off + h])
+        low[eta_off + first] -= 1
+        second = next(h for h in range(k) if low[eta_off + h])
+        low[eta_off + second] -= 1
+        groups.setdefault((first + 1, second + 1), {})[tuple(low)] = c
+    coeffs: dict[MinorId, dict[tuple[int, ...], Fraction]] = {}
+    for (i, j), w in groups.items():
+        u, v = rewrite_eta_product(k, i, j)
         for mid, uc in u.items():
-            add = embed_sigma(uc, k) * w
-            coeffs[mid] = coeffs.get(mid, Poly.zero(se)) + add
-        vsum = vsum + v * w
+            _add_product(coeffs.setdefault(mid, {}), embed_sigma(uc, k).terms, w)
+        _add_product(rest, v.terms, w)
 
-    tail = _descend(g + vsum, k)
-    eta_k = _eta(k, k)
-    for mid, c in tail.items():
-        coeffs[mid] = coeffs.get(mid, Poly.zero(se)) + eta_k * c
-    return {mid: c for mid, c in coeffs.items() if not c.is_zero()}
+    for mid, c in _descend(Poly._trusted(se, rest), k).items():
+        acc = coeffs.setdefault(mid, {})
+        for exp, v in c.terms.items():
+            raised = list(exp)
+            raised[eta_k_pos] += 1
+            _accumulate(acc, tuple(raised), v)
+    return {mid: Poly._trusted(se, ts) for mid, ts in coeffs.items() if ts}
 
 
 @dataclass(frozen=True)
@@ -350,10 +349,7 @@ def lift_eta_to_partials(c: Poly, k: int) -> WeylOp:
     if c.space != se:
         raise ValueError("expected a (sigma, eta) polynomial")
     ss = sigma_space(k)
-    terms: dict[tuple[int, ...], Poly] = {}
+    terms: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
     for exp, coeff in c.terms.items():
-        sig_exp, eta_exp = exp[:k], exp[k:]
-        mono = Poly.monomial(ss, sig_exp, coeff)
-        cur = terms.get(eta_exp)
-        terms[eta_exp] = mono if cur is None else cur + mono
-    return WeylOp(ss, terms)
+        terms.setdefault(exp[k:], {})[exp[:k]] = coeff
+    return WeylOp(ss, {d: Poly._trusted(ss, ts) for d, ts in terms.items()})

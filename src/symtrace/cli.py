@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -185,10 +187,17 @@ def _parse_sigma(text: str) -> list[complex]:
     return out
 
 
+def _finite(v: complex) -> bool:
+    return math.isfinite(v.real) and math.isfinite(v.imag)
+
+
 def cmd_numcheck(args) -> int:
     sigma = _parse_sigma(args.sigma)
     if len(sigma) != args.k:
         print(f"error: expected {args.k} sigma entries", file=sys.stderr)
+        return 1
+    if not all(_finite(v) for v in sigma):
+        print("error: sigma entries must be finite numbers", file=sys.stderr)
         return 1
     if args.f == "exp":
         f = EXP
@@ -202,7 +211,14 @@ def cmd_numcheck(args) -> int:
     spec = QuadratureSpec.for_sigma(sigma, n=args.nodes)
     if args.radius is not None:
         spec = QuadratureSpec(R=args.radius, n=args.nodes)
-    tv = trace_contour(f, sigma, spec)
+    with warnings.catch_warnings():
+        # numpy's overflow warnings would add stderr lines; the check below refuses the result
+        warnings.simplefilter("ignore", RuntimeWarning)
+        tv = trace_contour(f, sigma, spec)
+    if not (_finite(tv.value) and _finite(tv.residue_form) and _finite(tv.difference)):
+        print("error: the contour trace is not finite (overflow or a degenerate contour)",
+              file=sys.stderr)
+        return 1
     _print({
         "schema": SCHEMA, "object": "numcheck", "k": args.k,
         "sigma": [[v.real, v.imag] for v in map(complex, sigma)],
@@ -294,6 +310,10 @@ def dispatch(argv: list[str]) -> int:
         return args.fn(args)
     except (NotSymmetricError, NotOnVarietyError, FileNotFoundError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except AssertionError as exc:
+        detail = " ".join(str(exc).split()) or "an internal invariant does not hold"
+        print(f"error: internal error: {detail}", file=sys.stderr)
         return 1
 
 

@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .poly import Poly
 from .symfun import discriminant
 
 
@@ -310,17 +309,3 @@ def trace_function_handle(f: AnalyticFunction, n: int = 256) -> Callable:
         return trace_contour(f, list(sigma), QuadratureSpec.for_sigma(list(sigma), n=n)).value
 
     return F
-
-
-def evaluate_poly_numeric(p: Poly, sigma: Sequence[complex]) -> complex:
-    """Float evaluation of a sigma-polynomial (exact coefficients cast late)."""
-    total = 0.0 + 0.0j
-    off = p.space.offset("sigma")
-    count = p.space.family_count("sigma")
-    for exp, c in p.terms.items():
-        term = complex(c)
-        for v, e in zip(sigma, exp[off:off + count]):
-            if e:
-                term *= complex(v) ** e
-        total += term
-    return total

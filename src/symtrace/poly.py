@@ -4,12 +4,29 @@ Terms live in a dict mapping exponent tuples to nonzero Fractions; the
 exponent tuple runs over all variables of the carrying VarSpace in
 canonical order.  Values are immutable by convention: no method mutates
 ``terms`` after construction, so polynomials can be shared freely.
+
+Polynomials are built and summed in one way each:
+
+- ``Poly(space, terms)`` is the validated public constructor.  It
+  converts coefficients to Fractions, drops zeros and rejects exponents
+  of the wrong length or with negative entries.  Input from outside the
+  kernel (user JSON, tests, hand-built tables) goes through it.
+- ``Poly._trusted(space, terms)`` stores an already-clean dict as it is:
+  nonzero Fractions keyed by exponents of length ``space.nvars`` with no
+  negative entry.  The ring operations build such dicts by construction
+  and wrap them with it; the dict must not be mutated afterwards.
+- ``_accumulate(out, key, c)`` adds ``c`` into ``out[key]`` and drops the
+  key when the sum cancels; ``_add_product`` accumulates a product of two
+  term dicts through it.  A sum of many pieces accumulates into one plain
+  dict that is wrapped once, never ``out = out + piece`` in a loop, which
+  copies the whole dict on every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .spaces import VarSpace, check_same_space
@@ -46,6 +63,31 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
+def _accumulate(out: dict, key, c) -> None:
+    """out[key] += c, dropping the key when the sum is zero (Fraction or Poly values)."""
+    s = out.get(key)
+    if s is not None:
+        c = s + c
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
+def _add_product(out: dict, a: Mapping, b: Mapping, c=1) -> None:
+    """Accumulate c * a * b into out, where a and b are term dicts.
+
+    A unit factor from a skips the Fraction product, so a should be the
+    side with fewer terms and with unit coefficients when there is one.
+    """
+    for e1, c1 in a.items():
+        if c != 1:
+            c1 = c1 * c
+        unit = c1 == 1
+        for e2, c2 in b.items():
+            _accumulate(out, tuple(map(add, e1, e2)), c2 if unit else c1 * c2)
+
+
 def term_sort_key(exp: tuple[int, ...]):
     """Graded-lex, largest first: sort ascending by this key."""
     return (-sum(exp), tuple(-e for e in exp))
@@ -68,6 +110,14 @@ class Poly:
             clean[exp] = c
         object.__setattr__(self, "terms", clean)
 
+    @staticmethod
+    def _trusted(space: VarSpace, terms: dict[tuple[int, ...], Fraction]) -> Poly:
+        """Wrap a clean term dict as it is, without copying or checking it."""
+        obj = object.__new__(Poly)
+        object.__setattr__(obj, "space", space)
+        object.__setattr__(obj, "terms", terms)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
@@ -75,7 +125,7 @@ class Poly:
 
     @staticmethod
     def zero(space: VarSpace) -> Poly:
-        return Poly(space)
+        return Poly._trusted(space, {})
 
     @staticmethod
     def constant(space: VarSpace, c) -> Poly:
@@ -99,17 +149,14 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         check_same_space(self, other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return Poly(self.space, out)
+        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        out = dict(big.terms)
+        for exp, c in small.terms.items():
+            _accumulate(out, exp, c)
+        return Poly._trusted(self.space, out)
 
     def __neg__(self) -> Poly:
-        return Poly(self.space, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.space, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -118,16 +165,10 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         check_same_space(self, other)
+        small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
         out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return Poly(self.space, out)
+        _add_product(out, small.terms, big.terms)
+        return Poly._trusted(self.space, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -138,7 +179,7 @@ class Poly:
         c = _as_fraction(c)
         if c == 0:
             return Poly.zero(self.space)
-        return Poly(self.space, {e: c * v for e, v in self.terms.items()})
+        return Poly._trusted(self.space, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
@@ -156,6 +197,9 @@ class Poly:
         return isinstance(other, Poly) and self.space == other.space and self.terms == other.terms
 
     __hash__ = None
+
+    def __bool__(self):
+        return bool(self.terms)
 
     # -- structure ---------------------------------------------------------
 
@@ -177,30 +221,20 @@ class Poly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
-
     def partial(self, family: str, index: int) -> Poly:
         """Exact partial derivative with respect to one variable."""
         return self.partial_pos(self.space.position(family, index))
 
     def partial_pos(self, pos: int) -> Poly:
+        # lowering one exponent is injective, so no two terms collide
         out: dict[tuple[int, ...], Fraction] = {}
         for exp, c in self.terms.items():
             e = exp[pos]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[pos] = e - 1
-            key = tuple(new)
-            s = out.get(key, Fraction(0)) + c * e
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Poly(self.space, out)
+            if e:
+                new = list(exp)
+                new[pos] = e - 1
+                out[tuple(new)] = c if e == 1 else c * e
+        return Poly._trusted(self.space, out)
 
     def weight(self) -> Weight:
         """Pure quasi-homogeneous weight of all terms, or non-pure."""
@@ -255,17 +289,21 @@ class Poly:
                 power_cache[key] = positions[pos] ** e
             return power_cache[key]
 
-        out = Poly.zero(target)
+        out: dict[tuple[int, ...], Fraction] = {}
         for exp, c in self.terms.items():
-            piece = Poly.constant(target, c)
+            piece = None
             for pos, e in enumerate(exp):
                 if e:
                     if pos not in positions:
                         name = self.space.var_names()[pos]
                         raise KeyError(f"no image supplied for {name}")
-                    piece = piece * img_pow(pos, e)
-            out = out + piece
-        return out
+                    piece = img_pow(pos, e) if piece is None else piece * img_pow(pos, e)
+            if piece is None:
+                _accumulate(out, (0,) * target.nvars, c)
+            else:
+                for img_exp, v in piece.terms.items():
+                    _accumulate(out, img_exp, c * v)
+        return Poly._trusted(target, out)
 
     def swap(self, family: str, i: int, j: int) -> Poly:
         """Apply the transposition of variables i and j inside a family."""
@@ -276,7 +314,7 @@ class Poly:
             new = list(exp)
             new[a], new[b] = new[b], new[a]
             out[tuple(new)] = c
-        return Poly(self.space, out)
+        return Poly._trusted(self.space, out)
 
     def collect(self, family: str) -> dict[tuple[int, ...], Poly]:
         """Group terms by their exponents in one family.
@@ -292,18 +330,21 @@ class Poly:
             fam_exp = exp[off:off + count]
             rest_exp = exp[:off] + exp[off + count:]
             grouped.setdefault(fam_exp, {})[rest_exp] = c
-        return {fe: Poly(rest_space, ts) for fe, ts in grouped.items()}
+        return {fe: Poly._trusted(rest_space, ts) for fe, ts in grouped.items()}
 
     def embed(self, space: VarSpace, family: str, fam_exp: tuple[int, ...]) -> Poly:
         """Inverse of collect: re-insert a family exponent block."""
         off = space.offset(family)
         count = space.family_count(family)
-        if len(fam_exp) != count:
-            raise ValueError("family exponent length mismatch")
+        fam_exp = tuple(fam_exp)
+        if len(fam_exp) != count or any(e < 0 for e in fam_exp):
+            raise ValueError(f"bad {family} exponent block {fam_exp}")
+        if space.nvars != self.space.nvars + count:
+            raise ValueError(f"bad exponent length for space {space}")
         out = {}
         for exp, c in self.terms.items():
-            out[exp[:off] + tuple(fam_exp) + exp[off:]] = c
-        return Poly(space, out)
+            out[exp[:off] + fam_exp + exp[off:]] = c
+        return Poly._trusted(space, out)
 
     # -- display -------------------------------------------------------------
 
@@ -328,19 +369,3 @@ class Poly:
 
     def __repr__(self):
         return f"Poly[{self.space}]({self})"
-
-
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    """Dispatch add/sub/mul by name (exactness is structural)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_partial(p: Poly, var: tuple[str, int]) -> Poly:
-    family, index = var
-    return p.partial(family, index)

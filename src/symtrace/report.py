@@ -38,7 +38,7 @@ from .spaces import sigma_eta_space, sigma_space
 from .symfun import family as newton_family
 from .symfun import primitive_newton
 from .transport import elementary_symmetric_op, xi_transport
-from .weyl import WeylOp, weight_of, weyl_commutator
+from .weyl import WeylOp
 
 PASS = "pass"
 FAIL = "fail"
@@ -126,7 +126,7 @@ def suite_relations(k: int) -> RunReport:
         T = op_T(k, m)
         for h in range(1, k + 1):
             dh = WeylOp.partial(S, h)
-            if weyl_commutator(dh, T) != WeylOp.partial(S, m) * dh:
+            if dh.commutator(T) != WeylOp.partial(S, m) * dh:
                 ok = False
     rep.add("bracket:partial-with-T", ok, "[d_h, T(m)] = d_m d_h for all h, m")
 
@@ -158,7 +158,7 @@ def suite_relations(k: int) -> RunReport:
         rhs = op_A(k, 1, h, 1).scale(k - 1)
         if h < k:
             rhs = rhs + op_T(k, h + 1).scale(-(k - h))
-        if weyl_commutator(nabla, op_T(k, h)) != rhs:
+        if nabla.commutator(op_T(k, h)) != rhs:
             ok = False
     rep.add(
         "bracket:nabla-with-T", ok,
@@ -175,7 +175,7 @@ def suite_relations(k: int) -> RunReport:
                 rhs = rhs + op_A(k, p + 1, q, 1).scale(-(k - p - 1))
             if q + 1 <= k:
                 rhs = rhs + op_A(k, p, q + 1, 1).scale(-(k - q))
-            if weyl_commutator(nabla, op_A(k, p, q, 1)) != rhs:
+            if nabla.commutator(op_A(k, p, q, 1)) != rhs:
                 ok = False
     rep.add(
         "bracket:nabla-with-A", ok,
@@ -196,7 +196,7 @@ def suite_weights(k: int) -> RunReport:
     ok = True
     for m in range(2, k + 1):
         T = op_T(k, m)
-        if weyl_commutator(T, U0) != T.scale(m) or weight_of(T).value != -m:
+        if T.commutator(U0) != T.scale(m) or T.weight().value != -m:
             ok = False
     rep.add("weight:T", ok, "[T(m), U0] = m T(m); pure weight -m")
 
@@ -206,7 +206,7 @@ def suite_weights(k: int) -> RunReport:
             if p == q - 1:
                 continue
             A = op_A(k, p, q, 1)
-            if weyl_commutator(A, U0) != A.scale(p + q) or weight_of(A).value != -(p + q):
+            if A.commutator(U0) != A.scale(p + q) or A.weight().value != -(p + q):
                 ok = False
     rep.add("weight:A", ok, "[A(p,q,1), U0] = (p+q) A(p,q,1); pure weight -(p+q)")
     rep.deviation(
@@ -218,13 +218,13 @@ def suite_weights(k: int) -> RunReport:
     nabla = op_nabla(k)
     rep.add(
         "weight:nabla",
-        weyl_commutator(nabla, U0) == nabla and weight_of(nabla).value == -1,
+        nabla.commutator(U0) == nabla and nabla.weight().value == -1,
         "[nabla, U0] = nabla; pure weight -1",
     )
 
     ok = True
     for gid, G in generator_system(k, "trace"):
-        w = -weight_of(G).value
+        w = -G.weight().value
         if G * U0 - (U0 + WeylOp.from_poly(Poly.constant(sigma_space(k), w))) * G != WeylOp.zero(sigma_space(k)):
             ok = False
     rep.add("weight:ideal-stability", ok, "G.U0 = (U0 + w_G).G for every generator")
@@ -232,12 +232,12 @@ def suite_weights(k: int) -> RunReport:
     fam = newton_family(k)
     ok = all(
         U0.apply(fam.newton(m)) == fam.newton(m).scale(m)
-        and weight_of(fam.newton(m)).value == m
+        and fam.newton(m).weight().value == m
         for m in range(0, 2 * k + 7)
     )
     rep.add("weight:newton-eigen", ok, "U0[N_m] = m N_m and N_m has pure weight m")
 
-    ok = all(weight_of(m).value == -(i + j - 1) for (i, j), m in minors(k).minors)
+    ok = all(m.weight().value == -(i + j - 1) for (i, j), m in minors(k).minors)
     rep.add("weight:minors", ok, "minor (i,j) has pure weight -(i+j-1) with eta_h of weight -h")
     return rep
 

@@ -14,6 +14,7 @@ Families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 FAMILY_ORDER = ("x", "sigma", "eta", "xi", "t")
 
@@ -123,22 +124,27 @@ class VarSpace:
         return self.code()
 
 
+@cache
 def x_space(k: int) -> VarSpace:
     return VarSpace((("x", k),))
 
 
+@cache
 def sigma_space(k: int) -> VarSpace:
     return VarSpace((("sigma", k),))
 
 
+@cache
 def sigma_eta_space(k: int) -> VarSpace:
     return VarSpace((("sigma", k), ("eta", k)))
 
 
+@cache
 def x_xi_space(k: int) -> VarSpace:
     return VarSpace((("x", k), ("xi", k)))
 
 
+@cache
 def sigma_aux_space(k: int) -> VarSpace:
     """sigma_1..sigma_k together with the auxiliary variable t."""
     return VarSpace((("sigma", k), ("t", 1)))

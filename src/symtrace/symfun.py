@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from .poly import Poly
+from .poly import Poly, _accumulate, _add_product, term_sort_key
 from .spaces import sigma_space, x_space
 
 
@@ -64,15 +64,20 @@ def is_symmetric(p: Poly, k: int) -> bool:
 
 
 def _e_power_product(k: int, mu: tuple[int, ...]) -> Poly:
-    """prod_h e_h(x)^mu_h, cached."""
-    key = (k, mu)
-    if key not in _e_product_cache:
-        out = Poly.one(x_space(k))
-        for h, e in enumerate(mu, start=1):
-            if e:
-                out = out * elementary_symmetric(k, h) ** e
-        _e_product_cache[key] = out
-    return _e_product_cache[key]
+    """prod_h e_h(x)^mu_h, cached; each entry is one factor e_h times the
+    entry with that factor removed, so products share their prefixes."""
+    missing = []
+    while (k, mu) not in _e_product_cache:
+        if not any(mu):
+            _e_product_cache[(k, mu)] = Poly.one(x_space(k))
+            break
+        h = max(i for i, e in enumerate(mu) if e)
+        missing.append((mu, h))
+        mu = mu[:h] + (mu[h] - 1,) + mu[h + 1:]
+    for full, h in reversed(missing):
+        _e_product_cache[(k, full)] = _e_product_cache[(k, mu)] * elementary_symmetric(k, h + 1)
+        mu = full
+    return _e_product_cache[(k, mu)]
 
 
 def reduce_to_sigma(p: Poly, k: int) -> Poly:
@@ -87,15 +92,18 @@ def reduce_to_sigma(p: Poly, k: int) -> Poly:
         raise ValueError(f"expected a polynomial over {x_space(k)}, got {p.space}")
     assert_symmetric(p, k)
     out: dict[tuple[int, ...], Fraction] = {}
-    work = p
-    while not work.is_zero():
-        lam, c = work.leading()
+    work = dict(p.terms)
+    while work:
+        lam = min(work, key=term_sort_key)
+        c = work[lam]
         mu = tuple(lam[h] - (lam[h + 1] if h + 1 < k else 0) for h in range(k))
         if any(e < 0 for e in mu):  # cannot happen for symmetric input
             raise AssertionError(f"non-sorted leading exponent {lam} on symmetric input")
-        work = work - _e_power_product(k, mu).scale(c)
-        out[mu] = out.get(mu, Fraction(0)) + c
-    return Poly(sigma_space(k), out)
+        neg = -c
+        for exp, v in _e_power_product(k, mu).terms.items():
+            _accumulate(work, exp, neg * v)
+        _accumulate(out, mu, c)
+    return Poly._trusted(sigma_space(k), out)
 
 
 def sigma_to_x(p: Poly, k: int) -> Poly:
@@ -120,35 +128,39 @@ class NewtonFamily:
             self._derived[m] = Poly.zero(self.space)
         self._primitive: dict[int, Poly] = {}
 
-    def _sigma(self, h: int) -> Poly:
-        return Poly.variable(self.space, "sigma", h)
+    def _sigma_terms(self, h: int) -> dict[tuple[int, ...], Fraction]:
+        return Poly.variable(self.space, "sigma", h).terms
+
+    # The recurrences fill their caches bottom-up, so a large index costs
+    # no recursion depth.
 
     def newton(self, m: int) -> Poly:
         """Power sum N_m in sigma-coordinates, by the Newton identities."""
         if m < 0:
             raise ValueError("newton index must be >= 0")
         k = self.k
-        if m not in self._newton:
-            acc = Poly.zero(self.space)
-            for h in range(1, min(m - 1, k) + 1):
-                term = self._sigma(h) * self.newton(m - h)
-                acc = acc + (term if h % 2 == 1 else -term)
-            if m <= k:
-                acc = acc + self._sigma(m).scale(Fraction((-1) ** (m - 1) * m))
-            self._newton[m] = acc
-        return self._newton[m]
+        cache = self._newton
+        for n in range(len(cache), m + 1):
+            acc: dict[tuple[int, ...], Fraction] = {}
+            for h in range(1, min(n - 1, k) + 1):
+                _add_product(acc, self._sigma_terms(h), cache[n - h].terms, 1 if h % 2 == 1 else -1)
+            if n <= k:
+                for exp, c in self._sigma_terms(n).items():
+                    _accumulate(acc, exp, c * ((-1) ** (n - 1) * n))
+            cache[n] = Poly._trusted(self.space, acc)
+        return cache[m]
 
     def derived(self, m: int) -> Poly:
         """DN_m: seeds DN_0 = 1, DN_m = 0 on [-k+1, -1], then the signed recurrence."""
         if m < -self.k + 1:
             raise ValueError(f"derived newton index must be >= {-self.k + 1}")
-        if m not in self._derived:
-            acc = Poly.zero(self.space)
+        cache = self._derived
+        for n in range(max(cache) + 1, m + 1):
+            acc: dict[tuple[int, ...], Fraction] = {}
             for h in range(1, self.k + 1):
-                term = self._sigma(h) * self.derived(m - h)
-                acc = acc + (term if h % 2 == 1 else -term)
-            self._derived[m] = acc
-        return self._derived[m]
+                _add_product(acc, self._sigma_terms(h), cache[n - h].terms, 1 if h % 2 == 1 else -1)
+            cache[n] = Poly._trusted(self.space, acc)
+        return cache[m]
 
     def primitive(self, m: int) -> Poly:
         """PN_m: the antiderivative-style combination of N_{m-h}/(m-h)."""
@@ -156,14 +168,13 @@ class NewtonFamily:
             raise ValueError("primitive newton index must be >= 1")
         if m not in self._primitive:
             hmax = self.k if m >= self.k + 1 else m - 1
-            acc = Poly.zero(self.space)
+            one = {(0,) * self.k: Fraction(1)}
+            acc: dict[tuple[int, ...], Fraction] = {}
             for h in range(0, hmax + 1):
                 sign = -1 if (h - 1) % 2 else 1
-                piece = self.newton(m - h).scale(Fraction(sign, m - h))
-                if h:
-                    piece = self._sigma(h) * piece
-                acc = acc + piece
-            self._primitive[m] = acc
+                factor = self._sigma_terms(h) if h else one
+                _add_product(acc, factor, self.newton(m - h).terms, Fraction(sign, m - h))
+            self._primitive[m] = Poly._trusted(self.space, acc)
         return self._primitive[m]
 
 
@@ -227,14 +238,9 @@ def symmetrize(p: Poly, h: int, k: int) -> Poly:
             new = [0] * k
             for slot, e in enumerate(exp):
                 new[image[slot]] = e
-            key = tuple(new)
-            s = out.get(key, Fraction(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _accumulate(out, tuple(new), c)
     scale = Fraction(factorial(k - h), factorial(k))
-    return Poly(x_space(k), {e: c * scale for e, c in out.items()})
+    return Poly._trusted(x_space(k), {e: c * scale for e, c in out.items()})
 
 
 def _determinant(rows: list[list[Poly]], space) -> Poly:
@@ -248,18 +254,17 @@ def _determinant(rows: list[list[Poly]], space) -> Poly:
         key = (r, mask)
         if key in memo:
             return memo[key]
-        acc = Poly.zero(space)
+        acc: dict[tuple[int, ...], Fraction] = {}
         sign = 1
         for c in range(n):
             if not mask & (1 << c):
                 continue
             entry = rows[r][c]
             if not entry.is_zero():
-                sub = rec(r + 1, mask & ~(1 << c))
-                acc = acc + (entry * sub).scale(sign)
+                _add_product(acc, entry.terms, rec(r + 1, mask & ~(1 << c)).terms, sign)
             sign = -sign
-        memo[key] = acc
-        return acc
+        memo[key] = Poly._trusted(space, acc)
+        return memo[key]
 
     return rec(0, (1 << n) - 1)
 

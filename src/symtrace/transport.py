@@ -22,9 +22,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .poly import Poly
+from .poly import Poly, _accumulate, _add_product
 from .spaces import VarSpace, sigma_aux_space, sigma_space, x_space
-from .symfun import NotSymmetricError, elementary_symmetric, reduce_to_sigma, sigma_to_x
+from .symfun import NotSymmetricError, _e_power_product, elementary_symmetric, reduce_to_sigma, sigma_to_x
 from .weyl import WeylOp
 
 
@@ -147,27 +147,16 @@ def xi_transport(p: SymmetricOperator) -> WeylOp:
         return WeylOp.zero(sigma_space(k))
     target = sigma_space(k)
     coeffs: dict[tuple[int, ...], Poly] = {}
-    power_cache: dict[int, list[Poly]] = {}
-
-    def e_pow(h: int, e: int) -> Poly:
-        chain = power_cache.setdefault(h, [Poly.one(x_space(k))])
-        while len(chain) <= e:
-            chain.append(chain[-1] * elementary_symmetric(k, h))
-        return chain[e]
-
     for beta in _multi_indices(k, d):
-        s_beta = Poly.one(x_space(k))
-        for h, e in enumerate(beta, start=1):
-            if e:
-                s_beta = s_beta * e_pow(h, e)
-        rhs = reduce_to_sigma(p.op.apply(s_beta), k)
+        s_beta = _e_power_product(k, beta)
+        rhs = dict(reduce_to_sigma(p.op.apply(s_beta), k).terms)
         for beta2, a2 in coeffs.items():
             if all(b2 <= b for b2, b in zip(beta2, beta)):
-                rhs = rhs - a2 * _sigma_monomial_partial(target, beta, beta2)
+                _add_product(rhs, a2.terms, _sigma_monomial_partial(target, beta, beta2).terms, -1)
         fact = 1
         for e in beta:
             fact *= factorial(e)
-        coeffs[beta] = rhs.scale(Fraction(1, fact))
+        coeffs[beta] = Poly._trusted(target, rhs).scale(Fraction(1, fact))
     return WeylOp(target, {b: a for b, a in coeffs.items() if not a.is_zero()})
 
 
@@ -255,15 +244,15 @@ def _reduce_aux_powers(p: Poly, k: int) -> Poly:
         sign = -1 if (h - 1) % 2 else 1
         step = step + Poly.monomial(space, exp, sign)
     while p.degree_in("t") >= k:
-        out = Poly.zero(space)
+        out: dict[tuple[int, ...], Fraction] = {}
         for exp, c in p.terms.items():
             if exp[tpos] >= k:
                 lowered = list(exp)
                 lowered[tpos] -= k
-                out = out + Poly.monomial(space, lowered, c) * step
+                _add_product(out, {tuple(lowered): c}, step.terms)
             else:
-                out = out + Poly.monomial(space, exp, c)
-        p = out
+                _accumulate(out, exp, c)
+        p = Poly._trusted(space, out)
     return p
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .poly import NON_PURE, Poly, Weight, term_sort_key
+from .poly import NON_PURE, Poly, Weight, _accumulate, _add_product, term_sort_key
 from .spaces import (
     VarSpace,
     check_same_space,
@@ -86,12 +86,7 @@ class WeylOp:
         check_same_space(self, other)
         out = dict(self.terms)
         for dexp, c in other.terms.items():
-            s = out.get(dexp)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(dexp, None)
-            else:
-                out[dexp] = s
+            _accumulate(out, dexp, c)
         return WeylOp(self.space, out)
 
     def __neg__(self) -> WeylOp:
@@ -112,21 +107,14 @@ class WeylOp:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         check_same_space(self, other)
-        out: dict[tuple[int, ...], Poly] = {}
+        space = self.space
+        out: dict[tuple[int, ...], dict] = {}
         for beta, a in self.terms.items():
             for gamma, b in other.terms.items():
                 for delta, db, mult in _leibniz_fan(b, beta):
-                    coeff = (a * db).scale(mult)
-                    if coeff.is_zero():
-                        continue
                     dexp = tuple(bi - di + gi for bi, di, gi in zip(beta, delta, gamma))
-                    s = out.get(dexp)
-                    s = coeff if s is None else s + coeff
-                    if s.is_zero():
-                        out.pop(dexp, None)
-                    else:
-                        out[dexp] = s
-        return WeylOp(self.space, out)
+                    _add_product(out.setdefault(dexp, {}), a.terms, db.terms, mult)
+        return WeylOp(space, {d: Poly._trusted(space, ts) for d, ts in out.items() if ts})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -139,20 +127,29 @@ class WeylOp:
         return self * other - other * self
 
     def apply(self, f: Poly) -> Poly:
-        """Act on a polynomial: sum_beta a_beta * d^beta f."""
+        """Act on a polynomial: sum_beta a_beta * d^beta f.
+
+        Derivatives are memoised by multi-index, each one taken from its
+        prefix with one partial fewer, so terms share their chains.
+        """
         if f.space != self.space:
             raise ValueError(f"operand space {f.space} differs from operator space {self.space}")
-        out = Poly.zero(self.space)
-        for beta, a in self.terms.items():
-            g = f
-            for pos, e in enumerate(beta):
-                for _ in range(e):
-                    if g.is_zero():
-                        break
+        derivs = {(0,) * self.space.nvars: f}
+
+        def deriv(beta: tuple[int, ...]) -> Poly:
+            g = derivs.get(beta)
+            if g is None:
+                pos = max(i for i, e in enumerate(beta) if e)
+                g = deriv(beta[:pos] + (beta[pos] - 1,) + beta[pos + 1:])
+                if g:
                     g = g.partial_pos(pos)
-            if not g.is_zero():
-                out = out + a * g
-        return out
+                derivs[beta] = g
+            return g
+
+        out: dict[tuple[int, ...], Fraction] = {}
+        for beta, a in self.terms.items():
+            _add_product(out, a.terms, deriv(beta).terms)
+        return Poly._trusted(self.space, out)
 
     # -- structure ----------------------------------------------------------------
 
@@ -184,7 +181,7 @@ class WeylOp:
                 continue
             for exp, c in a.terms.items():
                 terms[exp + beta] = c
-        return Poly(target, terms)
+        return Poly._trusted(target, terms)
 
     def weight(self) -> Weight:
         dweights = [-variable_weight(self.family, i) for i in range(1, self.space.nvars + 1)]
@@ -206,10 +203,7 @@ class WeylOp:
         for dexp, c in self.terms.items():
             d = list(dexp)
             d[i - 1], d[j - 1] = d[j - 1], d[i - 1]
-            key = tuple(d)
-            p = c.swap(self.family, i, j)
-            s = out.get(key)
-            out[key] = p if s is None else s + p
+            out[tuple(d)] = c.swap(self.family, i, j)
         return WeylOp(self.space, out)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Poly]]:
@@ -262,24 +256,3 @@ def _leibniz_fan(b: Poly, beta: tuple[int, ...]):
                 grown.append((tuple(new), gg, mult * comb(beta[pos], d)))
         results = grown
     yield from results
-
-
-def weyl_mul(a: WeylOp, b: WeylOp) -> WeylOp:
-    return a * b
-
-
-def weyl_commutator(a: WeylOp, b: WeylOp) -> WeylOp:
-    return a * b - b * a
-
-
-def weyl_apply(a: WeylOp, f: Poly) -> Poly:
-    return a.apply(f)
-
-
-def symbol(a: WeylOp) -> Poly:
-    return a.symbol()
-
-
-def weight_of(x: Poly | WeylOp) -> Weight:
-    """Pure quasi-homogeneous weight of a polynomial or operator."""
-    return x.weight()

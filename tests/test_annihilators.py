@@ -13,7 +13,7 @@ from symtrace.annihilators import (
 from symtrace.poly import Poly
 from symtrace.spaces import sigma_space
 from symtrace.symfun import derived_newton, newton, primitive_newton
-from symtrace.weyl import WeylOp, weight_of, weyl_commutator
+from symtrace.weyl import WeylOp
 
 
 def d(k, h):
@@ -88,8 +88,8 @@ def test_nabla_bracket_with_partials():
     for k in (2, 3, 4, 5):
         nab = op_nabla(k)
         for h in range(1, k):
-            assert weyl_commutator(nab, d(k, h)) == d(k, h + 1).scale(-(k - h))
-        assert weyl_commutator(nab, d(k, k)).is_zero()
+            assert nab.commutator(d(k, h)) == d(k, h + 1).scale(-(k - h))
+        assert nab.commutator(d(k, k)).is_zero()
 
 
 def test_nabla_lowers_newton():
@@ -107,8 +107,8 @@ def test_bracket_identities_full_range():
         for m in range(2, k + 1):
             T = op_T(k, m)
             for h in range(1, k + 1):
-                assert weyl_commutator(d(k, h), T) == d(k, m) * d(k, h)
-            assert weyl_commutator(T, u0) == T.scale(m)
+                assert d(k, h).commutator(T) == d(k, m) * d(k, h)
+            assert T.commutator(u0) == T.scale(m)
         for p in range(1, k + 1):
             for q in range(1, k + 1):
                 for i in range(0, k):
@@ -119,7 +119,7 @@ def test_bracket_identities_full_range():
             rhs = op_A(k, 1, h, 1).scale(k - 1)
             if h < k:
                 rhs = rhs + op_T(k, h + 1).scale(-(k - h))
-            assert weyl_commutator(nab, op_T(k, h)) == rhs
+            assert nab.commutator(op_T(k, h)) == rhs
         for p in range(1, k):
             for q in range(2, k + 1):
                 if p == q - 1:
@@ -129,16 +129,16 @@ def test_bracket_identities_full_range():
                     rhs = rhs + op_A(k, p + 1, q, 1).scale(-(k - p - 1))
                 if q + 1 <= k:
                     rhs = rhs + op_A(k, p, q + 1, 1).scale(-(k - q))
-                assert weyl_commutator(nab, op_A(k, p, q, 1)) == rhs
+                assert nab.commutator(op_A(k, p, q, 1)) == rhs
 
 
 def test_generator_weights_and_stability():
     for k in (2, 3, 4, 5):
         u0 = op_U0(k)
         for gid, G in generator_system(k, "trace"):
-            w = weight_of(G)
+            w = G.weight()
             assert w.is_pure
-            assert weyl_commutator(G, u0) == G.scale(-w.value)
+            assert G.commutator(u0) == G.scale(-w.value)
             shift = WeylOp.from_poly(Poly.constant(sigma_space(k), -w.value))
             assert G * u0 == (u0 + shift) * G
 

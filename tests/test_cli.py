@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from symtrace.cli import dispatch
 from symtrace.report import golden_check
 from symtrace.serialize import dumps, poly_to_dict, weyl_from_dict, weyl_to_dict
@@ -203,3 +205,35 @@ def test_xi_rejects_asymmetric_file(capsys, tmp_path):
     code, _, err = run_cli(["xi", "--k", "2", "--op", str(path)], capsys)
     assert code == 1
     assert "not symmetric" in err
+
+
+@pytest.mark.parametrize("sigma", ["3,nan", "nan,2", "3,inf", "-inf,2", "3,nan+1j"])
+def test_numcheck_rejects_non_finite_sigma(capsys, sigma):
+    code, out, err = run_cli(["numcheck", "--k", "2", f"--sigma={sigma}", "--f", "exp"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_numcheck_rejects_non_finite_trace(capsys):
+    # exp(800) overflows a double, so the contour sums are not finite
+    code, out, err = run_cli(["numcheck", "--k", "2", "--sigma=800,0", "--f", "exp"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_internal_invariant_failure_is_one_line_error(capsys, tmp_path, monkeypatch):
+    import symtrace.charvar as charvar
+
+    k = 2
+    se = sigma_eta_space(k)
+    f = Poly.variable(se, "eta", 2) * charvar.minors(k).get(1, 2)
+    path = tmp_path / "f.json"
+    path.write_text(dumps(poly_to_dict(f)), encoding="utf-8")
+    # break the recombination so decompose_in_minors' exactness assertion fires
+    monkeypatch.setattr(charvar, "recombine", lambda k, coeffs: Poly.zero(sigma_eta_space(k)))
+    code, out, err = run_cli(["charvar", "--k", "2", "--decompose", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal error: minor decomposition failed to recombine\n"

@@ -1,0 +1,162 @@
+"""Property tests for the trusted construction path of the exact kernel.
+
+The ring operations wrap their term dicts without re-validating them, so
+every result is checked against a reference built through the validated
+constructor from plain dict arithmetic, and for the storage invariants
+the constructor would enforce: no zero coefficient, Fraction
+coefficients, exponents of length space.nvars with no negative entry.
+"""
+
+from collections import defaultdict
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symtrace.poly import Poly
+from symtrace.spaces import sigma_eta_space, sigma_space
+from symtrace.weyl import WeylOp
+
+BOUNDED = settings(max_examples=40, deadline=None)
+
+coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def exponents(n: int, max_exp: int = 2):
+    return st.tuples(*[st.integers(0, max_exp)] * n)
+
+
+@st.composite
+def polys(draw, space, max_terms: int = 4, max_exp: int = 2):
+    terms = draw(st.dictionaries(exponents(space.nvars, max_exp), coeffs, max_size=max_terms))
+    return Poly(space, terms)
+
+
+@st.composite
+def poly_pairs(draw):
+    space = sigma_space(draw(st.integers(1, 3)))
+    return draw(polys(space)), draw(polys(space))
+
+
+@st.composite
+def weylops(draw, space, max_terms: int = 3):
+    terms = draw(st.dictionaries(exponents(space.nvars, 2), polys(space, 3, 2), max_size=max_terms))
+    return WeylOp(space, terms)
+
+
+@st.composite
+def weyl_triples(draw):
+    space = sigma_space(draw(st.integers(1, 3)))
+    return draw(weylops(space)), draw(weylops(space)), draw(weylops(space)), draw(polys(space, 4, 3))
+
+
+def assert_clean(p: Poly) -> None:
+    n = p.space.nvars
+    for exp, c in p.terms.items():
+        assert isinstance(c, Fraction) and c != 0
+        assert isinstance(exp, tuple) and len(exp) == n and min(exp, default=0) >= 0
+
+
+def assert_matches(p: Poly, space, reference: dict) -> None:
+    """p is clean and equals the validated build of a dict that may hold zeros."""
+    assert_clean(p)
+    assert p.space == space
+    assert p == Poly(space, reference)
+
+
+def dict_sum(*term_dicts, signs=None):
+    out = defaultdict(Fraction)
+    for i, terms in enumerate(term_dicts):
+        sign = 1 if signs is None else signs[i]
+        for e, c in terms.items():
+            out[e] += sign * c
+    return out
+
+
+@BOUNDED
+@given(poly_pairs())
+def test_add_sub_neg_match_reference(pair):
+    a, b = pair
+    assert_matches(a + b, a.space, dict_sum(a.terms, b.terms))
+    assert_matches(a - b, a.space, dict_sum(a.terms, b.terms, signs=(1, -1)))
+    assert_matches(-a, a.space, dict_sum(a.terms, signs=(-1,)))
+    assert (a - a).terms == {}
+
+
+@BOUNDED
+@given(poly_pairs(), coeffs)
+def test_mul_and_scale_match_reference(pair, c):
+    a, b = pair
+    product = defaultdict(Fraction)
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            product[tuple(x + y for x, y in zip(e1, e2))] += c1 * c2
+    assert_matches(a * b, a.space, product)
+    assert_matches(a.scale(c), a.space, {e: c * v for e, v in a.terms.items()})
+    assert_matches(a * 0, a.space, {})
+
+
+@BOUNDED
+@given(poly_pairs(), st.data())
+def test_partial_and_swap_match_reference(pair, data):
+    a, _ = pair
+    n = a.space.nvars
+    pos = data.draw(st.integers(0, n - 1))
+    derivative = defaultdict(Fraction)
+    for e, c in a.terms.items():
+        if e[pos]:
+            derivative[e[:pos] + (e[pos] - 1,) + e[pos + 1:]] += c * e[pos]
+    assert_matches(a.partial_pos(pos), a.space, derivative)
+    i, j = sorted(data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2)))
+    swapped = {}
+    for e, c in a.terms.items():
+        f = list(e)
+        f[i - 1], f[j - 1] = f[j - 1], f[i - 1]
+        swapped[tuple(f)] = c
+    assert_matches(a.swap("sigma", i, j), a.space, swapped)
+
+
+@BOUNDED
+@given(st.integers(1, 3), st.data())
+def test_collect_embed_match_reference(k, data):
+    se = sigma_eta_space(k)
+    p = data.draw(polys(se, 5, 2))
+    parts = p.collect("eta")
+    rebuilt = defaultdict(Fraction)
+    for fam_exp, coeff in parts.items():
+        assert_matches(coeff, sigma_space(k), {e[:k]: c for e, c in p.terms.items() if e[k:] == fam_exp})
+        embedded = coeff.embed(se, "eta", fam_exp)
+        assert_clean(embedded)
+        for e, c in embedded.terms.items():
+            rebuilt[e] += c
+    assert Poly(se, rebuilt) == p
+
+
+@BOUNDED
+@given(st.integers(1, 3), st.data())
+def test_compose_matches_pointwise_evaluation(k, data):
+    source = sigma_space(k)
+    target = sigma_space(2)
+    p = data.draw(polys(source, 4, 2))
+    images = {("sigma", h): data.draw(polys(target, 3, 2)) for h in range(1, k + 1)}
+    composed = p.compose(target, images)
+    assert_clean(composed)
+    assert composed == Poly(target, composed.terms)
+    point = data.draw(st.lists(coeffs, min_size=2, max_size=2))
+    values = [images[("sigma", h)].evaluate({"sigma": point}) for h in range(1, k + 1)]
+    assert composed.evaluate({"sigma": point}) == p.evaluate({"sigma": values})
+
+
+@BOUNDED
+@given(weyl_triples())
+def test_weyl_product_is_associative_and_acts_by_composition(triple):
+    a, b, c, f = triple
+    ab = a * b
+    for op in (ab, a + b, a - b):
+        for coeff in op.terms.values():
+            assert_clean(coeff)
+            assert coeff.space == a.space and not coeff.is_zero()
+    assert ab * c == a * (b * c)
+    image = ab.apply(f)
+    assert_clean(image)
+    assert image == a.apply(b.apply(f))

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from symtrace.symfun import (
     NotSymmetricError,
     derived_newton,
     discriminant,
+    NewtonFamily,
     elementary_symmetric,
     family,
     newton,
@@ -109,6 +112,25 @@ def test_newton_matches_power_sum_oracle():
                 lhs = newton(k, m).evaluate({"sigma": list(sig)})
                 rhs = sum(v ** m for v in xs)
                 assert lhs == rhs
+
+
+def test_newton_recurrences_take_no_recursion_depth():
+    # The caches fill bottom-up, so a large index needs no deep call stack.
+    # Under a recursion limit 150 frames above the current depth, a
+    # recursion on m fails long before m = 600.  (newton(2, 3000) itself
+    # returns as well, but its exact 900-digit arithmetic takes about 35 s.)
+    fam = NewtonFamily(2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 150)
+    try:
+        n = fam.newton(600)
+        dn = fam.derived(600)
+        pn = fam.primitive(600)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert n.evaluate({"sigma": [3, 2]}) == 1 + 2 ** 600  # roots 1 and 2
+    assert dn.evaluate({"sigma": [3, 2]}) == 2 ** 601 - 1  # 2^601/P'(2) + 1^601/P'(1)
+    assert pn.weight().value == 600
 
 
 def test_varouchas_form_agrees():

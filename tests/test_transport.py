@@ -29,7 +29,7 @@ from symtrace.transport import (
     u_operator,
     xi_transport,
 )
-from symtrace.weyl import WeylOp, weight_of, weyl_mul
+from symtrace.weyl import WeylOp
 
 
 def x(k, i):
@@ -127,7 +127,7 @@ def test_transport_defining_property_randomized():
         deg = 1 if k < 4 else 0  # keeps the k=4 monomial actions tractable
         a = _random_symmetric_order1(rng, k, deg)
         b = _random_symmetric_order1(rng, k, deg)
-        prod = SymmetricOperator(weyl_mul(a.op, b.op), k)  # symmetric of order <= 2
+        prod = SymmetricOperator(a.op * b.op, k)  # symmetric of order <= 2
         q = xi_transport(prod)
         d = max(prod.op.order(), 0)
         from symtrace.transport import _multi_indices
@@ -147,8 +147,8 @@ def test_transport_is_algebra_map_on_pairs():
         for _ in range(3):
             a = _random_symmetric_order1(rng, k)
             b = _random_symmetric_order1(rng, k)
-            lhs = xi_transport(SymmetricOperator(weyl_mul(a.op, b.op), k))
-            rhs = weyl_mul(xi_transport(a), xi_transport(b))
+            lhs = xi_transport(SymmetricOperator(a.op * b.op, k))
+            rhs = xi_transport(a) * xi_transport(b)
             assert lhs == rhs
 
 
@@ -244,7 +244,7 @@ def test_nabla_p_as_partial_values_and_weight():
     assert nabla_p_as_partial(2, 0) == WeylOp.partial(S2, 2).scale(-1)
     for k in (2, 3, 4):
         for p in range(0, k):
-            assert weight_of(nabla_p_as_partial(k, p)).value == p - k
+            assert nabla_p_as_partial(k, p).weight().value == p - k
     with pytest.raises(ValueError):
         nabla_p_as_partial(3, 3)
 

@@ -7,7 +7,7 @@ from symtrace.annihilators import op_A, op_T, op_U0
 from symtrace.poly import Poly
 from symtrace.spaces import sigma_eta_space, sigma_space
 from symtrace.symfun import newton
-from symtrace.weyl import WeylOp, symbol, weight_of, weyl_apply, weyl_commutator, weyl_mul
+from symtrace.weyl import WeylOp
 
 
 def d(k, h, power=1):
@@ -32,7 +32,7 @@ def random_op(rng, k, max_order=3, n_terms=3):
 
 
 def test_canonical_commutation():
-    assert weyl_mul(d(1, 1), s_op(1, 1)) == s_op(1, 1) * d(1, 1) + WeylOp.from_poly(Poly.one(sigma_space(1)))
+    assert d(1, 1) * s_op(1, 1) == s_op(1, 1) * d(1, 1) + WeylOp.from_poly(Poly.one(sigma_space(1)))
 
 
 def test_square_of_euler_piece():
@@ -48,21 +48,21 @@ def test_square_of_euler_piece():
 def test_partial_trace_commutator():
     # [d_h, T^m] = d_m d_h, verified here once at (k,m,h) = (3,2,3)
     k, m, h = 3, 2, 3
-    assert weyl_commutator(d(k, h), op_T(k, m)) == d(k, m) * d(k, h)
+    assert d(k, h).commutator(op_T(k, m)) == d(k, m) * d(k, h)
 
 
 def test_commutator_with_weight_operator():
-    assert weyl_commutator(op_A(3, 1, 3, 1), op_U0(3)) == op_A(3, 1, 3, 1).scale(4)
-    assert weyl_commutator(op_T(3, 2), op_U0(3)) == op_T(3, 2).scale(2)
+    assert op_A(3, 1, 3, 1).commutator(op_U0(3)) == op_A(3, 1, 3, 1).scale(4)
+    assert op_T(3, 2).commutator(op_U0(3)) == op_T(3, 2).scale(2)
 
 
 def test_apply_kills_independent_variable():
-    assert weyl_apply(d(3, 2), Poly.variable(sigma_space(3), "sigma", 1) ** 3).is_zero()
+    assert d(3, 2).apply(Poly.variable(sigma_space(3), "sigma", 1) ** 3).is_zero()
 
 
 def test_apply_transported_operator_kills_power_sums():
     sigma2 = op_T(2, 2)  # the k=2 transported operator in closed form
-    assert weyl_apply(sigma2, newton(2, 3)).is_zero()
+    assert sigma2.apply(newton(2, 3)).is_zero()
 
 
 def test_symbol_of_trace_generator():
@@ -74,32 +74,32 @@ def test_symbol_of_trace_generator():
         for h in range(1, k + 1):
             l = l + Poly.variable(se, "sigma", h) * Poly.variable(se, "eta", h)
         expected = expected + l * Poly.variable(se, "eta", m)
-        assert symbol(op_T(k, m)) == expected
+        assert op_T(k, m).symbol() == expected
 
 
 def test_symbol_top_order_only():
     k = 2
     op = s_op(k, 1) * d(k, 2, 2) + d(k, 1)
     se = sigma_eta_space(k)
-    assert symbol(op) == Poly.variable(se, "sigma", 1) * Poly.variable(se, "eta", 2) ** 2
+    assert op.symbol() == Poly.variable(se, "sigma", 1) * Poly.variable(se, "eta", 2) ** 2
 
 
 def test_symbol_of_index_swap():
     se = sigma_eta_space(3)
     e = lambda h: Poly.variable(se, "eta", h)
-    assert symbol(op_A(3, 1, 3, 1)) == e(1) * e(3) - e(2) ** 2
+    assert op_A(3, 1, 3, 1).symbol() == e(1) * e(3) - e(2) ** 2
 
 
 def test_symbol_of_zero_rejected():
     with pytest.raises(ValueError):
-        symbol(WeylOp.zero(sigma_space(2)))
+        WeylOp.zero(sigma_space(2)).symbol()
 
 
 def test_weight_of_generators():
-    assert weight_of(op_A(3, 1, 3, 1)).value == -4
-    assert weight_of(op_T(3, 2)).value == -2
+    assert op_A(3, 1, 3, 1).weight().value == -4
+    assert op_T(3, 2).weight().value == -2
     p = Poly.variable(sigma_space(2), "sigma", 1) + Poly.variable(sigma_space(2), "sigma", 2)
-    assert not weight_of(p).is_pure
+    assert not p.weight().is_pure
 
 
 def test_mul_associative_randomized():
@@ -107,7 +107,7 @@ def test_mul_associative_randomized():
     for _ in range(12):
         k = rng.randint(1, 4)
         a, b, c = (random_op(rng, k, max_order=3, n_terms=2) for _ in range(3))
-        assert weyl_mul(weyl_mul(a, b), c) == weyl_mul(a, weyl_mul(b, c))
+        assert (a * b) * c == a * (b * c)
 
 
 def test_apply_is_module_action_randomized():
@@ -116,7 +116,7 @@ def test_apply_is_module_action_randomized():
         k = rng.randint(1, 4)
         a, b = random_op(rng, k, 2, 2), random_op(rng, k, 2, 2)
         f = random_sigma_poly(rng, k, max_deg=3, n_terms=4)
-        assert weyl_apply(weyl_mul(a, b), f) == weyl_apply(a, weyl_apply(b, f))
+        assert (a * b).apply(f) == a.apply(b.apply(f))
 
 
 def test_symbol_multiplicative_when_orders_add():
@@ -127,11 +127,11 @@ def test_symbol_multiplicative_when_orders_add():
         a, b = random_op(rng, k, 2, 2), random_op(rng, k, 2, 2)
         if a.is_zero() or b.is_zero():
             continue
-        ab = weyl_mul(a, b)
+        ab = a * b
         if ab.is_zero() or ab.order() != a.order() + b.order():
             continue
         found += 1
-        assert symbol(ab) == symbol(a) * symbol(b)
+        assert ab.symbol() == a.symbol() * b.symbol()
     assert found >= 10
 
 
@@ -140,8 +140,8 @@ def test_pure_weight_commutator_characterization():
     k = 3
     u0 = op_U0(k)
     for op in (op_A(k, 1, 3, 1), op_T(k, 2), op_T(k, 3), d(k, 2)):
-        w = weight_of(op).value
-        assert weyl_commutator(op, u0) == op.scale(-w)
+        w = op.weight().value
+        assert op.commutator(u0) == op.scale(-w)
 
 
 def test_order_bound_under_product():
@@ -149,6 +149,6 @@ def test_order_bound_under_product():
     for _ in range(20):
         k = rng.randint(1, 3)
         a, b = random_op(rng, k, 2, 2), random_op(rng, k, 2, 2)
-        ab = weyl_mul(a, b)
+        ab = a * b
         if not (a.is_zero() or b.is_zero() or ab.is_zero()):
             assert ab.order() <= a.order() + b.order()
