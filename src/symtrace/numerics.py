@@ -14,8 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .symfun import discriminant
-
 
 class RootConvergenceError(RuntimeError):
     def __init__(self, best_residual: float):
@@ -83,6 +81,13 @@ def poly_roots(sigma: Sequence[complex], max_iter: int = 600, residual_factor: f
         if np.all(res <= residual_factor):
             return z
     raise RootConvergenceError(best)
+
+
+def root_discriminant(sigma: Sequence[complex]) -> complex:
+    """prod_{i<j} (x_i - x_j)^2 over the roots from poly_roots."""
+    x = poly_roots(sigma)
+    i, j = np.triu_indices(len(x), 1)
+    return complex(np.prod((x[i] - x[j]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -279,15 +284,14 @@ def fd_annihilation_check(op, F: Callable, sigma0: Sequence[float], h_step: floa
     Uses second-order central stencils at steps h, h/2, h/4 and two
     Richardson extrapolations; returns the extrapolated |op[F]| together
     with the observed convergence order and the scale max(1, |F(s0)|).
-    Rejects stencils that approach the discriminant locus.
+    Rejects stencils that approach the discriminant locus, where
+    |root_discriminant| < safety at some stencil point.
     """
     if op.order() > 2:
         raise ValueError("operator order must be <= 2")
     sigma0 = np.asarray(sigma0, dtype=float)
-    k = len(sigma0)
-    disc = discriminant(k)
     for pt in _stencil_points(op, sigma0, h_step):
-        if abs(complex(disc.evaluate({"sigma": list(pt)}))) < safety:
+        if abs(root_discriminant(pt)) < safety:
             raise UnsafeStencilError(f"stencil point {pt} too close to the discriminant locus")
     d1 = _apply_fd(op, F, sigma0, h_step)
     d2 = _apply_fd(op, F, sigma0, h_step / 2)

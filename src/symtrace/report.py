@@ -25,6 +25,7 @@ from .annihilators import (
     op_nabla,
 )
 from .charvar import (
+    char_poly_value,
     minor_matches_symbol,
     minors,
     recombine,
@@ -35,8 +36,8 @@ from .charvar import (
 from .poly import Poly
 from .serialize import poly_from_dict, weyl_from_dict
 from .spaces import sigma_eta_space, sigma_space
+from .symfun import discriminant_at, primitive_newton
 from .symfun import family as newton_family
-from .symfun import primitive_newton
 from .transport import elementary_symmetric_op, xi_transport
 from .weyl import WeylOp
 
@@ -253,6 +254,23 @@ def suite_forms(k: int, max_m: int | None = None) -> RunReport:
     return rep
 
 
+def primitive_gradient_holds(pn: Poly, m: int) -> bool:
+    """The exact gradient of PN_m over sigma_space(k): d_p PN_m is
+    (-1)^(p-1) N_{m-p}/(m-p) for m > p, (-1)^p at m = p, 0 below."""
+    k = pn.space.nvars
+    fam = newton_family(k)
+    for p in range(1, k + 1):
+        if m > p:
+            expected = fam.newton(m - p).scale(Fraction((-1) ** (p - 1), m - p))
+        elif m == p:
+            expected = Poly.constant(sigma_space(k), (-1) ** p)
+        else:
+            expected = Poly.zero(sigma_space(k))
+        if pn.partial("sigma", p) != expected:
+            return False
+    return True
+
+
 def suite_primitive(k: int, max_m: int | None = None) -> RunReport:
     """The lowered system on the primitive family: exact images, including
     the diagonal constant the published claim misses."""
@@ -287,20 +305,7 @@ def suite_primitive(k: int, max_m: int | None = None) -> RunReport:
     r = annihilation_report(gens, "sigma", k)
     rep.add("annihilates:system:sigma", r.all_zero, "every s_p is an exact solution")
 
-    ok = True
-    for m in range(1, max_m + 1):
-        pn = fam.primitive(m)
-        for p in range(1, k + 1):
-            d = pn.partial("sigma", p)
-            if m > p:
-                sign = -1 if (p - 1) % 2 else 1
-                expected = fam.newton(m - p).scale(Fraction(sign, m - p))
-            elif m == p:
-                expected = Poly.constant(sigma_space(k), (-1) ** p)
-            else:
-                expected = Poly.zero(sigma_space(k))
-            if d != expected:
-                ok = False
+    ok = all(primitive_gradient_holds(fam.primitive(m), m) for m in range(1, max_m + 1))
     rep.add(
         "gradient:pnewton", ok,
         "d_p PN_m = (-1)^(p-1) N_{m-p}/(m-p) for m > p, (-1)^p at m = p, 0 below",
@@ -338,9 +343,6 @@ def suite_symbols(k: int, samples: int = 50, seed: int = 2024) -> RunReport:
     pts = sample_z_points(k, seed, samples)
     ok = True
     degenerate = 0
-    from .symfun import discriminant
-
-    disc = discriminant(k)
     for pt in pts:
         l = sum(s * e for s, e in zip(pt.sigma, pt.eta))
         if l == 0:
@@ -348,11 +350,9 @@ def suite_symbols(k: int, samples: int = 50, seed: int = 2024) -> RunReport:
         for h in range(1, k + 1):
             if pt.eta[h - 1] != pt.eta[0] * (-pt.eta[0] / l) ** (h - 1):
                 ok = False
-        from .charvar import char_poly_value
-
         if char_poly_value(pt.sigma, l / pt.eta[0]) != 0:
             ok = False
-        if disc.evaluate({"sigma": list(pt.sigma)}) * pt.eta[0] == 0:
+        if discriminant_at(pt.sigma) * pt.eta[0] == 0:
             degenerate += 1
     rep.add(
         "variety:sampled-points", ok,
@@ -387,9 +387,11 @@ def run_suite(name: str, k: int, max_m: int | None = None) -> RunReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     fn = SUITES[name]
-    if name in ("system", "forms", "primitive") and max_m is not None:
-        return fn(k, max_m)
-    return fn(k)
+    if max_m is None:
+        return fn(k)
+    if name not in ("system", "forms", "primitive"):
+        raise ValueError(f"max-m applies only to the system, forms and primitive suites, not {name!r}")
+    return fn(k, max_m)
 
 
 # -- golden comparisons ------------------------------------------------------
@@ -470,16 +472,13 @@ def golden_check(path: str | Path | None = None) -> RunReport:
         fam = newton_family(k)
         return all(op.apply(fam.newton(m)).is_zero() for m in range(2 * k + 7))
 
-    def pn_valid(p: Poly) -> bool:
-        # the computed family carries the corrected gradient signs
-        return True
-
     compare("sigma2_k2", lambda: xi_transport(elementary_symmetric_op(2, 2)), sigma_op_valid)
     compare("sigma2_k3", lambda: xi_transport(elementary_symmetric_op(3, 2)), sigma_op_valid)
     compare("sigma3_k3", lambda: xi_transport(elementary_symmetric_op(3, 3)), sigma_op_valid)
     compare("n6_k3", lambda: newton_family(3).newton(6))
     for m in range(1, 5):
-        compare(f"pn{m}_k4", lambda m=m: primitive_newton(4, m), pn_valid)
+        compare(f"pn{m}_k4", lambda m=m: primitive_newton(4, m),
+                lambda p, m=m: primitive_gradient_holds(p, m))
     compare("minors_k2", lambda: {f"m({i},{j})": p for (i, j), p in minors(2).minors})
     compare("minors_k3", lambda: {f"m({i},{j})": p for (i, j), p in minors(3).minors})
     return rep

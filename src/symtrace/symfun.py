@@ -275,7 +275,10 @@ def discriminant(k: int) -> Poly:
 
     Computed as the Sylvester resultant of the polynomial and its
     derivative times (-1)^(k(k-1)/2); the polynomial is monic so no
-    leading-coefficient division arises.
+    leading-coefficient division arises.  The expansion grows about
+    tenfold per step in k; it builds the symbolic polynomial for the
+    library API and the tests, while point evaluation goes through
+    `discriminant_at`.
     """
     if k < 2:
         raise ValueError("discriminant needs k >= 2")
@@ -296,6 +299,44 @@ def discriminant(k: int) -> Poly:
         sign = (-1) ** (k * (k - 1) // 2)
         _disc_cache[k] = det.scale(sign)
     return _disc_cache[k]
+
+
+def discriminant_at(sigma) -> Fraction:
+    """discriminant(len(sigma)) evaluated exactly at a rational point,
+    without building the symbolic polynomial.
+
+    Res(P, P') by the Euclidean algorithm over Q, O(k^2) Fraction
+    operations, times (-1)^(k(k-1)/2).  Each step uses
+    Res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A - deg R) Res(B, R) with
+    R = A mod B, and Res(A, c) = c^(deg A) for a constant c.
+    """
+    k = len(sigma)
+    if k < 2:
+        raise ValueError("discriminant needs k >= 2")
+    for s in sigma:
+        if isinstance(s, bool) or not isinstance(s, (int, Fraction)):
+            raise TypeError(f"discriminant_at needs int or Fraction entries, got {type(s).__name__}")
+    # coefficients from the leading one down
+    a = [Fraction(1)] + [Fraction((-1) ** h * s) for h, s in enumerate(sigma, start=1)]
+    b = [(k - h) * c for h, c in enumerate(a[:-1])]
+    res = Fraction((-1) ** (k * (k - 1) // 2))
+    while len(b) > 1:
+        m, n = len(a) - 1, len(b) - 1
+        r = a[:]
+        for i in range(m - n + 1):
+            q = r[i] / b[0]
+            if q:
+                for j in range(1, n + 1):
+                    r[i + j] -= q * b[j]
+        start = m - n + 1
+        while start <= m and r[start] == 0:
+            start += 1
+        if start > m:
+            return Fraction(0)
+        r = r[start:]
+        res *= (-1) ** (m * n) * b[0] ** (m - (len(r) - 1))
+        a, b = b, r
+    return res * b[0] ** (len(a) - 1)
 
 
 def omega_closedness(k: int, m: int) -> bool:

@@ -5,9 +5,9 @@ import sys
 import pytest
 
 from symtrace.cli import dispatch
-from symtrace.report import golden_check
+from symtrace.report import golden_check, run_suite
 from symtrace.serialize import dumps, poly_to_dict, weyl_from_dict, weyl_to_dict
-from symtrace.spaces import sigma_eta_space, x_space
+from symtrace.spaces import sigma_eta_space, sigma_space, x_space
 from symtrace.poly import Poly
 from symtrace.weyl import WeylOp
 
@@ -196,6 +196,33 @@ def test_console_entry_point_runs():
 
 def test_usage_error_exit_code(capsys):
     assert dispatch(["verify", "--k", "3", "--suite", "bogus"]) == 1
+
+
+@pytest.mark.parametrize("suite", ["relations", "weights", "symbols"])
+def test_verify_rejects_max_m_where_it_does_not_apply(suite, capsys):
+    code, out, err = run_cli(["verify", "--k", "3", "--suite", suite, "--max-m", "5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and suite in err
+
+
+def test_verify_symbols_k10_finishes():
+    # the suite once expanded the symbolic discriminant and did not finish at k=10
+    rep = run_suite("symbols", 10)
+    assert rep.exit_status() == 0
+    assert rep.counts["fail"] == 0
+
+
+def test_golden_pn_mismatch_is_checked_not_excused(monkeypatch):
+    from symtrace.symfun import primitive_newton
+
+    def wrong(k, m):
+        return primitive_newton(k, m) + Poly.variable(sigma_space(k), "sigma", 1)
+
+    monkeypatch.setattr("symtrace.report.primitive_newton", wrong)
+    statuses = {e.id: e.status for e in golden_check().entries}
+    assert statuses["golden:pn3_k4"] == "fail"
+    assert statuses["golden:pn4_k4"] == "fail"
 
 
 def test_xi_rejects_asymmetric_file(capsys, tmp_path):

@@ -13,11 +13,12 @@ from symtrace.numerics import (
     fd_annihilation_check,
     poly_roots,
     power_function,
+    root_discriminant,
     trace_contour,
     trace_function_handle,
 )
 from symtrace.spaces import sigma_space
-from symtrace.symfun import derived_newton, newton
+from symtrace.symfun import derived_newton, discriminant, newton
 from symtrace.weyl import WeylOp
 
 
@@ -162,6 +163,15 @@ def test_fd_rejects_stencil_near_discriminant():
     F = trace_function_handle(EXP)
     with pytest.raises(UnsafeStencilError):
         fd_annihilation_check(op_T(2, 2), F, [2.0, 1.0])  # double root locus
+
+
+def test_root_discriminant_matches_symbolic():
+    rng = random.Random(11)
+    for k in (2, 3, 4):
+        for _ in range(5):
+            sigma = [rng.uniform(-3, 3) for _ in range(k)]
+            exact = complex(discriminant(k).evaluate({"sigma": sigma}))
+            assert abs(root_discriminant(sigma) - exact) <= 1e-8 * max(1.0, abs(exact))
 
 
 def test_fd_rejects_high_order():
