@@ -145,7 +145,13 @@ def generator_system(k: int, variant: str = "trace") -> GeneratorSet:
     return GeneratorSet(k, tuple(entries), label=variant)
 
 
-_FAMILY_START = {"newton": 0, "dnewton": 0, "pnewton": 1, "sigma": 1}
+def family_start(family: str, k: int) -> int:
+    """First index of a named family: N_0, DN_{-k+1} (its seeds
+    DN_{-k+1}..DN_{-1} are zero), PN_1 and s_1."""
+    starts = {"newton": 0, "dnewton": -k + 1, "pnewton": 1, "sigma": 1}
+    if family not in starts:
+        raise ValueError(f"unknown family {family!r}")
+    return starts[family]
 
 
 def family_member(k: int, name: str, m: int) -> Poly:
@@ -200,9 +206,11 @@ def annihilation_report(
     else:
         if max_m is None:
             max_m = 2 * k + 6
-        start = _FAMILY_START[family]
         stop = min(max_m, k) if family == "sigma" else max_m
-        members = [(f"{family}[{m}]", family_member(k, family, m)) for m in range(start, stop + 1)]
+        members = [
+            (f"{family}[{m}]", family_member(k, family, m))
+            for m in range(family_start(family, k), stop + 1)
+        ]
     report = AnnihilationReport(k=k, family=family, max_m=max_m)
     for gid, op in gens:
         for label_m, poly in members:

@@ -17,7 +17,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .annihilators import family_member
+from .annihilators import family_member, family_start
 from .charvar import (
     NotOnVarietyError,
     decompose_in_minors,
@@ -37,20 +37,14 @@ def _print(doc: dict):
     sys.stdout.write(dumps(doc))
 
 
-def _family_range(family: str, k: int, max_m: int):
-    start = {"newton": 0, "dnewton": -k + 1, "pnewton": 1}[family]
-    return range(start, max_m + 1)
-
-
 def cmd_gen(args) -> int:
-    entries = []
-    for m in _family_range(args.family, args.k, args.max_m):
-        entries.append({"m": m, "poly": poly_to_dict(family_member(args.k, args.family, m))})
+    ms = range(family_start(args.family, args.k), args.max_m + 1)
     if args.format == "json":
+        entries = [{"m": m, "poly": poly_to_dict(family_member(args.k, args.family, m))} for m in ms]
         _print({"schema": SCHEMA, "object": "family", "family": args.family,
                 "k": args.k, "max_m": args.max_m, "entries": entries})
     else:
-        for m in _family_range(args.family, args.k, args.max_m):
+        for m in ms:
             print(f"{args.family}[{m}] = {family_member(args.k, args.family, m)}")
     return 0
 

@@ -1,25 +1,32 @@
 """Multivariate polynomials over exact rationals.
 
-Terms live in a dict mapping exponent tuples to nonzero Fractions; the
+Terms live in a dict mapping exponent tuples to nonzero coefficients; the
 exponent tuple runs over all variables of the carrying VarSpace in
-canonical order.  Values are immutable by convention: no method mutates
-``terms`` after construction, so polynomials can be shared freely.
+canonical order.  Every stored coefficient has one canonical form: a
+nonzero int, or a Fraction with denominator > 1.  Most coefficients in
+the kernel are integral, and int arithmetic pays no gcd; ``_canon``
+demotes an integral Fraction to its numerator wherever one can arise.
+Values are immutable by convention: no method mutates ``terms`` after
+construction, so polynomials can be shared freely.
 
 Polynomials are built and summed in one way each:
 
 - ``Poly(space, terms)`` is the validated public constructor.  It
-  converts coefficients to Fractions, drops zeros and rejects exponents
-  of the wrong length or with negative entries.  Input from outside the
-  kernel (user JSON, tests, hand-built tables) goes through it.
+  converts coefficients to canonical form, drops zeros and rejects
+  exponents of the wrong length or with negative entries.  Input from
+  outside the kernel (user JSON, tests, hand-built tables) goes through
+  it.
 - ``Poly._trusted(space, terms)`` stores an already-clean dict as it is:
-  nonzero Fractions keyed by exponents of length ``space.nvars`` with no
-  negative entry.  The ring operations build such dicts by construction
-  and wrap them with it; the dict must not be mutated afterwards.
-- ``_accumulate(out, key, c)`` adds ``c`` into ``out[key]`` and drops the
-  key when the sum cancels; ``_add_product`` accumulates a product of two
-  term dicts through it.  A sum of many pieces accumulates into one plain
-  dict that is wrapped once, never ``out = out + piece`` in a loop, which
-  copies the whole dict on every step.
+  nonzero canonical coefficients keyed by exponents of length
+  ``space.nvars`` with no negative entry.  The ring operations build such
+  dicts by construction and wrap them with it; the dict must not be
+  mutated afterwards.
+- ``_accumulate(out, key, c)`` adds ``c`` into ``out[key]``, stores the
+  sum in canonical form and drops the key when the sum cancels;
+  ``_add_product`` accumulates a product of two term dicts through it.
+  A sum of many pieces accumulates into one plain dict that is wrapped
+  once, never ``out = out + piece`` in a loop, which copies the whole
+  dict on every step.
 """
 
 from __future__ import annotations
@@ -30,8 +37,6 @@ from operator import add
 from typing import Iterable, Mapping
 
 from .spaces import VarSpace, check_same_space
-
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -55,21 +60,29 @@ class Weight:
 NON_PURE = Weight(None)
 
 
-def _as_fraction(c) -> Fraction:
+def _canon(c):
+    """The canonical form of a coefficient: an integral Fraction becomes
+    its numerator; ints, other Fractions and Poly values pass through."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _as_coeff(c) -> int | Fraction:
     if isinstance(c, Fraction):
-        return c
+        return _canon(c)
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
 def _accumulate(out: dict, key, c) -> None:
-    """out[key] += c, dropping the key when the sum is zero (Fraction or Poly values)."""
+    """out[key] += c, dropping the key when the sum is zero (rational or Poly values)."""
     s = out.get(key)
     if s is not None:
         c = s + c
     if c:
-        out[key] = c
+        out[key] = _canon(c)
     else:
         out.pop(key, None)
 
@@ -77,7 +90,7 @@ def _accumulate(out: dict, key, c) -> None:
 def _add_product(out: dict, a: Mapping, b: Mapping, c=1) -> None:
     """Accumulate c * a * b into out, where a and b are term dicts.
 
-    A unit factor from a skips the Fraction product, so a should be the
+    A unit factor from a skips the product, so a should be the
     side with fewer terms and with unit coefficients when there is one.
     """
     for e1, c1 in a.items():
@@ -101,7 +114,7 @@ class Poly:
         clean: dict[tuple[int, ...], Fraction] = {}
         n = space.nvars
         for exp, coeff in (terms or {}).items():
-            c = _as_fraction(coeff)
+            c = _as_coeff(coeff)
             if c == 0:
                 continue
             exp = tuple(exp)
@@ -129,7 +142,7 @@ class Poly:
 
     @staticmethod
     def constant(space: VarSpace, c) -> Poly:
-        return Poly(space, {(0,) * space.nvars: _as_fraction(c)})
+        return Poly(space, {(0,) * space.nvars: c})
 
     @staticmethod
     def one(space: VarSpace) -> Poly:
@@ -139,11 +152,11 @@ class Poly:
     def variable(space: VarSpace, family: str, index: int = 1) -> Poly:
         exp = [0] * space.nvars
         exp[space.position(family, index)] = 1
-        return Poly(space, {tuple(exp): Fraction(1)})
+        return Poly(space, {tuple(exp): 1})
 
     @staticmethod
     def monomial(space: VarSpace, exp: Iterable[int], coeff=1) -> Poly:
-        return Poly(space, {tuple(exp): _as_fraction(coeff)})
+        return Poly(space, {tuple(exp): coeff})
 
     # -- ring operations ---------------------------------------------------
 
@@ -176,10 +189,10 @@ class Poly:
         return NotImplemented
 
     def scale(self, c) -> Poly:
-        c = _as_fraction(c)
+        c = _as_coeff(c)
         if c == 0:
             return Poly.zero(self.space)
-        return Poly._trusted(self.space, {e: c * v for e, v in self.terms.items()})
+        return Poly._trusted(self.space, {e: _canon(c * v) for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
@@ -215,10 +228,10 @@ class Poly:
         count = self.space.family_count(family)
         return max((sum(e[off:off + count]) for e in self.terms), default=-1)
 
-    def coefficient(self, exp: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+    def coefficient(self, exp: Iterable[int]) -> int | Fraction:
+        return self.terms.get(tuple(exp), 0)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
 
     def partial(self, family: str, index: int) -> Poly:
@@ -233,7 +246,7 @@ class Poly:
             if e:
                 new = list(exp)
                 new[pos] = e - 1
-                out[tuple(new)] = c if e == 1 else c * e
+                out[tuple(new)] = c if e == 1 else _canon(c * e)
         return Poly._trusted(self.space, out)
 
     def weight(self) -> Weight:

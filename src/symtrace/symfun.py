@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from .poly import Poly, _accumulate, _add_product, term_sort_key
+from .poly import Poly, _accumulate, _add_product, _canon, term_sort_key
 from .spaces import sigma_space, x_space
 
 
@@ -44,7 +44,7 @@ def elementary_symmetric(k: int, h: int) -> Poly:
             exp = [0] * k
             for i in subset:
                 exp[i] = 1
-            terms[tuple(exp)] = Fraction(1)
+            terms[tuple(exp)] = 1
         _e_cache[key] = Poly(space, terms)
     return _e_cache[key]
 
@@ -168,7 +168,7 @@ class NewtonFamily:
             raise ValueError("primitive newton index must be >= 1")
         if m not in self._primitive:
             hmax = self.k if m >= self.k + 1 else m - 1
-            one = {(0,) * self.k: Fraction(1)}
+            one = {(0,) * self.k: 1}
             acc: dict[tuple[int, ...], Fraction] = {}
             for h in range(0, hmax + 1):
                 sign = -1 if (h - 1) % 2 else 1
@@ -240,7 +240,7 @@ def symmetrize(p: Poly, h: int, k: int) -> Poly:
                 new[image[slot]] = e
             _accumulate(out, tuple(new), c)
     scale = Fraction(factorial(k - h), factorial(k))
-    return Poly._trusted(x_space(k), {e: c * scale for e, c in out.items()})
+    return Poly._trusted(x_space(k), {e: _canon(c * scale) for e, c in out.items()})
 
 
 def _determinant(rows: list[list[Poly]], space) -> Poly:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from symtrace.annihilators import annihilation_report, family_start, generator_system
 from symtrace.cli import dispatch
 from symtrace.report import golden_check, run_suite
 from symtrace.serialize import dumps, poly_to_dict, weyl_from_dict, weyl_to_dict
@@ -97,6 +98,18 @@ def test_gen_dnewton_starts_below_zero(capsys):
     assert code == 0
     ms = [e["m"] for e in json.loads(out)["entries"]]
     assert ms[0] == -2 and ms[-1] == 2
+
+
+@pytest.mark.parametrize("family", ["newton", "dnewton", "pnewton"])
+def test_gen_and_annihilation_report_use_one_family_range(family, capsys):
+    k, max_m = 3, 4
+    code, out, _ = run_cli(["gen", "--family", family, "--k", str(k), "--max-m", str(max_m)], capsys)
+    assert code == 0
+    ms = [e["m"] for e in json.loads(out)["entries"]]
+    assert ms == list(range(family_start(family, k), max_m + 1))
+    gens = generator_system(k, "trace")
+    report = annihilation_report(gens, family, max_m)
+    assert report.checked == len(gens.entries) * len(ms)
 
 
 def test_charvar_sample_deterministic_with_env_seed(capsys, monkeypatch):

@@ -3,8 +3,11 @@
 The ring operations wrap their term dicts without re-validating them, so
 every result is checked against a reference built through the validated
 constructor from plain dict arithmetic, and for the storage invariants
-the constructor would enforce: no zero coefficient, Fraction
-coefficients, exponents of length space.nvars with no negative entry.
+the constructor would enforce: every coefficient in canonical form (a
+nonzero int, or a Fraction with denominator > 1), exponents of length
+space.nvars with no negative entry.  Coefficients are drawn with
+denominators up to 3, so sums and products that become integral
+(1/2 * 2, 1/3 + 2/3) exercise the demotion to int.
 """
 
 from collections import defaultdict
@@ -53,7 +56,8 @@ def weyl_triples(draw):
 def assert_clean(p: Poly) -> None:
     n = p.space.nvars
     for exp, c in p.terms.items():
-        assert isinstance(c, Fraction) and c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert c != 0
         assert isinstance(exp, tuple) and len(exp) == n and min(exp, default=0) >= 0
 
 

@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 from conftest import random_sigma_poly
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from symtrace.poly import Poly
 from symtrace.serialize import (
     dumps,
@@ -61,3 +64,64 @@ def test_serialization_deterministic_bytes():
     doc2 = dumps({"poly": poly_to_dict(Poly(space, dict(reversed(list(p.terms.items())))))})
     assert doc1 == doc2
     json.loads(doc1)
+
+
+mixed_coeffs = st.one_of(st.integers(-5, 5), st.fractions(min_value=-4, max_value=4, max_denominator=4))
+
+
+@st.composite
+def polys(draw, space, max_terms: int = 4):
+    exps = st.tuples(*[st.integers(0, 3)] * space.nvars)
+    return Poly(space, draw(st.dictionaries(exps, mixed_coeffs, max_size=max_terms)))
+
+
+@st.composite
+def spaced_polys(draw):
+    k = draw(st.integers(1, 3))
+    return draw(polys(draw(st.sampled_from([sigma_space(k), sigma_eta_space(k)]))))
+
+
+@st.composite
+def weylops(draw):
+    space = sigma_space(draw(st.integers(1, 3)))
+    dexps = st.tuples(*[st.integers(0, 2)] * space.nvars)
+    return WeylOp(space, draw(st.dictionaries(dexps, polys(space, 3), max_size=3)))
+
+
+def assert_canonical(p: Poly) -> None:
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spaced_polys())
+def test_poly_roundtrip_property(p):
+    doc = poly_to_dict(p)
+    back = poly_from_dict(doc)
+    assert back == p
+    assert_canonical(back)
+    assert dumps(poly_to_dict(back)) == dumps(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weylops())
+def test_weylop_roundtrip_property(op):
+    doc = weyl_to_dict(op)
+    back = weyl_from_dict(doc)
+    assert back == op
+    for coeff in back.terms.values():
+        assert_canonical(coeff)
+    assert dumps(weyl_to_dict(back)) == dumps(doc)
+
+
+def test_parsed_integral_coefficients_are_ints():
+    doc = {"space": sigma_space(2).code(), "terms": [
+        {"coeff": "3/1", "exp": [1, 0]},
+        {"coeff": "6/4", "exp": [0, 1]},
+        {"coeff": "-8/4", "exp": [0, 0]},
+    ]}
+    p = poly_from_dict(doc)
+    assert p.terms == {(1, 0): 3, (0, 1): Fraction(3, 2), (0, 0): -2}
+    assert_canonical(p)
+    assert type(p.terms[(1, 0)]) is int and type(p.terms[(0, 0)]) is int
+    assert [t["coeff"] for t in poly_to_dict(p)["terms"]] == ["3/1", "3/2", "-2/1"]

@@ -1,6 +1,9 @@
-"""The discriminant against sympy as an independent oracle.
+"""The exact symmetric-function kernel against sympy as an independent oracle.
 
-sympy is a test-only dependency.  Its discriminant of the monic
+sympy is a test-only dependency.  The Newton identities are checked
+against sympy's own rewriting of the power sums in the elementary
+symmetric functions (k <= 4, m <= 8), and `reduce_to_sigma` by
+substituting s = e(x) back in sympy.  sympy's discriminant of the monic
 polynomial z^k + sum_h (-1)^h s_h z^(k-h) is expanded once per k and
 turned into a plain {exponent: Fraction} dict, which the exact
 symbolic polynomial must equal term by term and the pointwise resultant
@@ -17,9 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symtrace.symfun import discriminant, discriminant_at
+from symtrace.poly import Poly
+from symtrace.spaces import x_space
+from symtrace.symfun import discriminant, discriminant_at, newton, reduce_to_sigma, symmetrize
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.polyfuncs import symmetrize as sympy_symmetrize  # noqa: E402
+from sympy.polys.specialpolys import symmetric_poly  # noqa: E402
 
 ORACLE_K = range(2, 7)
 
@@ -29,8 +36,50 @@ def sympy_discriminant(k: int) -> dict[tuple[int, ...], Fraction]:
     z = sympy.Symbol("z")
     s = sympy.symbols(f"s1:{k + 1}")
     p = z**k + sum((-1) ** h * s[h - 1] * z ** (k - h) for h in range(1, k + 1))
-    d = sympy.Poly(sympy.expand(sympy.discriminant(p, z)), *s)
-    return {exp: Fraction(int(c.p), int(c.q)) for exp, c in d.terms()}
+    return sympy_terms(sympy.expand(sympy.discriminant(p, z)), s)
+
+
+def sympy_terms(expr, gens) -> dict[tuple[int, ...], Fraction]:
+    return {exp: Fraction(int(c.p), int(c.q)) for exp, c in sympy.Poly(expr, *gens).terms() if c}
+
+
+def sympy_expr(p: Poly, gens):
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.prod([g**e for g, e in zip(gens, exp)])
+        for exp, c in p.terms.items()
+    ))
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_newton_matches_sympy_power_sums(k):
+    xs = sympy.symbols(f"x1:{k + 1}")
+    s = sympy.symbols(f"s1:{k + 1}")
+    for m in range(9):
+        expr, rest, _ = sympy_symmetrize(sum(x**m for x in xs), *xs, formal=True, symbols=s)
+        assert rest == 0
+        assert newton(k, m).terms == sympy_terms(expr, s)
+
+
+@st.composite
+def symmetrized_polys(draw):
+    k = draw(st.integers(1, 3))
+    h = draw(st.integers(1, k))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    exps = st.tuples(*[st.integers(0, 3)] * h)
+    p = Poly(x_space(h), draw(st.dictionaries(exps, coeffs, max_size=4)))
+    return k, symmetrize(p, h, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetrized_polys())
+def test_reduce_to_sigma_substitutes_back_in_sympy(case):
+    k, p = case
+    xs = sympy.symbols(f"x1:{k + 1}")
+    s = sympy.symbols(f"s1:{k + 1}")
+    reduced = sympy_expr(reduce_to_sigma(p, k), s)
+    back = sympy.expand(reduced.subs({s[h - 1]: symmetric_poly(h, *xs) for h in range(1, k + 1)},
+                                     simultaneous=True))
+    assert sympy_terms(back, xs) == p.terms
 
 
 def evaluate(terms: dict[tuple[int, ...], Fraction], sigma) -> Fraction:
