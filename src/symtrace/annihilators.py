@@ -12,7 +12,8 @@ T(m) +/- d_m annihilating the derived and primitive families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 from .poly import Poly
 from .spaces import sigma_space
@@ -98,15 +99,10 @@ def op_variants(k: int, m: int, which: str) -> WeylOp:
 class GeneratorSet:
     """Named generators of a left ideal over sigma-space."""
 
-    k: int
     entries: tuple[tuple[str, WeylOp], ...]
-    label: str = "system"
 
     def __iter__(self):
         return iter(self.entries)
-
-    def ids(self) -> list[str]:
-        return [gid for gid, _ in self.entries]
 
     def get(self, gid: str) -> WeylOp:
         for name, op in self.entries:
@@ -142,7 +138,7 @@ def generator_system(k: int, variant: str = "trace") -> GeneratorSet:
             entries.append((f"T({m})-d{m}", op_variants(k, m, "primitive")))
         else:
             raise ValueError(f"unknown variant {variant!r}")
-    return GeneratorSet(k, tuple(entries), label=variant)
+    return GeneratorSet(tuple(entries))
 
 
 def family_start(family: str, k: int) -> int:
@@ -167,56 +163,52 @@ def family_member(k: int, name: str, m: int) -> Poly:
     raise ValueError(f"unknown family {name!r}")
 
 
-@dataclass
-class AnnihilationReport:
-    """Exact images of a polynomial family under a generator set."""
-
-    k: int
-    family: str
-    max_m: int
-    failures: list[tuple[str, int, Poly]] = field(default_factory=list)
-    checked: int = 0
-
-    @property
-    def all_zero(self) -> bool:
-        return not self.failures
-
-    def first_failure(self) -> tuple[str, int, Poly] | None:
-        return self.failures[0] if self.failures else None
+def family_members(k: int, name: str, max_m: int) -> Iterator[tuple[int, Poly]]:
+    """Yield (m, member) lazily from the family's first index up to max_m;
+    "sigma" stops at k."""
+    stop = min(max_m, k) if name == "sigma" else max_m
+    for m in range(family_start(name, k), stop + 1):
+        yield m, family_member(k, name, m)
 
 
-def annihilation_report(
-    gens: GeneratorSet,
-    family: str,
-    max_m: int | None = None,
-    polys: list[tuple[str, Poly]] | None = None,
-) -> AnnihilationReport:
-    """Apply every generator to every family member, recording nonzero images.
+@dataclass(frozen=True)
+class Witness:
+    """The first member an operator fails on: its index m and the nonzero
+    image (less the expected image, where one is given)."""
 
-    family "custom" takes explicit (label, poly) pairs; the named
-    families run m from their natural start up to max_m (default 2k+6;
-    "sigma" stops at k).
+    op: str
+    m: int
+    image: Poly
+
+
+def check_images(
+    ops: Iterable[tuple[str, WeylOp]],
+    members: Iterable[tuple[int, Poly]],
+    expected: Callable[[str, int], Poly | None] | None = None,
+) -> dict[str, Witness]:
+    """Apply every (id, op) to every (m, f_m) and return the first witness
+    of each op whose image is not zero, or not `expected(id, m)` where that
+    is not None, keyed by op id.
+
+    Members are drawn lazily, one at a time, and all ops applied to one
+    member share its derivative memo.  An op stops at its first failing m,
+    and no member is drawn once every op has failed.
     """
-    k = gens.k
-    if family == "custom":
-        if polys is None:
-            raise ValueError("custom family needs explicit polynomials")
-        members = list(polys)
-        max_m = len(members)
-    else:
-        if max_m is None:
-            max_m = 2 * k + 6
-        stop = min(max_m, k) if family == "sigma" else max_m
-        members = [
-            (f"{family}[{m}]", family_member(k, family, m))
-            for m in range(family_start(family, k), stop + 1)
-        ]
-    report = AnnihilationReport(k=k, family=family, max_m=max_m)
-    for gid, op in gens:
-        for label_m, poly in members:
-            image = op.apply(poly)
-            report.checked += 1
-            if not image.is_zero():
-                m = int(label_m.rsplit("[", 1)[1][:-1]) if "[" in label_m else -1
-                report.failures.append((gid, m, image))
-    return report
+    pending = list(ops)
+    failures: dict[str, Witness] = {}
+    for m, f in members:
+        derivs: dict = {}
+        still = []
+        for gid, op in pending:
+            image = op.apply(f, derivs)
+            want = None if expected is None else expected(gid, m)
+            if want is not None:
+                image = image - want
+            if image:
+                failures[gid] = Witness(gid, m, image)
+            else:
+                still.append((gid, op))
+        pending = still
+        if not pending:
+            break
+    return failures

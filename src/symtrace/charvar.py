@@ -54,9 +54,6 @@ class MinorSet:
                 return p
         raise KeyError(f"no minor {(i, j)}")
 
-    def ids(self) -> list[MinorId]:
-        return [mid for mid, _ in self.minors]
-
 
 def minors(k: int) -> MinorSet:
     """All k(k-1)/2 minors m_(i,j) = eta_i eta_{j-1} - eta_{i-1} eta_j,

@@ -17,7 +17,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .annihilators import family_member, family_start
+from .annihilators import family_members
 from .charvar import (
     NotOnVarietyError,
     decompose_in_minors,
@@ -38,14 +38,14 @@ def _print(doc: dict):
 
 
 def cmd_gen(args) -> int:
-    ms = range(family_start(args.family, args.k), args.max_m + 1)
+    members = family_members(args.k, args.family, args.max_m)
     if args.format == "json":
-        entries = [{"m": m, "poly": poly_to_dict(family_member(args.k, args.family, m))} for m in ms]
+        entries = [{"m": m, "poly": poly_to_dict(f)} for m, f in members]
         _print({"schema": SCHEMA, "object": "family", "family": args.family,
                 "k": args.k, "max_m": args.max_m, "entries": entries})
     else:
-        for m in ms:
-            print(f"{args.family}[{m}] = {family_member(args.k, args.family, m)}")
+        for m, f in members:
+            print(f"{args.family}[{m}] = {f}")
     return 0
 
 

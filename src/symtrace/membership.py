@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .annihilators import generator_system
+from .annihilators import check_images, family_members, generator_system
 from .charvar import decompose_in_minors, lift_eta_to_partials, vanishes_on_Z
 from .poly import Poly
 from .spaces import sigma_space, x_space
-from .symfun import family as newton_family
 from .weyl import WeylOp
 
 
@@ -69,13 +68,12 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
     if p.space != sigma_space(k):
         raise ValueError(f"expected an operator over {sigma_space(k)}")
     bound = default_newton_bound(p, k) if newton_bound is None else newton_bound
-    fam = newton_family(k)
     cert = MembershipCertificate(k=k, newton_bound=bound)
-    for m in range(bound + 1):
-        if not p.apply(fam.newton(m)).is_zero():
-            cert.remainder = p
-            cert.failing_newton_index = m
-            return cert
+    fails = check_images([("p", p)], family_members(k, "newton", bound))
+    if fails:
+        cert.remainder = p
+        cert.failing_newton_index = fails["p"].m
+        return cert
 
     gens = generator_system(k, "trace")
     cofactors: dict[str, WeylOp] = {}
@@ -99,20 +97,15 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
             raise AssertionError("symbol descent failed to lower the order")
         q = q_next
 
+    cert.entries = sorted(cofactors.items())
+    cert.remainder = q
     if not q.is_zero():
         # order <= 1: killing N_0..N_k forces zero, so a nonzero tail here
         # means the bound was too small to rule out a non-member earlier
-        for m in range(k + 1):
-            image = q.apply(fam.newton(m))
-            if not image.is_zero():
-                cert.remainder = q
-                cert.failing_newton_index = m
-                cert.entries = sorted(cofactors.items())
-                return cert
-        raise AssertionError("order-one tail kills N_0..N_k but is nonzero")
-
-    cert.entries = sorted(cofactors.items())
-    cert.remainder = WeylOp.zero(p.space)
+        fails = check_images([("tail", q)], family_members(k, "newton", k))
+        if not fails:
+            raise AssertionError("order-one tail kills N_0..N_k but is nonzero")
+        cert.failing_newton_index = fails["tail"].m
     return cert
 
 

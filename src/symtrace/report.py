@@ -16,7 +16,9 @@ from pathlib import Path
 
 from . import __version__
 from .annihilators import (
-    annihilation_report,
+    Witness,
+    check_images,
+    family_members,
     generator_system,
     op_A,
     op_T,
@@ -44,6 +46,7 @@ from .weyl import WeylOp
 PASS = "pass"
 FAIL = "fail"
 DEVIATION = "deviation"
+WITNESS_CHARS = 120
 
 
 @dataclass
@@ -51,6 +54,19 @@ class CheckEntry:
     id: str
     status: str
     detail: str = ""
+    witness: Witness | None = None
+
+    def to_dict(self) -> dict:
+        """The entry, with the witness (op id, m, term count, truncated image)
+        only when the check failed."""
+        out = {"id": self.id, "status": self.status, "detail": self.detail}
+        w = self.witness
+        if self.status == FAIL and w is not None:
+            text = str(w.image)
+            if len(text) > WITNESS_CHARS:
+                text = text[:WITNESS_CHARS] + "..."
+            out["witness"] = {"op": w.op, "m": w.m, "terms": len(w.image.terms), "image": text}
+        return out
 
 
 @dataclass
@@ -60,8 +76,8 @@ class RunReport:
     entries: list[CheckEntry] = field(default_factory=list)
     version: str = __version__
 
-    def add(self, id: str, ok: bool, detail: str = ""):
-        self.entries.append(CheckEntry(id, PASS if ok else FAIL, detail))
+    def add(self, id: str, ok: bool, detail: str = "", witness: Witness | None = None):
+        self.entries.append(CheckEntry(id, PASS if ok else FAIL, detail, witness))
 
     def deviation(self, id: str, detail: str):
         self.entries.append(CheckEntry(id, DEVIATION, detail))
@@ -85,7 +101,7 @@ class RunReport:
             "version": self.version,
             "k": self.k,
             "suite": self.suite,
-            "checks": [{"id": e.id, "status": e.status, "detail": e.detail} for e in self.entries],
+            "checks": [e.to_dict() for e in self.entries],
             "counts": self.counts,
             "exit_status": self.exit_status(strict_paper),
         }
@@ -94,6 +110,10 @@ class RunReport:
         lines = [f"suite {self.suite} (k={self.k})"]
         for e in self.entries:
             lines.append(f"  {e.status.upper():9s} {e.id}" + (f"  {e.detail}" if e.detail else ""))
+            w = e.to_dict().get("witness")
+            if w:
+                lines.append(f"            witness: {w['op']} at m = {w['m']}, "
+                             f"{w['terms']} terms: {w['image']}")
         c = self.counts
         lines.append(f"  {c[PASS]} pass, {c[FAIL]} fail, {c[DEVIATION]} deviation")
         return "\n".join(lines)
@@ -104,16 +124,11 @@ def suite_system(k: int, max_m: int | None = None) -> RunReport:
     integral-formula companions."""
     max_m = 2 * k + 6 if max_m is None else max_m
     rep = RunReport(k, "system")
-    gens = generator_system(k, "trace")
-    for gid, op in gens:
-        images_zero = all(
-            op.apply(newton_family(k).newton(m)).is_zero() for m in range(max_m + 1)
-        )
-        rep.add(f"annihilates:{gid}:newton", images_zero, f"N_m = 0 exactly for m <= {max_m}")
-    for mu in range(0, k - 1):
-        op = op_T0(k, mu)
-        ok = all(op.apply(newton_family(k).newton(m)).is_zero() for m in range(max_m + 1))
-        rep.add(f"annihilates:T0({mu}):newton", ok, f"N_m = 0 exactly for m <= {max_m}")
+    ops = [*generator_system(k, "trace"), *((f"T0({mu})", op_T0(k, mu)) for mu in range(k - 1))]
+    fails = check_images(ops, family_members(k, "newton", max_m))
+    for gid, _ in ops:
+        rep.add(f"annihilates:{gid}:newton", gid not in fails,
+                f"N_m = 0 exactly for m <= {max_m}", fails.get(gid))
     return rep
 
 
@@ -184,8 +199,10 @@ def suite_relations(k: int) -> RunReport:
     )
 
     fam = newton_family(k)
-    ok = all(nabla.apply(fam.newton(m)) == fam.newton(m - 1).scale(m) for m in range(1, 11))
-    rep.add("action:nabla-lowers-newton", ok, "nabla[N_m] = m N_{m-1} for m <= 10")
+    fails = check_images([("nabla", nabla)], ((m, fam.newton(m)) for m in range(1, 11)),
+                         lambda _, m: fam.newton(m - 1).scale(m))
+    rep.add("action:nabla-lowers-newton", not fails, "nabla[N_m] = m N_{m-1} for m <= 10",
+            fails.get("nabla"))
     return rep
 
 
@@ -231,12 +248,10 @@ def suite_weights(k: int) -> RunReport:
     rep.add("weight:ideal-stability", ok, "G.U0 = (U0 + w_G).G for every generator")
 
     fam = newton_family(k)
-    ok = all(
-        U0.apply(fam.newton(m)) == fam.newton(m).scale(m)
-        and fam.newton(m).weight().value == m
-        for m in range(0, 2 * k + 7)
-    )
-    rep.add("weight:newton-eigen", ok, "U0[N_m] = m N_m and N_m has pure weight m")
+    fails = check_images([("U0", U0)], family_members(k, "newton", 2 * k + 6),
+                         lambda _, m: fam.newton(m).scale(m))
+    ok = not fails and all(fam.newton(m).weight().value == m for m in range(2 * k + 7))
+    rep.add("weight:newton-eigen", ok, "U0[N_m] = m N_m and N_m has pure weight m", fails.get("U0"))
 
     ok = all(m.weight().value == -(i + j - 1) for (i, j), m in minors(k).minors)
     rep.add("weight:minors", ok, "minor (i,j) has pure weight -(i+j-1) with eta_h of weight -h")
@@ -247,10 +262,11 @@ def suite_forms(k: int, max_m: int | None = None) -> RunReport:
     """The shifted system annihilates the derived family."""
     max_m = 2 * k + 6 if max_m is None else max_m
     rep = RunReport(k, "forms")
-    r = annihilation_report(generator_system(k, "forms"), "dnewton", max_m)
-    for gid, _ in generator_system(k, "forms"):
-        bad = [f for f in r.failures if f[0] == gid]
-        rep.add(f"annihilates:{gid}:dnewton", not bad, f"DN_m = 0 exactly for m <= {max_m}")
+    gens = generator_system(k, "forms")
+    fails = check_images(gens, family_members(k, "dnewton", max_m))
+    for gid, _ in gens:
+        rep.add(f"annihilates:{gid}:dnewton", gid not in fails,
+                f"DN_m = 0 exactly for m <= {max_m}", fails.get(gid))
     return rep
 
 
@@ -278,32 +294,27 @@ def suite_primitive(k: int, max_m: int | None = None) -> RunReport:
     rep = RunReport(k, "primitive")
     fam = newton_family(k)
     gens = generator_system(k, "primitive")
+    diagonals = {f"T({m})-d{m}": m for m in range(2, k + 1)}
 
-    for gid, op in gens:
-        diagonal = None
-        if gid.startswith("T("):
-            diagonal = int(gid[2:].split(")")[0])
-        ok = True
-        for m in range(1, max_m + 1):
-            image = op.apply(fam.primitive(m))
-            if m == diagonal:
-                expected = Poly.constant(sigma_space(k), (-1) ** m)
-                if image != expected:
-                    ok = False
-            elif not image.is_zero():
-                ok = False
+    def diagonal_image(gid: str, m: int) -> Poly | None:
+        return Poly.constant(sigma_space(k), (-1) ** m) if diagonals.get(gid) == m else None
+
+    fails = check_images(gens, family_members(k, "pnewton", max_m), diagonal_image)
+    for gid, _ in gens:
         label = "PN_m = 0 exactly off the diagonal"
-        if diagonal is not None:
-            label += f"; image at m = {diagonal} is the constant (-1)^{diagonal}"
-        rep.add(f"annihilates:{gid}:pnewton", ok, label)
+        if gid in diagonals:
+            m = diagonals[gid]
+            label += f"; image at m = {m} is the constant (-1)^{m}"
+        rep.add(f"annihilates:{gid}:pnewton", gid not in fails, label, fails.get(gid))
     rep.deviation(
         "annihilates:pnewton:diagonal",
         "published claim: the lowered system kills every PN_m; exact computation "
         "gives (T(m) - d_m)[PN_m] = (-1)^m, zero only off the diagonal",
     )
 
-    r = annihilation_report(gens, "sigma", k)
-    rep.add("annihilates:system:sigma", r.all_zero, "every s_p is an exact solution")
+    fails = check_images(gens, family_members(k, "sigma", k))
+    rep.add("annihilates:system:sigma", not fails, "every s_p is an exact solution",
+            next(iter(fails.values()), None))
 
     ok = all(primitive_gradient_holds(fam.primitive(m), m) for m in range(1, max_m + 1))
     rep.add(
@@ -413,7 +424,18 @@ def _diff_weyl(computed: WeylOp, stored: WeylOp) -> str:
         b = stored.coefficient(dexp)
         if a != b:
             lines.append(f"d^{list(dexp)}: computed {a}, stored {b}")
-    return "; ".join(lines)
+    return "computed operator differs: " + "; ".join(lines)
+
+
+# kind -> (parse the stored value, describe a mismatch as (computed, stored))
+GOLDEN_KINDS = {
+    "weylop": (lambda doc: weyl_from_dict(doc["value"]), _diff_weyl),
+    "poly": (lambda doc: poly_from_dict(doc["value"]), lambda c, s: f"computed {c} vs stored {s}"),
+    "poly-table": (
+        lambda doc: {key: poly_from_dict(v) for key, v in doc["entries"].items()},
+        lambda c, s: "table mismatch",
+    ),
+}
 
 
 def golden_check(path: str | Path | None = None) -> RunReport:
@@ -427,54 +449,31 @@ def golden_check(path: str | Path | None = None) -> RunReport:
 
     def compare(name: str, compute, validate=None):
         file = base / f"{name}.json"
+        gid = f"golden:{name}"
         if not file.exists():
-            rep.add(f"golden:{name}", False, f"missing golden file {file.name}")
+            rep.add(gid, False, f"missing golden file {file.name}")
             return
         try:
             doc = _load_golden(file)
             kind = doc["kind"]
-            if kind == "weylop":
-                stored = weyl_from_dict(doc["value"])
-                computed = compute()
-                if computed == stored:
-                    rep.add(f"golden:{name}", True, doc.get("label", ""))
-                else:
-                    diff = _diff_weyl(computed, stored)
-                    if validate is not None and validate(computed):
-                        rep.deviation(f"golden:{name}", f"computed operator differs: {diff}")
-                    else:
-                        rep.add(f"golden:{name}", False, diff)
-            elif kind == "poly":
-                stored = poly_from_dict(doc["value"])
-                computed = compute()
-                if computed == stored:
-                    rep.add(f"golden:{name}", True, doc.get("label", ""))
-                else:
-                    detail = f"computed {computed} vs stored {stored}"
-                    if validate is not None and validate(computed):
-                        rep.deviation(f"golden:{name}", detail)
-                    else:
-                        rep.add(f"golden:{name}", False, detail)
-            elif kind == "poly-table":
-                stored = {key: poly_from_dict(v) for key, v in doc["entries"].items()}
-                computed = compute()
-                if computed == stored:
-                    rep.add(f"golden:{name}", True, doc.get("label", ""))
-                else:
-                    rep.add(f"golden:{name}", False, "table mismatch")
+            if kind not in GOLDEN_KINDS:
+                rep.add(gid, False, f"unknown kind {kind!r}")
+                return
+            parse, describe = GOLDEN_KINDS[kind]
+            stored = parse(doc)
+            computed = compute()
+            if computed == stored:
+                rep.add(gid, True, doc.get("label", ""))
+            elif validate is not None and validate(computed):
+                rep.deviation(gid, describe(computed, stored))
             else:
-                rep.add(f"golden:{name}", False, f"unknown kind {kind!r}")
+                rep.add(gid, False, describe(computed, stored))
         except Exception as exc:  # corrupted file: report, do not crash
-            rep.add(f"golden:{name}", False, f"unreadable golden file {file.name}: {exc}")
+            rep.add(gid, False, f"unreadable golden file {file.name}: {exc}")
 
-    def sigma_op_valid(op: WeylOp) -> bool:
-        k = op.space.nvars
-        fam = newton_family(k)
-        return all(op.apply(fam.newton(m)).is_zero() for m in range(2 * k + 7))
-
-    compare("sigma2_k2", lambda: xi_transport(elementary_symmetric_op(2, 2)), sigma_op_valid)
-    compare("sigma2_k3", lambda: xi_transport(elementary_symmetric_op(3, 2)), sigma_op_valid)
-    compare("sigma3_k3", lambda: xi_transport(elementary_symmetric_op(3, 3)), sigma_op_valid)
+    for name, k, h in (("sigma2_k2", 2, 2), ("sigma2_k3", 3, 2), ("sigma3_k3", 3, 3)):
+        compare(name, lambda k=k, h=h: xi_transport(elementary_symmetric_op(k, h)),
+                lambda op, k=k: not check_images([("op", op)], family_members(k, "newton", 2 * k + 6)))
     compare("n6_k3", lambda: newton_family(3).newton(6))
     for m in range(1, 5):
         compare(f"pn{m}_k4", lambda m=m: primitive_newton(4, m),

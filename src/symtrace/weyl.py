@@ -126,15 +126,19 @@ class WeylOp:
     def commutator(self, other: WeylOp) -> WeylOp:
         return self * other - other * self
 
-    def apply(self, f: Poly) -> Poly:
+    def apply(self, f: Poly, derivs: dict | None = None) -> Poly:
         """Act on a polynomial: sum_beta a_beta * d^beta f.
 
         Derivatives are memoised by multi-index, each one taken from its
-        prefix with one partial fewer, so terms share their chains.
+        prefix with one partial fewer, so terms share their chains.  Pass
+        the same `derivs` dict (empty at first) to every operator applied
+        to one f and they share the memo too.
         """
         if f.space != self.space:
             raise ValueError(f"operand space {f.space} differs from operator space {self.space}")
-        derivs = {(0,) * self.space.nvars: f}
+        derivs = {} if derivs is None else derivs
+        if derivs.setdefault((0,) * self.space.nvars, f) is not f:
+            raise ValueError("the derivative memo belongs to another polynomial")
 
         def deriv(beta: tuple[int, ...]) -> Poly:
             g = derivs.get(beta)

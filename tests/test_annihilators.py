@@ -1,7 +1,9 @@
 import pytest
 
 from symtrace.annihilators import (
-    annihilation_report,
+    GeneratorSet,
+    check_images,
+    family_members,
     generator_system,
     op_A,
     op_T,
@@ -51,12 +53,9 @@ def test_op_T0_matches_T_at_top_index():
     # mu = 0 and m = k coincide up to the A-correction, which is empty at k=2
     assert op_T0(2, 0) == op_T(2, 2)
     for k in (3, 4, 5):
+        fails = check_images(generator_system(k, "trace"), ((m, newton(k, m)) for m in range(0, 11)))
+        assert not fails
         for mu in range(0, k - 1):
-            r = annihilation_report(
-                generator_system(k, "trace"), "custom",
-                polys=[(f"N{m}", newton(k, m)) for m in range(0, 11)],
-            )
-            assert r.all_zero
             op = op_T0(k, mu)
             assert all(op.apply(newton(k, m)).is_zero() for m in range(0, 11))
     with pytest.raises(ValueError):
@@ -145,14 +144,15 @@ def test_generator_weights_and_stability():
 
 def test_system_annihilates_power_sums():
     for k in (2, 3, 4, 5):
-        r = annihilation_report(generator_system(k, "trace"), "newton")
-        assert r.all_zero and r.checked > 0
+        drawn = []
+        members = (drawn.append(m) or (m, f) for m, f in family_members(k, "newton", 2 * k + 6))
+        assert not check_images(generator_system(k, "trace"), members)
+        assert drawn == list(range(2 * k + 7))
 
 
 def test_forms_variant_annihilates_derived_family():
     for k in (2, 3, 4, 5):
-        r = annihilation_report(generator_system(k, "forms"), "dnewton")
-        assert r.all_zero
+        assert not check_images(generator_system(k, "forms"), family_members(k, "dnewton", 2 * k + 6))
 
 
 def test_forms_variant_values():
@@ -183,16 +183,33 @@ def test_primitive_variant_exact_images():
 
 def test_primitive_variant_kills_coordinates():
     for k in (2, 3, 4, 5):
-        r = annihilation_report(generator_system(k, "primitive"), "sigma")
-        assert r.all_zero
+        assert not check_images(generator_system(k, "primitive"), family_members(k, "sigma", k))
 
 
 def test_annihilation_report_flags_failures():
     k = 2
-    from symtrace.annihilators import GeneratorSet
+    gens = GeneratorSet((("d1", d(k, 1)),))
+    fails = check_images(gens, family_members(k, "newton", 2))
+    assert list(fails) == ["d1"]
+    w = fails["d1"]
+    assert w.op == "d1" and w.m == 1 and w.image == Poly.one(sigma_space(k))
 
-    gens = GeneratorSet(k, (("d1", d(k, 1)),), label="custom")
-    r = annihilation_report(gens, "newton", 2)
-    assert not r.all_zero
-    gid, m, image = r.first_failure()
-    assert gid == "d1" and m == 1 and image == Poly.one(sigma_space(k))
+
+def test_check_images_draws_lazily_and_stops_each_op_at_its_first_failure():
+    k = 2
+    drawn = []
+    members = (drawn.append(m) or (m, f) for m, f in family_members(k, "newton", 50))
+    fails = check_images([("d1", d(k, 1)), ("d2", d(k, 2))], members)
+    # d_2 N_1 = 0 and d_2 N_2 = -2; no member is drawn after both failed
+    assert {gid: w.m for gid, w in fails.items()} == {"d1": 1, "d2": 2}
+    assert fails["d2"].image == Poly.constant(sigma_space(k), -2)
+    assert drawn == [0, 1, 2]
+
+
+def test_check_images_witness_is_image_less_expected():
+    k = 3
+    members = [(m, newton(k, m)) for m in range(1, 6)]
+    assert not check_images([("nabla", op_nabla(k))], members, lambda _, m: newton(k, m - 1).scale(m))
+    fails = check_images([("nabla", op_nabla(k))], members, lambda _, m: newton(k, m - 1))
+    # nabla N_1 = 1 * N_0 holds; at m = 2 the residual is 2 N_1 - N_1 = N_1
+    assert fails["nabla"].m == 2 and fails["nabla"].image == newton(k, 1)

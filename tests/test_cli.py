@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from symtrace.annihilators import annihilation_report, family_start, generator_system
+from symtrace.annihilators import check_images, family_members, family_start, generator_system
 from symtrace.cli import dispatch
 from symtrace.report import golden_check, run_suite
 from symtrace.serialize import dumps, poly_to_dict, weyl_from_dict, weyl_to_dict
@@ -107,9 +107,45 @@ def test_gen_and_annihilation_report_use_one_family_range(family, capsys):
     assert code == 0
     ms = [e["m"] for e in json.loads(out)["entries"]]
     assert ms == list(range(family_start(family, k), max_m + 1))
-    gens = generator_system(k, "trace")
-    report = annihilation_report(gens, family, max_m)
-    assert report.checked == len(gens.entries) * len(ms)
+    drawn = []
+    members = (drawn.append(m) or (m, f) for m, f in family_members(k, family, max_m))
+    check_images(generator_system(k, "trace"), members)
+    assert drawn == ms
+
+
+def test_failing_check_names_its_witness(capsys, monkeypatch):
+    import symtrace.report
+    from symtrace.annihilators import GeneratorSet
+
+    def broken_system(k, variant="trace"):
+        d1 = WeylOp.partial(sigma_space(k), 1)
+        gens = generator_system(k, variant)
+        return GeneratorSet(tuple((gid, op + d1 if gid == "T(2)" else op) for gid, op in gens))
+
+    monkeypatch.setattr(symtrace.report, "generator_system", broken_system)
+    code, out, _ = run_cli(["verify", "--k", "3", "--suite", "system"], capsys)
+    assert code == 2
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    broken = checks["annihilates:T(2):newton"]
+    assert broken["status"] == "fail"
+    # T(2) + d_1 sends N_1 = s_1 to the constant 1
+    assert broken["witness"] == {"op": "T(2)", "m": 1, "terms": 1, "image": "1"}
+    assert all("witness" not in c for cid, c in checks.items() if cid != "annihilates:T(2):newton")
+    code, out, _ = run_cli(["verify", "--k", "3", "--suite", "system", "--format", "text"], capsys)
+    assert code == 2 and "witness: T(2) at m = 1, 1 terms: 1" in out
+
+
+def test_witness_image_is_truncated():
+    from symtrace.annihilators import Witness
+    from symtrace.report import WITNESS_CHARS, CheckEntry
+    from symtrace.symfun import newton
+
+    image = newton(4, 12)
+    entry = CheckEntry("annihilates:G:newton", "fail", "", Witness("G", 12, image))
+    w = entry.to_dict()["witness"]
+    assert w["terms"] == len(image.terms) and len(str(image)) > WITNESS_CHARS
+    assert w["image"] == str(image)[:WITNESS_CHARS] + "..."
+    assert "witness" not in CheckEntry("x", "pass", "", Witness("G", 12, image)).to_dict()
 
 
 def test_charvar_sample_deterministic_with_env_seed(capsys, monkeypatch):
@@ -197,6 +233,71 @@ def test_golden_check_corrupted_file(tmp_path, capsys):
     assert "n6_k3" in statuses["golden:n6_k3"][1]
     assert statuses["golden:minors_k2"][0] == "fail"
     assert "missing" in statuses["golden:minors_k2"][1]
+
+
+@pytest.fixture
+def golden_entry(tmp_path, capsys):
+    """Run `golden --dir` on a copy of golden/ in which tamper has edited the
+    document of one file; return the exit code and that file's entry."""
+
+    def run(name, tamper):
+        import shutil
+
+        from symtrace.report import golden_dir
+
+        base = tmp_path / "golden"
+        shutil.copytree(golden_dir(), base)
+        file = base / f"{name}.json"
+        doc = json.loads(file.read_text(encoding="utf-8"))
+        file.write_text(json.dumps(tamper(doc)), encoding="utf-8")
+        code, out, _ = run_cli(["golden", "--dir", str(base)], capsys)
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        return code, checks[f"golden:{name}"]
+
+    return run
+
+
+def set_first_coeff(poly_doc, coeff):
+    poly_doc["terms"][0]["coeff"] = coeff
+
+
+def test_golden_tampered_weylop_with_passing_validator_is_deviation(golden_entry):
+    def tamper(doc):
+        set_first_coeff(doc["value"]["terms"][0]["coeff"], "4/1")  # d^[2,0,0]: 3 -> 4
+        return doc
+
+    code, entry = golden_entry("sigma2_k3", tamper)
+    assert code == 0 and entry["status"] == "deviation"
+    assert "d^[2, 0, 0]: computed 3, stored 4" in entry["detail"]
+
+
+def test_golden_tampered_poly_without_validator_fails(golden_entry):
+    def tamper(doc):
+        set_first_coeff(doc["value"], "2/1")
+        return doc
+
+    code, entry = golden_entry("n6_k3", tamper)
+    assert code == 2 and entry["status"] == "fail"
+    assert entry["detail"].startswith("computed ") and " vs stored " in entry["detail"]
+
+
+def test_golden_tampered_poly_table_fails(golden_entry):
+    def tamper(doc):
+        set_first_coeff(doc["entries"]["m(1,2)"], "2/1")
+        return doc
+
+    code, entry = golden_entry("minors_k3", tamper)
+    assert code == 2 and entry == {"id": "golden:minors_k3", "status": "fail", "detail": "table mismatch"}
+
+
+def test_golden_unknown_kind_fails(golden_entry):
+    def tamper(doc):
+        doc["kind"] = "bogus"
+        return doc
+
+    code, entry = golden_entry("n6_k3", tamper)
+    assert code == 2 and entry["status"] == "fail"
+    assert entry["detail"] == "unknown kind 'bogus'"
 
 
 def test_console_entry_point_runs():

@@ -8,7 +8,9 @@ polynomial z^k + sum_h (-1)^h s_h z^(k-h) is expanded once per k and
 turned into a plain {exponent: Fraction} dict, which the exact
 symbolic polynomial must equal term by term and the pointwise resultant
 must match at drawn rational points.  sympy's expansion takes about 2 s
-at k=6 and minutes at k=7, so the oracle stops at 6.
+at k=6 and minutes at k=7, so the oracle stops at 6.  Membership in the
+ideal of the 2x2 minors (k <= 4) is decided by sympy's Groebner basis of
+the minors, against `vanishes_on_Z` and `decompose_in_minors`.
 """
 
 from fractions import Fraction
@@ -20,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symtrace.charvar import NotOnVarietyError, decompose_in_minors, minors, recombine, vanishes_on_Z
 from symtrace.poly import Poly
-from symtrace.spaces import x_space
+from symtrace.spaces import sigma_eta_space, x_space
 from symtrace.symfun import discriminant, discriminant_at, newton, reduce_to_sigma, symmetrize
 
 sympy = pytest.importorskip("sympy")
@@ -135,3 +138,52 @@ def test_discriminant_at_refuses_bad_input():
     for bad in ([2.0, 1], [Fraction(2), 1.0], [2, 1j], [True, 1]):
         with pytest.raises(TypeError):
             discriminant_at(bad)
+
+
+def sigma_eta_symbols(k: int):
+    return sympy.symbols(f"s1:{k + 1}") + sympy.symbols(f"eta1:{k + 1}")
+
+
+@cache
+def minor_groebner(k: int):
+    gens = sigma_eta_symbols(k)
+    return sympy.groebner([sympy_expr(m, gens) for _, m in minors(k).minors], *gens, order="grevlex", domain=sympy.QQ)
+
+
+def eta_homogeneous(k: int, degree: int, max_size: int):
+    """Term dicts over (sigma, eta) whose terms all have eta-degree `degree`."""
+    sigma_exp = st.tuples(*[st.integers(0, 2)] * k)
+    eta_exp = st.lists(st.integers(0, k - 1), min_size=degree, max_size=degree).map(
+        lambda hs: tuple(hs.count(h) for h in range(k)))
+    exps = st.builds(lambda a, b: a + b, sigma_exp, eta_exp)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    return st.dictionaries(exps, coeffs, min_size=1 if max_size == 1 else 0, max_size=max_size)
+
+
+@st.composite
+def minor_ideal_candidates(draw):
+    """A combination of the minors with eta-homogeneous cofactors, plus
+    (when drawn) one monomial of the same eta-degree."""
+    k = draw(st.integers(2, 4))
+    se = sigma_eta_space(k)
+    cofactor_degree = draw(st.integers(0, 1))
+    f = Poly.zero(se)
+    for _, m in minors(k).minors:
+        f = f + Poly(se, draw(eta_homogeneous(k, cofactor_degree, 2))) * m
+    if draw(st.booleans()):
+        f = f + Poly(se, draw(eta_homogeneous(k, cofactor_degree + 2, 1)))
+    return k, f
+
+
+@settings(max_examples=60, deadline=None)
+@given(minor_ideal_candidates())
+def test_minor_ideal_membership_matches_sympy_groebner(case):
+    k, f = case
+    in_ideal = minor_groebner(k).contains(sympy_expr(f, sigma_eta_symbols(k)))
+    assert vanishes_on_Z(f, k) == in_ideal
+    try:
+        coeffs = decompose_in_minors(f, k)
+    except NotOnVarietyError:
+        assert not in_ideal
+    else:
+        assert in_ideal and recombine(k, coeffs) == f

@@ -152,3 +152,16 @@ def test_order_bound_under_product():
         ab = a * b
         if not (a.is_zero() or b.is_zero() or ab.is_zero()):
             assert ab.order() <= a.order() + b.order()
+
+
+def test_apply_shares_a_derivative_memo_across_operators():
+    rng = random.Random(7)
+    k = 3
+    f = newton(k, 7)
+    derivs = {}
+    for _ in range(6):
+        op = random_op(rng, k)
+        assert op.apply(f, derivs) == op.apply(f)
+    assert derivs[(0, 0, 0)] is f and len(derivs) > 1
+    with pytest.raises(ValueError):
+        op.apply(newton(k, 6), derivs)
