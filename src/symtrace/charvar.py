@@ -331,11 +331,12 @@ def minor_matches_symbol(k: int) -> list[tuple[MinorId, str, int]]:
     for mid, m in minors(k).minors:
         i, j = mid
         if i == 1:
-            assert m == op_T(k, j).symbol()
-            out.append((mid, f"T({j})", 1))
+            gid, sign, symbol = f"T({j})", 1, op_T(k, j).symbol()
         else:
-            assert m == -op_A(k, i - 1, j, 1).symbol()
-            out.append((mid, f"A({i - 1},{j},1)", -1))
+            gid, sign, symbol = f"A({i - 1},{j},1)", -1, -op_A(k, i - 1, j, 1).symbol()
+        if m != symbol:
+            raise AssertionError(f"minor {mid} is not the signed symbol of {gid}")
+        out.append((mid, gid, sign))
     return out
 
 

@@ -59,14 +59,15 @@ def _resolve_input(path: str) -> Path:
     raise FileNotFoundError(f"no such file: {path}")
 
 
-def _load_weylop(path: str):
+def _load_value(path: str, *wrappers: str):
+    """The JSON document in a file, unwrapped from the given keys in turn
+    where it is an object that has them."""
     with open(_resolve_input(path), "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "value" in doc:
-        doc = doc["value"]
-    if "op" in doc:
-        doc = doc["op"]
-    return weyl_from_dict(doc)
+    for key in wrappers:
+        if isinstance(doc, dict) and key in doc:
+            doc = doc[key]
+    return doc
 
 
 def cmd_xi(args) -> int:
@@ -75,7 +76,7 @@ def cmd_xi(args) -> int:
         h = int(args.op[1:])
         sym = elementary_symmetric_op(k, h)
     else:
-        op = _load_weylop(args.op)
+        op = weyl_from_dict(_load_value(args.op, "value", "op"))
         if op.space != x_space(k):
             print(f"error: operator must live over {x_space(k)}", file=sys.stderr)
             return 1
@@ -128,11 +129,7 @@ def cmd_charvar(args) -> int:
             print(rep.to_text())
         return rep.exit_status(strict_paper=args.strict_paper)
     if args.decompose is not None:
-        with open(_resolve_input(args.decompose), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if "value" in doc:
-            doc = doc["value"]
-        f = poly_from_dict(doc)
+        f = poly_from_dict(_load_value(args.decompose, "value"))
         try:
             coeffs = decompose_in_minors(f, k)
         except NotOnVarietyError as exc:
@@ -151,7 +148,7 @@ def cmd_charvar(args) -> int:
 
 
 def cmd_member(args) -> int:
-    op = _load_weylop(args.op)
+    op = weyl_from_dict(_load_value(args.op, "value", "op"))
     cert = reduce_modulo_system(op, args.k, args.newton_bound)
     doc = {
         "schema": SCHEMA,
@@ -302,7 +299,7 @@ def dispatch(argv: list[str]) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (NotSymmetricError, NotOnVarietyError, FileNotFoundError, ValueError, KeyError, RuntimeError) as exc:
+    except (NotSymmetricError, NotOnVarietyError, OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .annihilators import check_images, family_members, generator_system
-from .charvar import decompose_in_minors, lift_eta_to_partials, vanishes_on_Z
+from .charvar import NotOnVarietyError, decompose_in_minors, lift_eta_to_partials
 from .poly import Poly
 from .spaces import sigma_space, x_space
 from .weyl import WeylOp
@@ -80,10 +80,12 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
     q = p
     while q.order() >= 2:
         s = q.symbol()
-        if not vanishes_on_Z(s, k):
-            raise SymbolDescentError(s, bound)
+        try:
+            parts = decompose_in_minors(s, k)
+        except NotOnVarietyError:
+            raise SymbolDescentError(s, bound) from None
         step = WeylOp.zero(q.space)
-        for (i, j), c in decompose_in_minors(s, k).items():
+        for (i, j), c in parts.items():
             if i == 1:
                 gid = f"T({j})"
                 cof = lift_eta_to_partials(c, k)

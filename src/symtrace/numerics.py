@@ -200,34 +200,39 @@ class FDResult:
     scale: float
 
 
+# Central second-order stencils, keyed by the nonzero entries of a partial
+# multi-index of order <= 2: the sign offsets of the points along the
+# active coordinates, and the difference quotient that combines F at them.
+_STENCILS = {
+    (): ([()], lambda v, h: v[0]),
+    (1,): ([(1,), (-1,)], lambda v, h: (v[0] - v[1]) / (2 * h)),
+    (2,): ([(1,), (0,), (-1,)], lambda v, h: (v[0] - 2 * v[1] + v[2]) / (h * h)),
+    (1, 1): ([(1, 1), (1, -1), (-1, 1), (-1, -1)],
+             lambda v, h: (v[0] - v[1] - v[2] + v[3]) / (4 * h * h)),
+}
+
+
+def _stencil(dexp, sigma0: np.ndarray, h: float):
+    """The stencil points of d^dexp at sigma0 with step h, and its quotient."""
+    active = [i for i, e in enumerate(dexp) if e]
+    offsets, quotient = _STENCILS[tuple(dexp[i] for i in active)]
+    points = []
+    for signs in offsets:
+        q = sigma0.copy()
+        for i, s in zip(active, signs):
+            if s:
+                q[i] += s * h
+        points.append(q)
+    return points, quotient
+
+
 def _stencil_points(op, sigma0: np.ndarray, h: float) -> list[np.ndarray]:
-    pts = [sigma0]
-    k = len(sigma0)
+    """Every distinct point of the stencils of op's terms, sigma0 first."""
+    pts = {tuple(sigma0): sigma0}
     for dexp in op.terms:
-        active = [i for i, e in enumerate(dexp) if e]
-        if not active:
-            continue
-        if sum(dexp) == 1:
-            (i,) = active
-            for sign in (+1, -1):
-                q = sigma0.copy()
-                q[i] += sign * h
-                pts.append(q)
-        elif len(active) == 1:
-            (i,) = active
-            for sign in (+1, -1):
-                q = sigma0.copy()
-                q[i] += sign * h
-                pts.append(q)
-        else:
-            i, j = active
-            for si in (+1, -1):
-                for sj in (+1, -1):
-                    q = sigma0.copy()
-                    q[i] += si * h
-                    q[j] += sj * h
-                    pts.append(q)
-    return pts
+        for q in _stencil(dexp, sigma0, h)[0]:
+            pts.setdefault(tuple(q), q)
+    return list(pts.values())
 
 
 def _apply_fd(op, F: Callable, sigma0: np.ndarray, h: float) -> complex:
@@ -245,35 +250,8 @@ def _apply_fd(op, F: Callable, sigma0: np.ndarray, h: float) -> complex:
         a = complex(coeff.evaluate({"sigma": list(sigma0)}))
         if a == 0:
             continue
-        order = sum(dexp)
-        active = [i for i, e in enumerate(dexp) if e]
-        if order == 0:
-            d = feval(sigma0)
-        elif order == 1:
-            (i,) = active
-            up, dn = sigma0.copy(), sigma0.copy()
-            up[i] += h
-            dn[i] -= h
-            d = (feval(up) - feval(dn)) / (2 * h)
-        elif order == 2 and len(active) == 1:
-            (i,) = active
-            up, dn = sigma0.copy(), sigma0.copy()
-            up[i] += h
-            dn[i] -= h
-            d = (feval(up) - 2 * feval(sigma0) + feval(dn)) / (h * h)
-        elif order == 2:
-            i, j = active
-            vals = {}
-            for si in (+1, -1):
-                for sj in (+1, -1):
-                    q = sigma0.copy()
-                    q[i] += si * h
-                    q[j] += sj * h
-                    vals[(si, sj)] = feval(q)
-            d = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (4 * h * h)
-        else:
-            raise ValueError("finite differences support order <= 2 operators only")
-        total += a * d
+        points, quotient = _stencil(dexp, sigma0, h)
+        total += a * quotient([feval(q) for q in points], h)
     return total
 
 

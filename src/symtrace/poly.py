@@ -13,9 +13,9 @@ Polynomials are built and summed in one way each:
 
 - ``Poly(space, terms)`` is the validated public constructor.  It
   converts coefficients to canonical form, drops zeros and rejects
-  exponents of the wrong length or with negative entries.  Input from
-  outside the kernel (user JSON, tests, hand-built tables) goes through
-  it.
+  exponents of the wrong length or with an entry that is not a
+  non-negative int (bools included).  Input from outside the kernel
+  (user JSON, tests, hand-built tables) goes through it.
 - ``Poly._trusted(space, terms)`` stores an already-clean dict as it is:
   nonzero canonical coefficients keyed by exponents of length
   ``space.nvars`` with no negative entry.  The ring operations build such
@@ -48,10 +48,6 @@ class Weight:
     @property
     def is_pure(self) -> bool:
         return self.value is not None
-
-    @staticmethod
-    def pure(value: int) -> Weight:
-        return Weight(value)
 
     def __str__(self):
         return "non-pure" if self.value is None else str(self.value)
@@ -118,7 +114,7 @@ class Poly:
             if c == 0:
                 continue
             exp = tuple(exp)
-            if len(exp) != n or any(e < 0 for e in exp):
+            if len(exp) != n or any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"bad exponent {exp} for space {space}")
             clean[exp] = c
         object.__setattr__(self, "terms", clean)
@@ -259,7 +255,7 @@ class Poly:
                 seen = w
             elif seen != w:
                 return NON_PURE
-        return Weight.pure(0) if seen is None else Weight.pure(seen)
+        return Weight(0 if seen is None else seen)
 
     # -- substitution and evaluation ----------------------------------------
 

@@ -2,12 +2,15 @@
 
 Rationals are decimal strings "p/q" (reduced, q > 0).  Terms are emitted
 in canonical graded-lex order, largest first, so serialize . parse is the
-identity and equal objects serialize to identical bytes.
+identity and equal objects serialize to identical bytes.  Parsing
+accepts only documents of that shape, with integer coefficients allowed
+too, and refuses anything else with a ValueError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .poly import Poly, term_sort_key
@@ -21,8 +24,32 @@ def rational_to_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def rational_from_str(s: str | int) -> Fraction:
+    """A coefficient as stored: a "p/q" string or an integer."""
+    if not (type(s) is int or isinstance(s, str) and _RATIONAL.fullmatch(s)):
+        raise ValueError(f'a coefficient must be a "p/q" string or an integer, got {s!r:.40}')
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficient {s!r}") from None
+
+
+_JSON_NAMES = {str: "string", list: "array"}
+
+
+def _field(doc, key: str, kind: type | None = None):
+    """doc[key] from a JSON object, checked to be of the given JSON type."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"missing field {key!r}")
+    value = doc[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ValueError(f"field {key!r} must be a JSON {_JSON_NAMES[kind]}, got {value!r:.40}")
+    return value
 
 
 def poly_to_dict(p: Poly) -> dict:
@@ -35,10 +62,22 @@ def poly_to_dict(p: Poly) -> dict:
     }
 
 
+def _terms(d: dict, key: str, parse_coeff) -> dict:
+    """The "terms" array of a document as {exponent tuple: parsed coeff}.
+    An exponent is an array of integers and may not repeat."""
+    out = {}
+    for t in _field(d, "terms", list):
+        exp = tuple(_field(t, key, list))
+        if any(type(e) is not int for e in exp):
+            raise ValueError(f"field {key!r} must hold integers, got {list(exp)!r:.40}")
+        if exp in out:
+            raise ValueError(f"repeated {key} {list(exp)}")
+        out[exp] = parse_coeff(_field(t, "coeff"))
+    return out
+
+
 def poly_from_dict(d: dict) -> Poly:
-    space = VarSpace.from_code(d["space"])
-    terms = {tuple(t["exp"]): rational_from_str(t["coeff"]) for t in d["terms"]}
-    return Poly(space, terms)
+    return Poly(VarSpace.from_code(_field(d, "space", str)), _terms(d, "exp", rational_from_str))
 
 
 def weyl_to_dict(op: WeylOp) -> dict:
@@ -52,9 +91,7 @@ def weyl_to_dict(op: WeylOp) -> dict:
 
 
 def weyl_from_dict(d: dict) -> WeylOp:
-    space = VarSpace.from_code(d["space"])
-    terms = {tuple(t["dexp"]): poly_from_dict(t["coeff"]) for t in d["terms"]}
-    return WeylOp(space, terms)
+    return WeylOp(VarSpace.from_code(_field(d, "space", str)), _terms(d, "dexp", poly_from_dict))
 
 
 def dumps(obj: dict) -> str:

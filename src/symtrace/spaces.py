@@ -56,10 +56,6 @@ class VarSpace:
         if seen != sorted(set(seen), key=FAMILY_ORDER.index) or len(seen) != len(set(seen)):
             raise ValueError("families must appear once each, in canonical order")
 
-    @staticmethod
-    def of(*families: tuple[str, int]) -> VarSpace:
-        return VarSpace(tuple(families))
-
     @property
     def nvars(self) -> int:
         return sum(count for _, count in self.families)
@@ -69,9 +65,6 @@ class VarSpace:
             if fam == family:
                 return count
         return 0
-
-    def has_family(self, family: str) -> bool:
-        return self.family_count(family) > 0
 
     def offset(self, family: str) -> int:
         pos = 0

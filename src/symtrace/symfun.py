@@ -55,14 +55,6 @@ def assert_symmetric(p: Poly, k: int) -> None:
             raise NotSymmetricError("x", i, i + 1)
 
 
-def is_symmetric(p: Poly, k: int) -> bool:
-    try:
-        assert_symmetric(p, k)
-        return True
-    except NotSymmetricError:
-        return False
-
-
 def _e_power_product(k: int, mu: tuple[int, ...]) -> Poly:
     """prod_h e_h(x)^mu_h, cached; each entry is one factor e_h times the
     entry with that factor removed, so products share their prefixes."""

@@ -1,29 +1,31 @@
 """Transport of symmetric differential operators to sigma-coordinates.
 
 The central map takes an S_k-invariant operator P in the x-variables to
-the unique operator Q of the same order in the sigma-variables with
-Q[F] o s = P[F o s] for every polynomial F.  It is computed by a
-triangular interpolation on monomial actions: the coefficient a_beta of
-d^beta in Q satisfies
+the unique operator Q of the same order d in the sigma-variables with
+Q[F] o s = P[F o s] for every polynomial F.  Its images on monomials,
+R_beta = theta(P[s^beta]) = Q[sigma^beta] with theta the reduction of a
+symmetric polynomial to sigma-coordinates, give every coefficient a_beta
+of d^beta in Q in closed form: expanding Q[(u - sigma)^beta] at u = sigma
+(Taylor's formula for the coefficients of a differential operator) yields
 
-    a_beta * beta! = theta(P[s^beta]) - sum_{beta' < beta} a_beta' * d^beta'(s^beta)
+    beta! * a_beta = sum_{beta' <= beta} binom(beta, beta') (-sigma)^(beta - beta') R_beta'
 
-where beta' runs over componentwise-smaller multi-indices and theta is
-reduction of a symmetric polynomial to sigma-coordinates.  Processing
-multi-indices by increasing total degree makes the system triangular;
-uniqueness of an operator of order <= d from its action on monomials of
-degree <= d pins the answer.
+with binom(beta, beta') = prod_h C(beta_h, beta'_h) and beta' running over
+the componentwise-smaller multi-indices.  Each coefficient depends on the
+images alone, so multi-indices of total degree <= d may come in any
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial, prod
+from operator import sub
 
 from .poly import Poly, _accumulate, _add_product
-from .spaces import VarSpace, sigma_aux_space, sigma_space, x_space
+from .spaces import sigma_aux_space, sigma_space, x_space
 from .symfun import NotSymmetricError, _e_power_product, elementary_symmetric, reduce_to_sigma, sigma_to_x
 from .weyl import WeylOp
 
@@ -106,58 +108,27 @@ def u_operator(k: int, d: int) -> WeylOp:
 
 
 def _multi_indices(k: int, max_total: int):
-    """All exponent tuples of length k with total degree <= max_total,
-    by increasing total degree (componentwise-compatible order)."""
-    out = []
-
-    def fill(pos: int, left: int, acc: list[int]):
-        if pos == k:
-            out.append(tuple(acc))
-            return
-        for e in range(left + 1):
-            acc.append(e)
-            fill(pos + 1, left - e, acc)
-            acc.pop()
-
-    for total in range(max_total + 1):
-        start = len(out)
-        fill(0, total, [])
-        out[start:] = [b for b in out[start:] if sum(b) == total]
-    return out
-
-
-def _sigma_monomial_partial(space: VarSpace, beta_target, beta_partial) -> Poly:
-    """d^beta_partial applied to the monomial s^beta_target."""
-    exp = []
-    coeff = 1
-    for bt, bp in zip(beta_target, beta_partial):
-        if bp > bt:
-            return Poly.zero(space)
-        coeff *= factorial(bt) // factorial(bt - bp)
-        exp.append(bt - bp)
-    return Poly.monomial(space, exp, coeff)
+    """All exponent tuples of length k with total degree <= max_total."""
+    return [tuple(c.count(h) for h in range(1, k + 1))
+            for c in combinations_with_replacement(range(k + 1), max_total)]
 
 
 def xi_transport(p: SymmetricOperator) -> WeylOp:
     """Rewrite a symmetric x-operator as the sigma-coordinate operator
     acting identically on symmetric polynomials (see module docstring)."""
     k = p.k
-    d = p.order()
-    if d < 0:
-        return WeylOp.zero(sigma_space(k))
     target = sigma_space(k)
+    images = {beta: reduce_to_sigma(p.op.apply(_e_power_product(k, beta)), k).terms
+              for beta in _multi_indices(k, max(p.order(), 0))}
     coeffs: dict[tuple[int, ...], Poly] = {}
-    for beta in _multi_indices(k, d):
-        s_beta = _e_power_product(k, beta)
-        rhs = dict(reduce_to_sigma(p.op.apply(s_beta), k).terms)
-        for beta2, a2 in coeffs.items():
-            if all(b2 <= b for b2, b in zip(beta2, beta)):
-                _add_product(rhs, a2.terms, _sigma_monomial_partial(target, beta, beta2).terms, -1)
-        fact = 1
-        for e in beta:
-            fact *= factorial(e)
-        coeffs[beta] = Poly._trusted(target, rhs).scale(Fraction(1, fact))
-    return WeylOp(target, {b: a for b, a in coeffs.items() if not a.is_zero()})
+    for beta in images:
+        acc: dict[tuple[int, ...], int | Fraction] = {}
+        for low in product(*(range(b + 1) for b in beta)):
+            gap = tuple(map(sub, beta, low))
+            binom = prod(map(comb, beta, low))
+            _add_product(acc, {gap: -binom if sum(gap) % 2 else binom}, images[low])
+        coeffs[beta] = Poly._trusted(target, acc).scale(Fraction(1, prod(map(factorial, beta))))
+    return WeylOp(target, coeffs)
 
 
 def decompose_derivation(d: SymmetricOperator) -> list[tuple[int, Poly]]:
@@ -189,7 +160,8 @@ def decompose_derivation(d: SymmetricOperator) -> list[tuple[int, Poly]]:
         buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
         for exp, c in a1.terms.items():
             buckets.setdefault(exp[0], {})[exp[1:]] = c
-        images = {("sigma", h): _truncated_sigma(space, h) for h in range(1, k)}
+        # e_h(x_2..x_k) = Theta_(h+1)(x_1, s), with t playing x_1
+        images = {("sigma", h): theta(k, h + 1) for h in range(1, k)}
         for x1_exp, rest_terms in sorted(buckets.items()):
             rest = Poly(x_space(k - 1), rest_terms)
             reduced = reduce_to_sigma(rest, k - 1)
@@ -215,21 +187,6 @@ def _unit(n: int, pos: int, e: int) -> tuple[int, ...]:
     exp = [0] * n
     exp[pos] = e
     return tuple(exp)
-
-
-def _truncated_sigma(space: VarSpace, h: int) -> Poly:
-    """Elementary symmetric function of x_2..x_k in terms of (s, x_1):
-    sum_{q=0}^{h} s_{h-q} (-x_1)^q, with s_0 = 1; t plays x_1."""
-    tpos = space.position("t", 1)
-    out = Poly.zero(space)
-    for q in range(h + 1):
-        exp = [0] * space.nvars
-        exp[tpos] = q
-        if h - q:
-            exp[space.position("sigma", h - q)] = 1
-        sign = -1 if q % 2 else 1
-        out = out + Poly.monomial(space, exp, sign)
-    return out
 
 
 def _reduce_aux_powers(p: Poly, k: int) -> Poly:

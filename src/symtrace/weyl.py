@@ -44,7 +44,7 @@ class WeylOp:
         clean: dict[tuple[int, ...], Poly] = {}
         for dexp, coeff in (terms or {}).items():
             dexp = tuple(dexp)
-            if len(dexp) != k or any(e < 0 for e in dexp):
+            if len(dexp) != k or any(type(e) is not int or e < 0 for e in dexp):
                 raise ValueError(f"bad partial multi-index {dexp}")
             if coeff.space != space:
                 raise ValueError("coefficient space must match the operator space")
@@ -73,12 +73,6 @@ class WeylOp:
         dexp = [0] * k
         dexp[index - 1] = power
         return WeylOp(space, {tuple(dexp): Poly.one(space)})
-
-    @staticmethod
-    def monomial(space: VarSpace, dexp, coeff) -> WeylOp:
-        if isinstance(coeff, (int, Fraction)):
-            coeff = Poly.constant(space, coeff)
-        return WeylOp(space, {tuple(dexp): coeff})
 
     # -- additive structure ----------------------------------------------------
 
@@ -199,7 +193,7 @@ class WeylOp:
                     seen = w
                 elif seen != w:
                     return NON_PURE
-        return Weight.pure(0) if seen is None else Weight.pure(seen)
+        return Weight(0 if seen is None else seen)
 
     def swap(self, i: int, j: int) -> WeylOp:
         """Apply the coordinate transposition (i j) to coefficients and partials."""

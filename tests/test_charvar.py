@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -49,6 +51,26 @@ def test_minors_match_generator_symbols():
                 assert gid == f"T({j})" and sign == 1
             else:
                 assert gid == f"A({i - 1},{j},1)" and sign == -1
+
+
+_MISMATCHED_SYMBOLS = """
+import symtrace.annihilators as ann
+from symtrace.report import run_suite
+
+true_T = ann.op_T
+ann.op_T = lambda k, m: true_T(k, m).scale(2)
+rep = run_suite("symbols", 3)
+print(next(e.status for e in rep.entries if e.id == "symbols:minors-vs-generators"))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_minors_vs_generators_fails_on_mismatch_even_under_O(flags):
+    # python -O strips assert statements; the check must not pass vacuously
+    proc = subprocess.run([sys.executable, *flags, "-c", _MISMATCHED_SYMBOLS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "fail\n"
 
 
 def test_minors_homogeneous_and_pure_weight():

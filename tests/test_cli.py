@@ -76,6 +76,77 @@ def test_member_rejects_non_member(capsys, tmp_path):
     assert doc["member"] is False and doc["failing_newton_index"] == 1
 
 
+def test_member_symbol_off_variety_is_one_line_error(capsys, tmp_path):
+    # d_1^2 kills N_0 and N_1, so bound 1 lets it into the descent, where
+    # its symbol eta1^2 misses the variety
+    path = tmp_path / "d1sq.json"
+    path.write_text(dumps(weyl_to_dict(WeylOp.partial(sigma_space(2), 1, 2))), encoding="utf-8")
+    code, out, err = run_cli(["member", "--k", "2", "--newton-bound", "1", "--op", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bound too low or paper-contradiction: symbol eta1^2 does not vanish")
+    assert err.count("\n") == 1
+
+
+def _d1_doc(outer=None, term=None, inner_term=None):
+    """d/ds_1 over sigma:2 as a JSON document, with fields overridden."""
+    inner = {"coeff": "1/1", "exp": [0, 0], **(inner_term or {})}
+    term = {"dexp": [1, 0], "coeff": {"space": "sigma:2", "terms": [inner]}, **(term or {})}
+    return {"space": "sigma:2", "terms": [term], **(outer or {})}
+
+
+def _poly_doc(**term):
+    return {"space": "sigma:2+eta:2", "terms": [{"coeff": "1/1", "exp": [0, 0, 1, 1], **term}]}
+
+
+BAD_DOCUMENTS = {
+    "top-level array": ("member", []),
+    "top-level string": ("member", "str"),
+    "string naming a wrapper key": ("member", "op"),
+    "space not a string": ("member", _d1_doc(outer={"space": 5})),
+    "terms not an array": ("member", _d1_doc(outer={"terms": 5})),
+    "term not an object": ("member", _d1_doc(outer={"terms": [5]})),
+    "operator coefficient null": ("member", _d1_doc(term={"coeff": None})),
+    "coefficient null": ("member", _d1_doc(inner_term={"coeff": None})),
+    "coefficient float": ("member", _d1_doc(inner_term={"coeff": 0.1})),
+    "coefficient bool": ("member", _d1_doc(inner_term={"coeff": True})),
+    "coefficient with a huge decimal exponent": ("member", _d1_doc(inner_term={"coeff": "1e999999999"})),
+    "coefficient zero denominator": ("member", _d1_doc(inner_term={"coeff": "1/0"})),
+    "exponent half": ("member", _d1_doc(inner_term={"exp": [0.5, 0]})),
+    "exponent bool": ("member", _d1_doc(inner_term={"exp": [True, 0]})),
+    "exponent array inside an exponent": ("member", _d1_doc(inner_term={"exp": [[0], 0]})),
+    "partial index half": ("member", _d1_doc(term={"dexp": [0.5, 0]})),
+    "repeated exponent": ("member", _d1_doc(term={"coeff": {"space": "sigma:2", "terms": 2 * [{"coeff": "1/1", "exp": [0, 0]}]}})),
+    "repeated partial index": ("member", _d1_doc(outer={"terms": 2 * _d1_doc()["terms"]})),
+    "decompose top-level array": ("charvar", []),
+    "decompose space not a string": ("charvar", {**_poly_doc(), "space": 5}),
+    "decompose coefficient float": ("charvar", _poly_doc(coeff=0.1)),
+    "decompose exponent half": ("charvar", _poly_doc(exp=[0, 0, 0.5, 1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+def test_malformed_json_input_is_one_line_error(case, capsys, tmp_path):
+    command, doc = BAD_DOCUMENTS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    if command == "member":
+        argv = ["member", "--k", "2", "--op", str(path)]
+    else:
+        argv = ["charvar", "--k", "2", "--decompose", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_member_on_a_directory_is_one_line_error(capsys, tmp_path):
+    code, out, err = run_cli(["member", "--k", "2", "--op", str(tmp_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_member_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(["member", "--k", "2", "--op", "nope.json"], capsys)
     assert code == 1

@@ -10,12 +10,16 @@ symbolic polynomial must equal term by term and the pointwise resultant
 must match at drawn rational points.  sympy's expansion takes about 2 s
 at k=6 and minutes at k=7, so the oracle stops at 6.  Membership in the
 ideal of the 2x2 minors (k <= 4) is decided by sympy's Groebner basis of
-the minors, against `vanishes_on_Z` and `decompose_in_minors`.
+the minors, against `vanishes_on_Z` and `decompose_in_minors`.  The
+defining property of the transport, Q[F](e(x)) = P[F(e(x))], is expanded
+on both sides with sympy's own differentiation and substitution for
+sigma-monomials F, hypothesis-drawn symmetric operators P (k <= 3) and
+the S_h (k <= 4).
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
@@ -26,6 +30,8 @@ from symtrace.charvar import NotOnVarietyError, decompose_in_minors, minors, rec
 from symtrace.poly import Poly
 from symtrace.spaces import sigma_eta_space, x_space
 from symtrace.symfun import discriminant, discriminant_at, newton, reduce_to_sigma, symmetrize
+from symtrace.transport import SymmetricOperator, elementary_symmetric_op, xi_transport
+from symtrace.weyl import WeylOp
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.polyfuncs import symmetrize as sympy_symmetrize  # noqa: E402
@@ -187,3 +193,74 @@ def test_minor_ideal_membership_matches_sympy_groebner(case):
         assert not in_ideal
     else:
         assert in_ideal and recombine(k, coeffs) == f
+
+
+def sympy_poly(p: Poly, gens) -> "sympy.Poly":
+    """p as a sympy Poly over QQ; built from the term dict, faster than from sympy_expr."""
+    terms = {exp: sympy.Rational(c.numerator, c.denominator) for exp, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms, *gens, domain=sympy.QQ)
+
+
+def sympy_apply(op: WeylOp, f: "sympy.Poly", gens) -> "sympy.Poly":
+    """op[f] by sympy's differentiation: sum over terms of a_beta * d^beta f."""
+    out = sympy.Poly(0, *gens, domain=sympy.QQ)
+    for dexp, coeff in op.terms.items():
+        g = f
+        for v, e in zip(gens, dexp):
+            for _ in range(e):
+                g = g.diff(v)
+        out += sympy_poly(coeff, gens) * g
+    return out
+
+
+def sympy_at_e(f: "sympy.Poly", xs) -> "sympy.Poly":
+    """f(s) at s_h = e_h(x), by sympy's arithmetic."""
+    es = [sympy.Poly(symmetric_poly(h, *xs), *xs, domain=sympy.QQ) for h in range(1, len(xs) + 1)]
+    out = sympy.Poly(0, *xs, domain=sympy.QQ)
+    for exp, c in f.terms():
+        out += prod((e**n for e, n in zip(es, exp)), start=sympy.Poly(c, *xs, domain=sympy.QQ))
+    return out
+
+
+def assert_transport_property(p: SymmetricOperator, gammas):
+    """Q[s^gamma](e(x)) == P[e(x)^gamma] in sympy, with Q = xi_transport(P)."""
+    q = xi_transport(p)
+    xs = sympy.symbols(f"x1:{p.k + 1}")
+    s = sympy.symbols(f"s1:{p.k + 1}")
+    for gamma in gammas:
+        f = sympy.Poly(prod((v**e for v, e in zip(s, gamma)), start=sympy.Integer(1)), *s, domain=sympy.QQ)
+        assert sympy_at_e(sympy_apply(q, f, s), xs) == sympy_apply(p.op, sympy_at_e(f, xs), xs), gamma
+
+
+@st.composite
+def symmetric_operators(draw):
+    """The S_k-orbit sum of up to three drawn terms c x^a d^b with |b| <= 2."""
+    k = draw(st.integers(1, 3))
+    small = st.tuples(*[st.integers(0, 2)] * k)
+    terms: dict = {}
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(small)
+        b = draw(small.filter(lambda b: sum(b) <= 2))
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+        for perm in permutations(range(k)):
+            coeff = terms.setdefault(tuple(b[i] for i in perm), {})
+            pa = tuple(a[i] for i in perm)
+            coeff[pa] = coeff.get(pa, 0) + c
+    space = x_space(k)
+    op = SymmetricOperator(WeylOp(space, {d: Poly(space, t) for d, t in terms.items()}), k)
+    return op, draw(st.lists(small, min_size=1, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_operators())
+def test_transport_defining_property_in_sympy(case):
+    p, gammas = case
+    assert_transport_property(p, gammas)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_transport_of_s_h_in_sympy(k):
+    # an operator of order h is pinned by its action on sigma-monomials of degree <= h
+    for h in range(1, k + 1):
+        gammas = [g for g in product(range(h + 1), repeat=k) if sum(g) <= h]
+        assert_transport_property(elementary_symmetric_op(k, h), gammas)
