@@ -19,7 +19,7 @@ from symtrace.symfun import newton
 
 k = 3
 print(f"generators of the annihilator system, k = {k}:")
-for gid, op in generator_system(k, "trace"):
+for gid, op in generator_system(k, "trace").items():
     print(f"  {gid:10s} = {op}")
 
 # Every generator sends every power sum to the exact zero polynomial;
@@ -27,7 +27,7 @@ for gid, op in generator_system(k, "trace"):
 print("\nimages of the power sums (all must be 0):")
 gens = generator_system(k, "trace")
 assert not check_images(gens, family_members(k, "newton", 12))
-for gid, _ in gens:
+for gid in gens:
     print(f"  {gid:10s} kills N_0..N_12")
 
 # The T-generators come from an integral-formula family T0(mu); the two
@@ -47,7 +47,7 @@ print(f"\nT({m}) == T0({k - m}) + sum_h s_h A(h,{m},1):", op_T(k, m) == acc)
 # U0 = sum h s_h d_h reads off its pure weight.
 
 u0 = op_U0(k)
-for gid, op in generator_system(k, "trace"):
+for gid, op in generator_system(k, "trace").items():
     w = op.weight()
     assert op.commutator(u0) == op.scale(-w.value)
     print(f"  {gid:10s} has pure weight {w}")

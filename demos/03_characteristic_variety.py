@@ -22,7 +22,7 @@ from symtrace.spaces import sigma_eta_space
 
 k = 3
 print(f"minors, k = {k}:")
-for (i, j), m in minors(k).minors:
+for (i, j), m in minors(k).items():
     print(f"  m({i},{j}) = {m}")
 
 print("\neach minor is the symbol of a generator:")
@@ -32,7 +32,7 @@ for mid, gid, sign in minor_matches_symbol(k):
 # Membership in the minor ideal is decided constructively.
 se = sigma_eta_space(k)
 eta = lambda h: Poly.variable(se, "eta", h)
-f = eta(2) * minors(k).get(1, 2) - eta(1) * minors(k).get(2, 3)
+f = eta(2) * minors(k)[1, 2] - eta(1) * minors(k)[2, 3]
 coeffs = decompose_in_minors(f, k)
 print("\na degree-3 combination decomposes back onto the minors:")
 for mid, c in sorted(coeffs.items()):

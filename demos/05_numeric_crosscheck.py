@@ -45,7 +45,7 @@ for m in range(-1, 5):
 # while a plain first partial visibly does not.
 F = trace_function_handle(EXP)
 print("\nfinite-difference residuals on T(exp) at sigma = (3, 2):")
-for gid, op in generator_system(2, "trace"):
+for gid, op in generator_system(2, "trace").items():
     res = fd_annihilation_check(op, F, [3.0, 2.0])
     print(f"  {gid}: residual {res.residual:.2e} (tolerance {1e-6 * res.scale:.2e}), "
           f"order {res.convergence_order:.2f}")

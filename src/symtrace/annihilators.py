@@ -13,7 +13,7 @@ T(m) +/- d_m annihilating the derived and primitive families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .poly import Poly
 from .spaces import sigma_space
@@ -95,22 +95,6 @@ def op_variants(k: int, m: int, which: str) -> WeylOp:
     raise ValueError(f"unknown variant {which!r}")
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Named generators of a left ideal over sigma-space."""
-
-    entries: tuple[tuple[str, WeylOp], ...]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def get(self, gid: str) -> WeylOp:
-        for name, op in self.entries:
-            if name == gid:
-                return op
-        raise KeyError(f"unknown generator {gid!r}")
-
-
 def _a_pairs(k: int):
     for p in range(1, k):
         for q in range(2, k + 1):
@@ -118,27 +102,26 @@ def _a_pairs(k: int):
                 yield p, q
 
 
-def generator_system(k: int, variant: str = "trace") -> GeneratorSet:
-    """The system for a family: "trace" (N_m), "forms" (DN_m), "primitive" (PN_m).
+def generator_system(k: int, variant: str = "trace") -> dict[str, WeylOp]:
+    """The system for a family: "trace" (N_m), "forms" (DN_m), "primitive" (PN_m),
+    as id -> generator, the A(p,q,1) first.
 
     All three share the A(p,q,1); they differ in the order-one tail of
     the T-type generators.
     """
     if k < 2:
         raise ValueError("the system needs k >= 2")
-    entries: list[tuple[str, WeylOp]] = []
-    for p, q in _a_pairs(k):
-        entries.append((f"A({p},{q},1)", op_A(k, p, q, 1)))
+    gens = {f"A({p},{q},1)": op_A(k, p, q, 1) for p, q in _a_pairs(k)}
     for m in range(2, k + 1):
         if variant == "trace":
-            entries.append((f"T({m})", op_T(k, m)))
+            gens[f"T({m})"] = op_T(k, m)
         elif variant == "forms":
-            entries.append((f"T~({m})", op_variants(k, m, "forms")))
+            gens[f"T~({m})"] = op_variants(k, m, "forms")
         elif variant == "primitive":
-            entries.append((f"T({m})-d{m}", op_variants(k, m, "primitive")))
+            gens[f"T({m})-d{m}"] = op_variants(k, m, "primitive")
         else:
             raise ValueError(f"unknown variant {variant!r}")
-    return GeneratorSet(tuple(entries))
+    return gens
 
 
 def family_start(family: str, k: int) -> int:
@@ -182,11 +165,11 @@ class Witness:
 
 
 def check_images(
-    ops: Iterable[tuple[str, WeylOp]],
+    ops: Mapping[str, WeylOp],
     members: Iterable[tuple[int, Poly]],
     expected: Callable[[str, int], Poly | None] | None = None,
 ) -> dict[str, Witness]:
-    """Apply every (id, op) to every (m, f_m) and return the first witness
+    """Apply every op to every (m, f_m) and return the first witness
     of each op whose image is not zero, or not `expected(id, m)` where that
     is not None, keyed by op id.
 
@@ -194,7 +177,7 @@ def check_images(
     member share its derivative memo.  An op stops at its first failing m,
     and no member is drawn once every op has failed.
     """
-    pending = list(ops)
+    pending = list(ops.items())
     failures: dict[str, Witness] = {}
     for m, f in members:
         derivs: dict = {}

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .annihilators import check_images, family_members, generator_system
-from .charvar import NotOnVarietyError, decompose_in_minors, lift_eta_to_partials
+from .charvar import NotOnVarietyError, decompose_in_minors, lift_eta_to_partials, minor_generator
 from .poly import Poly
 from .spaces import sigma_space, x_space
 from .weyl import WeylOp
@@ -69,7 +69,7 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
         raise ValueError(f"expected an operator over {sigma_space(k)}")
     bound = default_newton_bound(p, k) if newton_bound is None else newton_bound
     cert = MembershipCertificate(k=k, newton_bound=bound)
-    fails = check_images([("p", p)], family_members(k, "newton", bound))
+    fails = check_images({"p": p}, family_members(k, "newton", bound))
     if fails:
         cert.remainder = p
         cert.failing_newton_index = fails["p"].m
@@ -85,15 +85,11 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
         except NotOnVarietyError:
             raise SymbolDescentError(s, bound) from None
         step = WeylOp.zero(q.space)
-        for (i, j), c in parts.items():
-            if i == 1:
-                gid = f"T({j})"
-                cof = lift_eta_to_partials(c, k)
-            else:
-                gid = f"A({i - 1},{j},1)"
-                cof = lift_eta_to_partials(-c, k)
+        for mid, c in parts.items():
+            gid, sign = minor_generator(mid)
+            cof = lift_eta_to_partials(c.scale(sign), k)
             cofactors[gid] = cofactors.get(gid, WeylOp.zero(q.space)) + cof
-            step = step + cof * gens.get(gid)
+            step = step + cof * gens[gid]
         q_next = q - step
         if not q_next.is_zero() and q_next.order() >= q.order():
             raise AssertionError("symbol descent failed to lower the order")
@@ -104,7 +100,7 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
     if not q.is_zero():
         # order <= 1: killing N_0..N_k forces zero, so a nonzero tail here
         # means the bound was too small to rule out a non-member earlier
-        fails = check_images([("tail", q)], family_members(k, "newton", k))
+        fails = check_images({"tail": q}, family_members(k, "newton", k))
         if not fails:
             raise AssertionError("order-one tail kills N_0..N_k but is nonzero")
         cert.failing_newton_index = fails["tail"].m
@@ -116,7 +112,7 @@ def verify_certificate(p: WeylOp, cert: MembershipCertificate, k: int) -> bool:
     gens = generator_system(k, "trace")
     acc = WeylOp.zero(sigma_space(k))
     for gid, cof in cert.entries:
-        acc = acc + cof * gens.get(gid)
+        acc = acc + cof * gens[gid]
     if cert.remainder is not None:
         acc = acc + cert.remainder
     return acc == p

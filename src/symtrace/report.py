@@ -124,9 +124,9 @@ def suite_system(k: int, max_m: int | None = None) -> RunReport:
     integral-formula companions."""
     max_m = 2 * k + 6 if max_m is None else max_m
     rep = RunReport(k, "system")
-    ops = [*generator_system(k, "trace"), *((f"T0({mu})", op_T0(k, mu)) for mu in range(k - 1))]
+    ops = generator_system(k, "trace") | {f"T0({mu})": op_T0(k, mu) for mu in range(k - 1)}
     fails = check_images(ops, family_members(k, "newton", max_m))
-    for gid, _ in ops:
+    for gid in ops:
         rep.add(f"annihilates:{gid}:newton", gid not in fails,
                 f"N_m = 0 exactly for m <= {max_m}", fails.get(gid))
     return rep
@@ -199,7 +199,7 @@ def suite_relations(k: int) -> RunReport:
     )
 
     fam = newton_family(k)
-    fails = check_images([("nabla", nabla)], ((m, fam.newton(m)) for m in range(1, 11)),
+    fails = check_images({"nabla": nabla}, ((m, fam.newton(m)) for m in range(1, 11)),
                          lambda _, m: fam.newton(m - 1).scale(m))
     rep.add("action:nabla-lowers-newton", not fails, "nabla[N_m] = m N_{m-1} for m <= 10",
             fails.get("nabla"))
@@ -241,19 +241,19 @@ def suite_weights(k: int) -> RunReport:
     )
 
     ok = True
-    for gid, G in generator_system(k, "trace"):
+    for G in generator_system(k, "trace").values():
         w = -G.weight().value
         if G * U0 - (U0 + WeylOp.from_poly(Poly.constant(sigma_space(k), w))) * G != WeylOp.zero(sigma_space(k)):
             ok = False
     rep.add("weight:ideal-stability", ok, "G.U0 = (U0 + w_G).G for every generator")
 
     fam = newton_family(k)
-    fails = check_images([("U0", U0)], family_members(k, "newton", 2 * k + 6),
+    fails = check_images({"U0": U0}, family_members(k, "newton", 2 * k + 6),
                          lambda _, m: fam.newton(m).scale(m))
     ok = not fails and all(fam.newton(m).weight().value == m for m in range(2 * k + 7))
     rep.add("weight:newton-eigen", ok, "U0[N_m] = m N_m and N_m has pure weight m", fails.get("U0"))
 
-    ok = all(m.weight().value == -(i + j - 1) for (i, j), m in minors(k).minors)
+    ok = all(m.weight().value == -(i + j - 1) for (i, j), m in minors(k).items())
     rep.add("weight:minors", ok, "minor (i,j) has pure weight -(i+j-1) with eta_h of weight -h")
     return rep
 
@@ -264,7 +264,7 @@ def suite_forms(k: int, max_m: int | None = None) -> RunReport:
     rep = RunReport(k, "forms")
     gens = generator_system(k, "forms")
     fails = check_images(gens, family_members(k, "dnewton", max_m))
-    for gid, _ in gens:
+    for gid in gens:
         rep.add(f"annihilates:{gid}:dnewton", gid not in fails,
                 f"DN_m = 0 exactly for m <= {max_m}", fails.get(gid))
     return rep
@@ -300,7 +300,7 @@ def suite_primitive(k: int, max_m: int | None = None) -> RunReport:
         return Poly.constant(sigma_space(k), (-1) ** m) if diagonals.get(gid) == m else None
 
     fails = check_images(gens, family_members(k, "pnewton", max_m), diagonal_image)
-    for gid, _ in gens:
+    for gid in gens:
         label = "PN_m = 0 exactly off the diagonal"
         if gid in diagonals:
             m = diagonals[gid]
@@ -473,11 +473,11 @@ def golden_check(path: str | Path | None = None) -> RunReport:
 
     for name, k, h in (("sigma2_k2", 2, 2), ("sigma2_k3", 3, 2), ("sigma3_k3", 3, 3)):
         compare(name, lambda k=k, h=h: xi_transport(elementary_symmetric_op(k, h)),
-                lambda op, k=k: not check_images([("op", op)], family_members(k, "newton", 2 * k + 6)))
+                lambda op, k=k: not check_images({"op": op}, family_members(k, "newton", 2 * k + 6)))
     compare("n6_k3", lambda: newton_family(3).newton(6))
     for m in range(1, 5):
         compare(f"pn{m}_k4", lambda m=m: primitive_newton(4, m),
                 lambda p, m=m: primitive_gradient_holds(p, m))
-    compare("minors_k2", lambda: {f"m({i},{j})": p for (i, j), p in minors(2).minors})
-    compare("minors_k3", lambda: {f"m({i},{j})": p for (i, j), p in minors(3).minors})
+    compare("minors_k2", lambda: {f"m({i},{j})": p for (i, j), p in minors(2).items()})
+    compare("minors_k3", lambda: {f"m({i},{j})": p for (i, j), p in minors(3).items()})
     return rep

@@ -92,13 +92,13 @@ def test_criterion_annihilation_suite():
     for k in range(2, 6):
         max_m = 2 * k + 6
         fam = family(k)
-        for _, op in generator_system(k, "trace"):
+        for op in generator_system(k, "trace").values():
             for m in range(max_m + 1):
                 assert op.apply(fam.newton(m)).is_zero()
-        for _, op in generator_system(k, "forms"):
+        for op in generator_system(k, "forms").values():
             for m in range(max_m + 1):
                 assert op.apply(fam.derived(m)).is_zero()
-        for gid, op in generator_system(k, "primitive"):
+        for gid, op in generator_system(k, "primitive").items():
             diagonal = int(gid[2:].split(")")[0]) if gid.startswith("T(") else None
             for m in range(1, max_m + 1):
                 image = op.apply(fam.primitive(m))
@@ -147,7 +147,7 @@ def test_criterion_symbol_charvar_suite():
         se = sigma_eta_space(k)
         target = rng.randint(2, 4)
         combo = Poly.zero(se)
-        for _, m in minors(k).minors:
+        for m in minors(k).values():
             terms = {}
             for _ in range(rng.randint(0, 2)):
                 exp = [0] * (2 * k)
@@ -285,7 +285,7 @@ def test_criterion_numeric_cross_validation():
     }
     for k, sigma0 in cases.items():
         F = trace_function_handle(EXP)
-        for _, op in generator_system(k, "trace"):
+        for op in generator_system(k, "trace").values():
             res = fd_annihilation_check(op, F, sigma0)
             assert res.residual <= 1e-6 * res.scale, (k, res)
         for mu in range(0, k - 1):

@@ -1,7 +1,6 @@
 import pytest
 
 from symtrace.annihilators import (
-    GeneratorSet,
     check_images,
     family_members,
     generator_system,
@@ -134,7 +133,7 @@ def test_bracket_identities_full_range():
 def test_generator_weights_and_stability():
     for k in (2, 3, 4, 5):
         u0 = op_U0(k)
-        for gid, G in generator_system(k, "trace"):
+        for G in generator_system(k, "trace").values():
             w = G.weight()
             assert w.is_pure
             assert G.commutator(u0) == G.scale(-w.value)
@@ -188,7 +187,7 @@ def test_primitive_variant_kills_coordinates():
 
 def test_annihilation_report_flags_failures():
     k = 2
-    gens = GeneratorSet((("d1", d(k, 1)),))
+    gens = {"d1": d(k, 1)}
     fails = check_images(gens, family_members(k, "newton", 2))
     assert list(fails) == ["d1"]
     w = fails["d1"]
@@ -199,7 +198,7 @@ def test_check_images_draws_lazily_and_stops_each_op_at_its_first_failure():
     k = 2
     drawn = []
     members = (drawn.append(m) or (m, f) for m, f in family_members(k, "newton", 50))
-    fails = check_images([("d1", d(k, 1)), ("d2", d(k, 2))], members)
+    fails = check_images({"d1": d(k, 1), "d2": d(k, 2)}, members)
     # d_2 N_1 = 0 and d_2 N_2 = -2; no member is drawn after both failed
     assert {gid: w.m for gid, w in fails.items()} == {"d1": 1, "d2": 2}
     assert fails["d2"].image == Poly.constant(sigma_space(k), -2)
@@ -209,7 +208,7 @@ def test_check_images_draws_lazily_and_stops_each_op_at_its_first_failure():
 def test_check_images_witness_is_image_less_expected():
     k = 3
     members = [(m, newton(k, m)) for m in range(1, 6)]
-    assert not check_images([("nabla", op_nabla(k))], members, lambda _, m: newton(k, m - 1).scale(m))
-    fails = check_images([("nabla", op_nabla(k))], members, lambda _, m: newton(k, m - 1))
+    assert not check_images({"nabla": op_nabla(k)}, members, lambda _, m: newton(k, m - 1).scale(m))
+    fails = check_images({"nabla": op_nabla(k)}, members, lambda _, m: newton(k, m - 1))
     # nabla N_1 = 1 * N_0 holds; at m = 2 the residual is 2 N_1 - N_1 = N_1
     assert fails["nabla"].m == 2 and fails["nabla"].image == newton(k, 1)

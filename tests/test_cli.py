@@ -153,6 +153,48 @@ def test_member_missing_file_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_golden_fallback_only_for_bare_or_golden_names(capsys):
+    # a missing file in another directory is an error, even when a golden
+    # file of the same base name exists
+    code, out, err = run_cli(["member", "--k", "2", "--op", "/no/such/dir/sigma2_k2.json"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: no such file: /no/such/dir/sigma2_k2.json\n"
+    for name in ("golden/sigma2_k2.json", "sigma2_k2.json"):
+        code, out, _ = run_cli(["member", "--k", "2", "--op", name], capsys)
+        assert code == 0
+        assert json.loads(out)["member"] is True
+
+
+def test_runtime_paths_never_consult_the_chart(capsys, tmp_path, monkeypatch):
+    # the descent is the one vanishing decision: member and --decompose give
+    # the same exit codes and stdout with the chart check disabled
+    import symtrace.charvar as charvar
+
+    code, out, _ = run_cli(["xi", "--k", "3", "--op", "S3"], capsys)
+    assert code == 0
+    (tmp_path / "xi_s3.json").write_text(out, encoding="utf-8")
+    se = sigma_eta_space(3)
+    member = Poly.variable(se, "sigma", 1) * charvar.minors(3)[1, 3] + charvar.minors(3)[2, 3]
+    (tmp_path / "member.json").write_text(dumps(poly_to_dict(member)), encoding="utf-8")
+    off = member + Poly.variable(se, "eta", 1) ** 2
+    (tmp_path / "off.json").write_text(dumps(poly_to_dict(off)), encoding="utf-8")
+    runs = [
+        ["member", "--k", "3", "--op", str(tmp_path / "xi_s3.json")],
+        ["charvar", "--k", "3", "--decompose", str(tmp_path / "member.json")],
+        ["charvar", "--k", "3", "--decompose", str(tmp_path / "off.json")],
+    ]
+    unpatched = [run_cli(argv, capsys)[:2] for argv in runs]
+    assert [code for code, _ in unpatched] == [0, 0, 2]
+    assert json.loads(unpatched[2][1])["reason"] == "polynomial does not vanish on the variety"
+
+    def chart(f, k):
+        raise AssertionError("the chart check ran on a runtime path")
+
+    monkeypatch.setattr(charvar, "vanishes_on_Z", chart)
+    assert [run_cli(argv, capsys)[:2] for argv in runs] == unpatched
+
+
 def test_gen_roundtrip(capsys):
     code, out, _ = run_cli(["gen", "--family", "newton", "--k", "2", "--max-m", "4"], capsys)
     assert code == 0
@@ -186,12 +228,11 @@ def test_gen_and_annihilation_report_use_one_family_range(family, capsys):
 
 def test_failing_check_names_its_witness(capsys, monkeypatch):
     import symtrace.report
-    from symtrace.annihilators import GeneratorSet
 
     def broken_system(k, variant="trace"):
         d1 = WeylOp.partial(sigma_space(k), 1)
         gens = generator_system(k, variant)
-        return GeneratorSet(tuple((gid, op + d1 if gid == "T(2)" else op) for gid, op in gens))
+        return {gid: op + d1 if gid == "T(2)" else op for gid, op in gens.items()}
 
     monkeypatch.setattr(symtrace.report, "generator_system", broken_system)
     code, out, _ = run_cli(["verify", "--k", "3", "--suite", "system"], capsys)
@@ -232,7 +273,7 @@ def test_charvar_decompose_roundtrip(capsys, tmp_path):
     from symtrace.charvar import minors
 
     k = 2
-    m = minors(k).get(1, 2)
+    m = minors(k)[1, 2]
     se = sigma_eta_space(k)
     coeff = Poly.variable(se, "sigma", 1) * Poly.variable(se, "eta", 2) + Poly.variable(se, "eta", 1)
     f = coeff * m  # eta-homogeneous of degree 3
@@ -440,7 +481,7 @@ def test_internal_invariant_failure_is_one_line_error(capsys, tmp_path, monkeypa
 
     k = 2
     se = sigma_eta_space(k)
-    f = Poly.variable(se, "eta", 2) * charvar.minors(k).get(1, 2)
+    f = Poly.variable(se, "eta", 2) * charvar.minors(k)[1, 2]
     path = tmp_path / "f.json"
     path.write_text(dumps(poly_to_dict(f)), encoding="utf-8")
     # break the recombination so decompose_in_minors' exactness assertion fires

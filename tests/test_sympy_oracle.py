@@ -153,7 +153,7 @@ def sigma_eta_symbols(k: int):
 @cache
 def minor_groebner(k: int):
     gens = sigma_eta_symbols(k)
-    return sympy.groebner([sympy_expr(m, gens) for _, m in minors(k).minors], *gens, order="grevlex", domain=sympy.QQ)
+    return sympy.groebner([sympy_expr(m, gens) for m in minors(k).values()], *gens, order="grevlex", domain=sympy.QQ)
 
 
 def eta_homogeneous(k: int, degree: int, max_size: int):
@@ -174,7 +174,7 @@ def minor_ideal_candidates(draw):
     se = sigma_eta_space(k)
     cofactor_degree = draw(st.integers(0, 1))
     f = Poly.zero(se)
-    for _, m in minors(k).minors:
+    for m in minors(k).values():
         f = f + Poly(se, draw(eta_homogeneous(k, cofactor_degree, 2))) * m
     if draw(st.booleans()):
         f = f + Poly(se, draw(eta_homogeneous(k, cofactor_degree + 2, 1)))
