@@ -30,7 +30,6 @@ from .annihilators import generator_system
 from .poly import Poly, _accumulate, _add_product
 from .spaces import VarSpace, sigma_eta_space, sigma_space
 from .transport import theta
-from .weyl import WeylOp
 
 
 class NotOnVarietyError(ValueError):
@@ -345,16 +344,3 @@ def minor_matches_symbol(k: int) -> list[tuple[MinorId, str, int]]:
             raise AssertionError(f"minor {mid} is not the signed symbol of {gid}")
         out.append((mid, gid, sign))
     return out
-
-
-def lift_eta_to_partials(c: Poly, k: int) -> WeylOp:
-    """Lift a (sigma, eta)-polynomial to the operator with the sigma
-    coefficients on the left and eta-exponents as partial indices."""
-    se = sigma_eta_space(k)
-    if c.space != se:
-        raise ValueError("expected a (sigma, eta) polynomial")
-    ss = sigma_space(k)
-    terms: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for exp, coeff in c.terms.items():
-        terms.setdefault(exp[k:], {})[exp[:k]] = coeff
-    return WeylOp(ss, {d: Poly._trusted(ss, ts) for d, ts in terms.items()})

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .annihilators import check_images, family_members, generator_system
-from .charvar import NotOnVarietyError, decompose_in_minors, lift_eta_to_partials, minor_generator
+from .charvar import NotOnVarietyError, decompose_in_minors, minor_generator
 from .poly import Poly
 from .spaces import sigma_space, x_space
 from .weyl import WeylOp
@@ -87,7 +87,7 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
         step = WeylOp.zero(q.space)
         for mid, c in parts.items():
             gid, sign = minor_generator(mid)
-            cof = lift_eta_to_partials(c.scale(sign), k)
+            cof = WeylOp.of_symbol(c.scale(sign))
             cofactors[gid] = cofactors.get(gid, WeylOp.zero(q.space)) + cof
             step = step + cof * gens[gid]
         q_next = q - step

@@ -157,6 +157,8 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: Poly) -> Poly:
+        if not isinstance(other, Poly):
+            return NotImplemented
         check_same_space(self, other)
         big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
         out = dict(big.terms)
@@ -173,6 +175,8 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
         check_same_space(self, other)
         small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
         out: dict[tuple[int, ...], Fraction] = {}
@@ -348,8 +352,8 @@ class Poly:
         fam_exp = tuple(fam_exp)
         if len(fam_exp) != count or any(e < 0 for e in fam_exp):
             raise ValueError(f"bad {family} exponent block {fam_exp}")
-        if space.nvars != self.space.nvars + count:
-            raise ValueError(f"bad exponent length for space {space}")
+        if space.drop(family) != self.space:
+            raise ValueError(f"cannot embed a polynomial over {self.space} into {space}")
         out = {}
         for exp, c in self.terms.items():
             out[exp[:off] + fam_exp + exp[off:]] = c

@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 
-from .poly import Poly, term_sort_key
+from .poly import Poly
 from .spaces import VarSpace
 from .weyl import WeylOp
 
@@ -85,7 +85,7 @@ def weyl_to_dict(op: WeylOp) -> dict:
         "space": op.space.code(),
         "terms": [
             {"dexp": list(dexp), "coeff": poly_to_dict(c)}
-            for dexp, c in sorted(op.terms.items(), key=lambda kv: term_sort_key(kv[0]))
+            for dexp, c in op.sorted_terms()
         ],
     }
 

@@ -1,56 +1,87 @@
 """Differential operators in normal form (coefficients left of the partials).
 
 A WeylOp over sigma-space is an element of Q[s_1..s_k]<d/ds_1..d/ds_k>;
-over x-space of Q[x_1..x_k]<d/dx_1..d/dx_k>.  The terms dict maps a
-partial multi-index beta to its polynomial coefficient a_beta; products
-normal-order eagerly through the Leibniz expansion
+over x-space of Q[x_1..x_k]<d/dx_1..d/dx_k>.  It is stored as its full
+symbol: one Poly over (sigma, eta) or (x, xi) in which a_beta d^beta is
+the term a_beta eta^beta (xi^beta over x).  Sums, scalings, equality,
+weights and swaps are those of the polynomial, and the order is its
+degree in the dual family.  Products normal-order eagerly through the
+Leibniz rule written on symbols, grouped by the partial index beta of
+the left factor,
 
-    d^beta . b = sum_{delta <= beta} binom(beta, delta) (d^delta b) d^(beta-delta)
+    A . B = sum_beta sum_{delta <= beta} binom(beta, delta) a_beta eta^(beta-delta) d_s^delta B
 
-so structural equality decides operator identity.
+with binom(beta, delta) = prod_h C(beta_h, delta_h) and d_s^delta acting
+on the coefficient variables only.  The nonzero derivatives d_s^delta B
+are found once per product, through the derivative memo that ``apply``
+uses too, and only those delta enter the sum.  Structural equality
+decides operator identity.  ``terms`` is the nested view {beta: a_beta}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
+from operator import le, sub
 from typing import Mapping
 
-from .poly import NON_PURE, Poly, Weight, _accumulate, _add_product, term_sort_key
-from .spaces import (
-    VarSpace,
-    check_same_space,
-    sigma_eta_space,
-    variable_weight,
-    x_xi_space,
-)
+from .poly import Poly, Weight, _add_product, term_sort_key
+from .spaces import VarSpace, check_same_space, sigma_eta_space, sigma_space, x_space, x_xi_space
 
-_DIFFERENTIABLE = {"x", "sigma"}
+_DUAL = {"x": "xi", "sigma": "eta"}
 
 
 def _carrier_family(space: VarSpace) -> str:
-    if len(space.families) == 1 and space.families[0][0] in _DIFFERENTIABLE:
+    if len(space.families) == 1 and space.families[0][0] in _DUAL:
         return space.families[0][0]
     raise ValueError(f"operators need a pure x- or sigma-space, got {space}")
 
 
+def _derivative(derivs: dict, beta: tuple[int, ...]) -> Poly:
+    """d^beta of the polynomial stored under the zero index of derivs.
+
+    Each derivative is taken from its prefix with one partial fewer and
+    memoised in derivs, so the derivatives of one polynomial share their
+    chains.  Positions run over the first len(beta) variables.
+    """
+    g = derivs.get(beta)
+    if g is None:
+        pos = max(i for i, e in enumerate(beta) if e)
+        g = _derivative(derivs, beta[:pos] + (beta[pos] - 1,) + beta[pos + 1:])
+        if g:
+            g = g.partial_pos(pos)
+        derivs[beta] = g
+    return g
+
+
 class WeylOp:
-    __slots__ = ("space", "terms", "family")
+    __slots__ = ("space", "family", "poly")
 
     def __init__(self, space: VarSpace, terms: Mapping[tuple[int, ...], Poly] | None = None):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "family", _carrier_family(space))
+        family = _carrier_family(space)
         k = space.nvars
-        clean: dict[tuple[int, ...], Poly] = {}
+        full: dict[tuple[int, ...], int | Fraction] = {}
         for dexp, coeff in (terms or {}).items():
             dexp = tuple(dexp)
             if len(dexp) != k or any(type(e) is not int or e < 0 for e in dexp):
                 raise ValueError(f"bad partial multi-index {dexp}")
             if coeff.space != space:
                 raise ValueError("coefficient space must match the operator space")
-            if not coeff.is_zero():
-                clean[dexp] = coeff
-        object.__setattr__(self, "terms", clean)
+            for exp, c in coeff.terms.items():
+                full[exp + dexp] = c
+        dual = sigma_eta_space(k) if family == "sigma" else x_xi_space(k)
+        WeylOp._init(self, space, family, Poly._trusted(dual, full))
+
+    @staticmethod
+    def _init(obj: WeylOp, space: VarSpace, family: str, poly: Poly) -> WeylOp:
+        object.__setattr__(obj, "space", space)
+        object.__setattr__(obj, "family", family)
+        object.__setattr__(obj, "poly", poly)
+        return obj
+
+    def _like(self, poly: Poly) -> WeylOp:
+        """The operator over self's space with full symbol poly."""
+        return WeylOp._init(object.__new__(WeylOp), self.space, self.family, poly)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylOp is immutable")
@@ -74,41 +105,73 @@ class WeylOp:
         dexp[index - 1] = power
         return WeylOp(space, {tuple(dexp): Poly.one(space)})
 
+    @staticmethod
+    def of_symbol(p: Poly) -> WeylOp:
+        """The operator whose full symbol is p: each term a eta^beta
+        (a xi^beta) becomes a d^beta with the coefficient on the left."""
+        (family, k), *dual = p.space.families
+        if family not in _DUAL or dual != [(_DUAL[family], k)]:
+            raise ValueError(f"expected a polynomial over a (sigma, eta) or (x, xi) space, got {p.space}")
+        space = sigma_space(k) if family == "sigma" else x_space(k)
+        return WeylOp._init(object.__new__(WeylOp), space, family, p)
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Poly]:
+        """{partial multi-index beta: coefficient a_beta}."""
+        return self.poly.collect(_DUAL[self.family])
+
     # -- additive structure ----------------------------------------------------
 
     def __add__(self, other: WeylOp) -> WeylOp:
+        if not isinstance(other, WeylOp):
+            return NotImplemented
         check_same_space(self, other)
-        out = dict(self.terms)
-        for dexp, c in other.terms.items():
-            _accumulate(out, dexp, c)
-        return WeylOp(self.space, out)
+        return self._like(self.poly + other.poly)
 
     def __neg__(self) -> WeylOp:
-        return WeylOp(self.space, {d: -c for d, c in self.terms.items()})
+        return self._like(-self.poly)
 
     def __sub__(self, other: WeylOp) -> WeylOp:
-        return self + (-other)
+        if not isinstance(other, WeylOp):
+            return NotImplemented
+        check_same_space(self, other)
+        return self._like(self.poly - other.poly)
 
     def scale(self, c) -> WeylOp:
-        return WeylOp(self.space, {d: p.scale(c) for d, p in self.terms.items()})
+        return self._like(self.poly.scale(c))
 
     def left_mul_poly(self, p: Poly) -> WeylOp:
-        return WeylOp(self.space, {d: p * c for d, c in self.terms.items()})
+        return self._like(p.embed(self.poly.space, _DUAL[self.family], (0,) * p.space.nvars) * self.poly)
 
     # -- the normal-ordered product ---------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, WeylOp):
+            return NotImplemented
         check_same_space(self, other)
-        space = self.space
-        out: dict[tuple[int, ...], dict] = {}
-        for beta, a in self.terms.items():
-            for gamma, b in other.terms.items():
-                for delta, db, mult in _leibniz_fan(b, beta):
-                    dexp = tuple(bi - di + gi for bi, di, gi in zip(beta, delta, gamma))
-                    _add_product(out.setdefault(dexp, {}), a.terms, db.terms, mult)
-        return WeylOp(space, {d: Poly._trusted(space, ts) for d, ts in out.items() if ts})
+        k = self.space.nvars
+        derivs = {(0,) * k: other.poly}
+        # the delta with d_s^delta B nonzero, grown from 0 one partial at a time
+        fan = [(0,) * k]
+        for delta in fan:
+            for pos in range(k):
+                up = delta[:pos] + (delta[pos] + 1,) + delta[pos + 1:]
+                if up not in derivs and _derivative(derivs, up):
+                    fan.append(up)
+        # eta^-delta d_s^delta B: times a_beta eta^beta it carries eta^(beta-delta)
+        lowered = {delta: {e[:k] + tuple(map(sub, e[k:], delta)): c for e, c in derivs[delta].terms.items()}
+                   for delta in fan}
+        by_beta: dict[tuple[int, ...], dict] = {}
+        for exp, c in self.poly.terms.items():
+            by_beta.setdefault(exp[k:], {})[exp] = c
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        for beta, a in by_beta.items():
+            for delta, db in lowered.items():
+                if all(map(le, delta, beta)):
+                    _add_product(out, a, db, prod(map(comb, beta, delta)))
+        return self._like(Poly._trusted(self.poly.space, out))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -123,43 +186,33 @@ class WeylOp:
     def apply(self, f: Poly, derivs: dict | None = None) -> Poly:
         """Act on a polynomial: sum_beta a_beta * d^beta f.
 
-        Derivatives are memoised by multi-index, each one taken from its
-        prefix with one partial fewer, so terms share their chains.  Pass
-        the same `derivs` dict (empty at first) to every operator applied
-        to one f and they share the memo too.
+        Pass the same `derivs` dict (empty at first) to every operator
+        applied to one f and they share the derivative memo.
         """
         if f.space != self.space:
             raise ValueError(f"operand space {f.space} differs from operator space {self.space}")
         derivs = {} if derivs is None else derivs
         if derivs.setdefault((0,) * self.space.nvars, f) is not f:
             raise ValueError("the derivative memo belongs to another polynomial")
-
-        def deriv(beta: tuple[int, ...]) -> Poly:
-            g = derivs.get(beta)
-            if g is None:
-                pos = max(i for i, e in enumerate(beta) if e)
-                g = deriv(beta[:pos] + (beta[pos] - 1,) + beta[pos + 1:])
-                if g:
-                    g = g.partial_pos(pos)
-                derivs[beta] = g
-            return g
-
-        out: dict[tuple[int, ...], Fraction] = {}
-        for beta, a in self.terms.items():
-            _add_product(out, a.terms, deriv(beta).terms)
+        k = self.space.nvars
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        for exp, c in self.poly.terms.items():
+            d = _derivative(derivs, exp[k:])
+            if d:
+                _add_product(out, {exp[:k]: c}, d.terms)
         return Poly._trusted(self.space, out)
 
     # -- structure ----------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.poly.is_zero()
 
     def order(self) -> int:
         """Highest total partial degree; -1 for the zero operator."""
-        return max((sum(d) for d in self.terms), default=-1)
+        return self.poly.degree_in(_DUAL[self.family])
 
     def __eq__(self, other):
-        return isinstance(other, WeylOp) and self.space == other.space and self.terms == other.terms
+        return isinstance(other, WeylOp) and self.space == other.space and self.poly == other.poly
 
     __hash__ = None
 
@@ -168,41 +221,18 @@ class WeylOp:
 
         d/ds_h maps to eta_h (sigma-space) and d/dx_i to xi_i (x-space).
         """
-        if self.is_zero():
-            raise ValueError("the zero operator has no symbol")
         d = self.order()
+        if d < 0:
+            raise ValueError("the zero operator has no symbol")
         k = self.space.nvars
-        target = sigma_eta_space(k) if self.family == "sigma" else x_xi_space(k)
-        terms = {}
-        for beta, a in self.terms.items():
-            if sum(beta) != d:
-                continue
-            for exp, c in a.terms.items():
-                terms[exp + beta] = c
-        return Poly._trusted(target, terms)
+        return Poly._trusted(self.poly.space, {exp: c for exp, c in self.poly.terms.items() if sum(exp[k:]) == d})
 
     def weight(self) -> Weight:
-        dweights = [-variable_weight(self.family, i) for i in range(1, self.space.nvars + 1)]
-        ws = self.space.weights()
-        seen: int | None = None
-        for beta, a in self.terms.items():
-            base = sum(b * w for b, w in zip(beta, dweights))
-            for exp in a.terms:
-                w = base + sum(e * wt for e, wt in zip(exp, ws))
-                if seen is None:
-                    seen = w
-                elif seen != w:
-                    return NON_PURE
-        return Weight(0 if seen is None else seen)
+        return self.poly.weight()
 
     def swap(self, i: int, j: int) -> WeylOp:
         """Apply the coordinate transposition (i j) to coefficients and partials."""
-        out: dict[tuple[int, ...], Poly] = {}
-        for dexp, c in self.terms.items():
-            d = list(dexp)
-            d[i - 1], d[j - 1] = d[j - 1], d[i - 1]
-            out[tuple(d)] = c.swap(self.family, i, j)
-        return WeylOp(self.space, out)
+        return self._like(self.poly.swap(self.family, i, j).swap(_DUAL[self.family], i, j))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Poly]]:
         return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
@@ -211,7 +241,7 @@ class WeylOp:
         return self.terms.get(tuple(dexp), Poly.zero(self.space))
 
     def __str__(self):
-        if not self.terms:
+        if self.is_zero():
             return "0"
         prefix = "dx" if self.family == "x" else "ds"
         pieces = []
@@ -233,24 +263,3 @@ class WeylOp:
 
     def __repr__(self):
         return f"WeylOp[{self.space}]({self})"
-
-
-def _leibniz_fan(b: Poly, beta: tuple[int, ...]):
-    """Yield (delta, d^delta b, multi-binomial(beta, delta)) for nonzero derivatives."""
-    results = [((0,) * len(beta), b, 1)]
-    for pos, bound in enumerate(beta):
-        if not bound:
-            continue
-        grown = []
-        for delta, g, mult in results:
-            grown.append((delta, g, mult))
-            gg = g
-            for d in range(1, bound + 1):
-                gg = gg.partial_pos(pos)
-                if gg.is_zero():
-                    break
-                new = list(delta)
-                new[pos] = d
-                grown.append((tuple(new), gg, mult * comb(beta[pos], d)))
-        results = grown
-    yield from results

@@ -10,7 +10,6 @@ from symtrace.charvar import (
     NotOnVarietyError,
     char_poly_value,
     decompose_in_minors,
-    lift_eta_to_partials,
     minor_matches_symbol,
     minors,
     recombine,
@@ -20,9 +19,8 @@ from symtrace.charvar import (
     vanishes_on_Z,
 )
 from symtrace.poly import Poly
-from symtrace.spaces import sigma_eta_space, sigma_space
+from symtrace.spaces import sigma_eta_space, sigma_space, x_space
 from symtrace.symfun import discriminant
-from symtrace.weyl import WeylOp
 
 
 def eta(k, h):
@@ -148,6 +146,12 @@ def test_decompose_roundtrip_randomized():
     assert done >= 100
 
 
+def test_recombine_rejects_coefficients_over_another_space():
+    x1 = Poly.variable(x_space(2), "x", 1)
+    with pytest.raises(ValueError):
+        recombine(2, {(1, 2): x1})
+
+
 def test_decompose_rejects_inhomogeneous():
     k = 2
     bad = minors(k)[1, 2] + eta(k, 1)
@@ -262,18 +266,6 @@ def test_theta_contraction_vanishes_at_distinct_roots():
         for h in (1, 2)
     )
     assert total == 0
-
-
-def test_lift_eta_to_partials():
-    k = 3
-    se = sigma_eta_space(k)
-    c = sig(k, 2) * eta(k, 1) * eta(k, 3) - eta(k, 2) ** 2
-    op = lift_eta_to_partials(c, k)
-    S = sigma_space(k)
-    expected = (WeylOp.partial(S, 1) * WeylOp.partial(S, 3)).left_mul_poly(
-        Poly.variable(S, "sigma", 2)
-    ) - WeylOp.partial(S, 2) * WeylOp.partial(S, 2)
-    assert op == expected
 
 
 def test_symbols_of_generators_vanish_on_variety():

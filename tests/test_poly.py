@@ -7,6 +7,7 @@ from conftest import random_sigma_poly
 from symtrace.poly import NON_PURE, Poly
 from symtrace.spaces import SpaceMismatchError, sigma_eta_space, sigma_space, x_space
 from symtrace.symfun import newton
+from symtrace.weyl import WeylOp
 
 
 def s(k, h):
@@ -94,6 +95,25 @@ def test_collect_embed_roundtrip():
     for fe, coeff in parts.items():
         rebuilt = rebuilt + coeff.embed(se, "eta", fe)
     assert rebuilt == p
+
+
+def test_embed_requires_the_space_without_the_family():
+    se = sigma_eta_space(2)
+    for p in (x(2, 1), s(3, 1), Poly.variable(se, "eta", 1)):
+        with pytest.raises(ValueError):
+            p.embed(se, "eta", (0, 0))
+
+
+def test_ring_operations_refuse_other_types():
+    S = sigma_space(2)
+    s1, d1 = s(2, 1), WeylOp.partial(S, 1)
+    # a polynomial on the left of an operator is left multiplication
+    assert s1 * d1 == WeylOp(S, {(1, 0): s1})
+    mixes = [lambda: d1 * s1, lambda: s1 + d1, lambda: d1 + s1, lambda: s1 - d1, lambda: d1 - s1,
+             lambda: s1 + 1, lambda: 1 - s1, lambda: s1 * "2", lambda: d1 * "2"]
+    for mix in mixes:
+        with pytest.raises(TypeError):
+            mix()
 
 
 def test_canonical_term_order_is_graded_lex():

@@ -14,7 +14,9 @@ the minors, against `vanishes_on_Z` and `decompose_in_minors`.  The
 defining property of the transport, Q[F](e(x)) = P[F(e(x))], is expanded
 on both sides with sympy's own differentiation and substitution for
 sigma-monomials F, hypothesis-drawn symmetric operators P (k <= 3) and
-the S_h (k <= 4).
+the S_h (k <= 4).  The normal-ordered product is checked by its action:
+(A B)[f] must equal A[B[f]] with both applications done by sympy's
+differentiation, for drawn nonzero sigma-operators A and B (k <= 3).
 """
 
 from fractions import Fraction
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 
 from symtrace.charvar import NotOnVarietyError, decompose_in_minors, minors, recombine, vanishes_on_Z
 from symtrace.poly import Poly
-from symtrace.spaces import sigma_eta_space, x_space
+from symtrace.spaces import sigma_eta_space, sigma_space, x_space
 from symtrace.symfun import discriminant, discriminant_at, newton, reduce_to_sigma, symmetrize
 from symtrace.transport import SymmetricOperator, elementary_symmetric_op, xi_transport
 from symtrace.weyl import WeylOp
@@ -264,3 +266,24 @@ def test_transport_of_s_h_in_sympy(k):
     for h in range(1, k + 1):
         gammas = [g for g in product(range(h + 1), repeat=k) if sum(g) <= h]
         assert_transport_property(elementary_symmetric_op(k, h), gammas)
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two nonzero sigma-operators with |beta| <= 2 and nonzero coefficients, and an operand."""
+    k = draw(st.integers(1, 3))
+    space = sigma_space(k)
+    small = st.tuples(*[st.integers(0, 2)] * k)
+    nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    coeffs = st.dictionaries(small, nonzero, min_size=1, max_size=3).map(lambda t: Poly(space, t))
+    ops = st.dictionaries(small.filter(lambda b: sum(b) <= 2), coeffs, min_size=1, max_size=3)
+    f = st.dictionaries(st.tuples(*[st.integers(0, 4)] * k), nonzero, min_size=1, max_size=4)
+    return WeylOp(space, draw(ops)), WeylOp(space, draw(ops)), Poly(space, draw(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pairs())
+def test_product_acts_by_composition_in_sympy(case):
+    a, b, f = case
+    s = sympy.symbols(f"s1:{a.space.nvars + 1}")
+    assert sympy_poly((a * b).apply(f), s) == sympy_apply(a, sympy_apply(b, sympy_poly(f, s), s), s)

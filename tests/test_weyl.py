@@ -5,7 +5,7 @@ import pytest
 from conftest import random_sigma_poly
 from symtrace.annihilators import op_A, op_T, op_U0
 from symtrace.poly import Poly
-from symtrace.spaces import sigma_eta_space, sigma_space
+from symtrace.spaces import VarSpace, sigma_aux_space, sigma_eta_space, sigma_space, x_space, x_xi_space
 from symtrace.symfun import newton
 from symtrace.weyl import WeylOp
 
@@ -165,3 +165,31 @@ def test_apply_shares_a_derivative_memo_across_operators():
     assert derivs[(0, 0, 0)] is f and len(derivs) > 1
     with pytest.raises(ValueError):
         op.apply(newton(k, 6), derivs)
+
+
+def test_of_symbol_lifts_eta_to_partials():
+    k = 3
+    se = sigma_eta_space(k)
+    c = Poly.variable(se, "sigma", 2) * Poly.variable(se, "eta", 1) * Poly.variable(se, "eta", 3) \
+        - Poly.variable(se, "eta", 2) ** 2
+    op = WeylOp.of_symbol(c)
+    S = sigma_space(k)
+    expected = (WeylOp.partial(S, 1) * WeylOp.partial(S, 3)).left_mul_poly(
+        Poly.variable(S, "sigma", 2)
+    ) - WeylOp.partial(S, 2) * WeylOp.partial(S, 2)
+    assert op == expected
+
+
+def test_of_symbol_inverts_the_full_symbol():
+    rng = random.Random(9)
+    X = x_space(2)
+    ops = [random_op(rng, rng.randint(1, 4)) for _ in range(20)]
+    ops.append(WeylOp.partial(X, 1, 2).left_mul_poly(Poly.variable(X, "x", 2)) + WeylOp.partial(X, 2))
+    for op in ops:
+        assert WeylOp.of_symbol(op.poly) == op
+    assert WeylOp.of_symbol(ops[-1].poly).space == X and ops[-1].poly.space == x_xi_space(2)
+    bad_spaces = (sigma_space(2), x_space(2), sigma_aux_space(2), VarSpace((("sigma", 2), ("eta", 3))),
+                  VarSpace((("x", 2), ("eta", 2))))
+    for space in bad_spaces:
+        with pytest.raises(ValueError):
+            WeylOp.of_symbol(Poly.one(space))
