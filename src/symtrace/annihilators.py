@@ -25,8 +25,9 @@ def _partial(k: int, h: int) -> WeylOp:
     return WeylOp.partial(sigma_space(k), h)
 
 
-def _sigma(k: int, h: int) -> Poly:
-    return Poly.variable(sigma_space(k), "sigma", h)
+def _s(k: int, h: int) -> Poly:
+    """s_h over sigma_space(k), with s_0 = 1."""
+    return Poly.one(sigma_space(k)) if h == 0 else Poly.variable(sigma_space(k), "sigma", h)
 
 
 def op_A(k: int, p: int, q: int, i: int) -> WeylOp:
@@ -49,41 +50,32 @@ def op_T0(k: int, mu: int) -> WeylOp:
     """sum_{h=0}^{k-1} s_h d_{k-mu-1} d_{h+1} + s_k d_{k-mu} d_k + d_{k-mu}, s_0 = 1."""
     if not 0 <= mu <= k - 2:
         raise ValueError(f"need 0 <= mu <= k-2, got mu={mu}")
-    space = sigma_space(k)
-    acc = WeylOp.zero(space)
-    for h in range(k):
-        coeff = Poly.one(space) if h == 0 else _sigma(k, h)
-        acc = acc + (_partial(k, k - mu - 1) * _partial(k, h + 1)).left_mul_poly(coeff)
-    acc = acc + (_partial(k, k - mu) * _partial(k, k)).left_mul_poly(_sigma(k, k))
-    return acc + _partial(k, k - mu)
+    lower = _partial(k, k - mu - 1)
+    return WeylOp.sum(sigma_space(k), [
+        *((lower * _partial(k, h + 1)).left_mul_poly(_s(k, h)) for h in range(k)),
+        (_partial(k, k - mu) * _partial(k, k)).left_mul_poly(_s(k, k)),
+        _partial(k, k - mu),
+    ])
+
+
+def _field(k: int, coeffs) -> WeylOp:
+    """The derivation sum_h c_h d_h with coefficients c_1..c_k in turn."""
+    return WeylOp.sum(sigma_space(k), (_partial(k, h).left_mul_poly(c) for h, c in enumerate(coeffs, 1)))
 
 
 def euler_field(k: int) -> WeylOp:
     """sum_h s_h d_h (the unweighted Euler-type field inside T(m))."""
-    space = sigma_space(k)
-    acc = WeylOp.zero(space)
-    for h in range(1, k + 1):
-        acc = acc + _partial(k, h).left_mul_poly(_sigma(k, h))
-    return acc
+    return _field(k, (_s(k, h) for h in range(1, k + 1)))
 
 
 def op_U0(k: int) -> WeylOp:
     """The weight operator U0 = sum_h h s_h d_h."""
-    space = sigma_space(k)
-    acc = WeylOp.zero(space)
-    for h in range(1, k + 1):
-        acc = acc + _partial(k, h).left_mul_poly(_sigma(k, h).scale(h))
-    return acc
+    return _field(k, (_s(k, h).scale(h) for h in range(1, k + 1)))
 
 
 def op_nabla(k: int) -> WeylOp:
     """The lowering derivation sum_{h=0}^{k-1} (k-h) s_h d_{h+1}, s_0 = 1."""
-    space = sigma_space(k)
-    acc = WeylOp.zero(space)
-    for h in range(k):
-        coeff = Poly.constant(space, k - h) if h == 0 else _sigma(k, h).scale(k - h)
-        acc = acc + _partial(k, h + 1).left_mul_poly(coeff)
-    return acc
+    return _field(k, (_s(k, h).scale(k - h) for h in range(k)))
 
 
 def op_variants(k: int, m: int, which: str) -> WeylOp:
@@ -175,10 +167,12 @@ def check_images(
 
     Members are drawn lazily, one at a time, and all ops applied to one
     member share its derivative memo.  An op stops at its first failing m,
-    and no member is drawn once every op has failed.
+    and no member is drawn once every op has failed.  Members that yield
+    nothing would make the check vacuous, so they raise ValueError.
     """
     pending = list(ops.items())
     failures: dict[str, Witness] = {}
+    m = None
     for m, f in members:
         derivs: dict = {}
         still = []
@@ -194,4 +188,6 @@ def check_images(
         pending = still
         if not pending:
             break
+    if m is None:
+        raise ValueError("no family member to check: the bound is below the family's first index")
     return failures

@@ -49,10 +49,7 @@ def _eta(k: int, h: int) -> Poly:
 def _l_sigma(k: int) -> Poly:
     """l(s, eta) = sum_h s_h eta_h."""
     space = sigma_eta_space(k)
-    acc = Poly.zero(space)
-    for h in range(1, k + 1):
-        acc = acc + Poly.variable(space, "sigma", h) * Poly.variable(space, "eta", h)
-    return acc
+    return Poly.sum(space, (Poly.variable(space, "sigma", h) * _eta(k, h) for h in range(1, k + 1)))
 
 
 def minors(k: int) -> Mapping[MinorId, Poly]:
@@ -132,11 +129,7 @@ def embed_sigma(p: Poly, k: int) -> Poly:
 def recombine(k: int, coeffs: dict[MinorId, Poly]) -> Poly:
     """sum_a c_a m_a with coefficients over sigma or (sigma, eta)."""
     ms = minors(k)
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for mid, c in coeffs.items():
-        for exp, v in (embed_sigma(c, k) * ms[mid]).terms.items():
-            _accumulate(acc, exp, v)
-    return Poly._trusted(sigma_eta_space(k), acc)
+    return Poly.sum(sigma_eta_space(k), (embed_sigma(c, k) * ms[mid] for mid, c in coeffs.items()))
 
 
 def _eta_homogeneous_parts(f: Poly, k: int) -> dict[int, Poly]:
@@ -187,7 +180,7 @@ def decompose_in_minors(f: Poly, k: int) -> dict[MinorId, Poly]:
 
     Follows the constructive descent: split off the eta_k-free part,
     rewrite its eta_i eta_j factors through the minors, divide the rest
-    by eta_k, and recurse on the lower-degree cofactor.  The descent
+    by eta_k, and repeat on the lower-degree cofactor.  The descent
     alone decides: it ends at a cofactor r of eta-degree <= 1 with
     f = eta_k^(d-1) r modulo the minors, and the chart eta_h = t^(k-h)
     sends a nonzero r to a nonzero combination of 1, t, .., t^(k-1),
@@ -213,43 +206,40 @@ def decompose_in_minors(f: Poly, k: int) -> dict[MinorId, Poly]:
 
 def _descend(f: Poly, k: int) -> dict[MinorId, Poly]:
     se = sigma_eta_space(k)
-    if f.is_zero():
-        return {}
-    d = f.degree_in("eta")
-    if d <= 1:
-        # a nonzero eta-linear cofactor does not vanish on the variety
-        raise NotOnVarietyError("polynomial does not vanish on the variety")
     eta_k_pos = se.position("eta", k)
     eta_off = se.offset("eta")
-    # rest accumulates g + sum v*w: the eta_k-divisible part of f divided
-    # by eta_k, plus the eta_k-multiples produced by the rewriting; the
-    # other terms are eta_i eta_j * w, grouped by (i, j)
-    rest: dict[tuple[int, ...], Fraction] = {}
-    groups: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
-    for exp, c in f.terms.items():
-        low = list(exp)
-        if exp[eta_k_pos]:
-            low[eta_k_pos] -= 1
-            rest[tuple(low)] = c
-            continue
-        first = next(h for h in range(k) if low[eta_off + h])
-        low[eta_off + first] -= 1
-        second = next(h for h in range(k) if low[eta_off + h])
-        low[eta_off + second] -= 1
-        groups.setdefault((first + 1, second + 1), {})[tuple(low)] = c
     coeffs: dict[MinorId, dict[tuple[int, ...], Fraction]] = {}
-    for (i, j), w in groups.items():
-        u, v = rewrite_eta_product(k, i, j)
-        for mid, uc in u.items():
-            _add_product(coeffs.setdefault(mid, {}), embed_sigma(uc, k).terms, w)
-        _add_product(rest, v.terms, w)
-
-    for mid, c in _descend(Poly._trusted(se, rest), k).items():
-        acc = coeffs.setdefault(mid, {})
-        for exp, v in c.terms.items():
-            raised = list(exp)
-            raised[eta_k_pos] += 1
-            _accumulate(acc, tuple(raised), v)
+    # f = eta_k^level * terms modulo the minors, with the minor coefficients
+    # of the levels above already in coeffs
+    terms, level, d = f.terms, 0, f.degree_in("eta")
+    while terms:
+        if d <= 1:
+            # a nonzero eta-linear cofactor does not vanish on the variety
+            raise NotOnVarietyError("polynomial does not vanish on the variety")
+        # rest accumulates g + sum v*w: the eta_k-divisible part of terms
+        # divided by eta_k, plus the eta_k-multiples produced by the
+        # rewriting; the other terms are eta_i eta_j * w, grouped by (i, j)
+        rest: dict[tuple[int, ...], Fraction] = {}
+        groups: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
+        for exp, c in terms.items():
+            low = list(exp)
+            if exp[eta_k_pos]:
+                low[eta_k_pos] -= 1
+                rest[tuple(low)] = c
+                continue
+            first = next(h for h in range(k) if low[eta_off + h])
+            low[eta_off + first] -= 1
+            second = next(h for h in range(k) if low[eta_off + h])
+            low[eta_off + second] -= 1
+            groups.setdefault((first + 1, second + 1), {})[tuple(low)] = c
+        eta_k_level = (0,) * (k - 1) + (level,)
+        for (i, j), w in groups.items():
+            u, v = rewrite_eta_product(k, i, j)
+            for mid, uc in u.items():
+                lifted = {exp + eta_k_level: c for exp, c in uc.terms.items()}
+                _add_product(coeffs.setdefault(mid, {}), lifted, w)
+            _add_product(rest, v.terms, w)
+        terms, level, d = rest, level + 1, d - 1
     return {mid: Poly._trusted(se, ts) for mid, ts in coeffs.items() if ts}
 
 

@@ -76,7 +76,8 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
         return cert
 
     gens = generator_system(k, "trace")
-    cofactors: dict[str, WeylOp] = {}
+    # the cofactor pieces of each generator, one per descent step it enters
+    pieces: dict[str, list[WeylOp]] = {}
     q = p
     while q.order() >= 2:
         s = q.symbol()
@@ -84,18 +85,18 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
             parts = decompose_in_minors(s, k)
         except NotOnVarietyError:
             raise SymbolDescentError(s, bound) from None
-        step = WeylOp.zero(q.space)
+        step = []
         for mid, c in parts.items():
             gid, sign = minor_generator(mid)
             cof = WeylOp.of_symbol(c.scale(sign))
-            cofactors[gid] = cofactors.get(gid, WeylOp.zero(q.space)) + cof
-            step = step + cof * gens[gid]
-        q_next = q - step
+            pieces.setdefault(gid, []).append(cof)
+            step.append(cof * gens[gid])
+        q_next = q - WeylOp.sum(q.space, step)
         if not q_next.is_zero() and q_next.order() >= q.order():
             raise AssertionError("symbol descent failed to lower the order")
         q = q_next
 
-    cert.entries = sorted(cofactors.items())
+    cert.entries = sorted((gid, WeylOp.sum(p.space, cofs)) for gid, cofs in pieces.items())
     cert.remainder = q
     if not q.is_zero():
         # order <= 1: killing N_0..N_k forces zero, so a nonzero tail here
@@ -110,12 +111,8 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
 def verify_certificate(p: WeylOp, cert: MembershipCertificate, k: int) -> bool:
     """Exact recombination: sum cofactor . generator + remainder == p."""
     gens = generator_system(k, "trace")
-    acc = WeylOp.zero(sigma_space(k))
-    for gid, cof in cert.entries:
-        acc = acc + cof * gens[gid]
-    if cert.remainder is not None:
-        acc = acc + cert.remainder
-    return acc == p
+    rest = [] if cert.remainder is None else [cert.remainder]
+    return WeylOp.sum(sigma_space(k), [*(cof * gens[gid] for gid, cof in cert.entries), *rest]) == p
 
 
 def trace_characterization_x(k: int, p: WeylOp) -> bool:

@@ -21,12 +21,13 @@ Polynomials are built and summed in one way each:
   ``space.nvars`` with no negative entry.  The ring operations build such
   dicts by construction and wrap them with it; the dict must not be
   mutated afterwards.
+- ``Poly.sum(space, pieces)`` is the one way to sum polynomials: it
+  copies the largest piece and accumulates the others into that copy,
+  so a sum of many pieces wraps one dict once.  ``a + b`` is its
+  two-piece case.
 - ``_accumulate(out, key, c)`` adds ``c`` into ``out[key]``, stores the
   sum in canonical form and drops the key when the sum cancels;
   ``_add_product`` accumulates a product of two term dicts through it.
-  A sum of many pieces accumulates into one plain dict that is wrapped
-  once, never ``out = out + piece`` in a loop, which copies the whole
-  dict on every step.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
-from .spaces import VarSpace, check_same_space
+from .spaces import SpaceMismatchError, VarSpace, check_same_space
 
 
 @dataclass(frozen=True)
@@ -156,15 +157,27 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
+    @staticmethod
+    def sum(space: VarSpace, pieces: Iterable[Poly]) -> Poly:
+        """The sum of the pieces, all over space; zero when there are none.
+
+        The largest piece is copied once and the others accumulate into
+        the copy (the first of equally large pieces is the one copied).
+        """
+        pieces = sorted(pieces, key=lambda p: len(p.terms), reverse=True)
+        for p in pieces:
+            if p.space != space:
+                raise SpaceMismatchError(f"space mismatch: {space} vs {p.space}")
+        out = dict(pieces[0].terms) if pieces else {}
+        for p in pieces[1:]:
+            for exp, c in p.terms.items():
+                _accumulate(out, exp, c)
+        return Poly._trusted(space, out)
+
     def __add__(self, other: Poly) -> Poly:
         if not isinstance(other, Poly):
             return NotImplemented
-        check_same_space(self, other)
-        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
-        out = dict(big.terms)
-        for exp, c in small.terms.items():
-            _accumulate(out, exp, c)
-        return Poly._trusted(self.space, out)
+        return Poly.sum(self.space, (self, other))
 
     def __neg__(self) -> Poly:
         return Poly._trusted(self.space, {e: -c for e, c in self.terms.items()})

@@ -134,6 +134,8 @@ def suite_system(k: int, max_m: int | None = None) -> RunReport:
 
 def suite_relations(k: int) -> RunReport:
     """Exact operator identities among the generators."""
+    if k < 2:
+        raise ValueError("the system needs k >= 2")
     rep = RunReport(k, "relations")
     S = sigma_space(k)
 
@@ -157,10 +159,8 @@ def suite_relations(k: int) -> RunReport:
 
     ok = True
     for m in range(2, k + 1):
-        acc = op_T0(k, k - m)
-        for h in range(1, k):
-            acc = acc + op_A(k, h, m, 1).left_mul_poly(Poly.variable(S, "sigma", h))
-        if op_T(k, m) != acc:
+        corrections = (op_A(k, h, m, 1).left_mul_poly(Poly.variable(S, "sigma", h)) for h in range(1, k))
+        if op_T(k, m) != WeylOp.sum(S, [op_T0(k, k - m), *corrections]):
             ok = False
     rep.add("identity:T-from-T0", ok, "T(m) = T0(k-m) + sum_h s_h A(h,m,1), exactly")
     rep.deviation(
@@ -171,10 +171,8 @@ def suite_relations(k: int) -> RunReport:
     nabla = op_nabla(k)
     ok = True
     for h in range(2, k + 1):
-        rhs = op_A(k, 1, h, 1).scale(k - 1)
-        if h < k:
-            rhs = rhs + op_T(k, h + 1).scale(-(k - h))
-        if nabla.commutator(op_T(k, h)) != rhs:
+        raised = [op_T(k, h + 1).scale(-(k - h))] if h < k else []
+        if nabla.commutator(op_T(k, h)) != WeylOp.sum(S, [op_A(k, 1, h, 1).scale(k - 1), *raised]):
             ok = False
     rep.add(
         "bracket:nabla-with-T", ok,
@@ -186,11 +184,9 @@ def suite_relations(k: int) -> RunReport:
         for q in range(2, k + 1):
             if p == q - 1:
                 continue
-            rhs = WeylOp.zero(S)
-            if p + 2 <= k:
-                rhs = rhs + op_A(k, p + 1, q, 1).scale(-(k - p - 1))
-            if q + 1 <= k:
-                rhs = rhs + op_A(k, p, q + 1, 1).scale(-(k - q))
+            # the raised A(a,b,1) that exist: a + 1 <= k and b <= k
+            rhs = WeylOp.sum(S, (op_A(k, a, b, 1).scale(-c) for a, b, c in
+                                 ((p + 1, q, k - p - 1), (p, q + 1, k - q)) if a < k and b <= k))
             if nabla.commutator(op_A(k, p, q, 1)) != rhs:
                 ok = False
     rep.add(
@@ -445,6 +441,8 @@ def golden_check(path: str | Path | None = None) -> RunReport:
     its own validity checks are deviations, not failures.
     """
     base = Path(path) if path is not None else golden_dir()
+    if not base.is_dir():
+        raise FileNotFoundError(f"no such directory: {base}")
     rep = RunReport(0, "golden")
 
     def compare(name: str, compute, validate=None):

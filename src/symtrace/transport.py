@@ -71,11 +71,7 @@ def jacobian_entry(k: int, h: int, j: int) -> Poly:
         raise ValueError("indices out of range")
     space = x_space(k)
     xj = Poly.variable(space, "x", j)
-    out = Poly.zero(space)
-    for q in range(h):
-        sign = -1 if q % 2 else 1
-        out = out + (elementary_symmetric(k, h - q - 1) * xj ** q).scale(sign)
-    return out
+    return Poly.sum(space, (elementary_symmetric(k, h - q - 1) * (-xj) ** q for q in range(h)))
 
 
 def elementary_symmetric_op(k: int, h: int) -> SymmetricOperator:
@@ -149,24 +145,21 @@ def decompose_derivation(d: SymmetricOperator) -> list[tuple[int, Poly]]:
     if op.order() != 1 or any(sum(b) == 0 for b in op.terms):
         raise ValueError("input must be a derivation: order 1 with no order-0 part")
     space = sigma_aux_space(k)  # t plays x_1
-    tpos = space.position("t", 1)
+    t = Poly.variable(space, "t")
 
     a1 = op.coefficient(tuple([1] + [0] * (k - 1)))
-    acc = Poly.zero(space)
     if k == 1:
-        for exp, c in a1.terms.items():
-            acc = acc + Poly.monomial(space, _unit(space.nvars, tpos, exp[0]), c)
+        acc = Poly.sum(space, (t ** exp[0] * c for exp, c in a1.terms.items()))
     else:
         buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
         for exp, c in a1.terms.items():
             buckets.setdefault(exp[0], {})[exp[1:]] = c
         # e_h(x_2..x_k) = Theta_(h+1)(x_1, s), with t playing x_1
         images = {("sigma", h): theta(k, h + 1) for h in range(1, k)}
-        for x1_exp, rest_terms in sorted(buckets.items()):
-            rest = Poly(x_space(k - 1), rest_terms)
-            reduced = reduce_to_sigma(rest, k - 1)
-            piece = reduced.compose(space, images)
-            acc = acc + piece * Poly.monomial(space, _unit(space.nvars, tpos, x1_exp))
+        acc = Poly.sum(space, (
+            reduce_to_sigma(Poly(x_space(k - 1), rest), k - 1).compose(space, images)
+            * t ** x1_exp
+            for x1_exp, rest in sorted(buckets.items())))
     acc = _reduce_aux_powers(acc, k)
 
     out: list[tuple[int, Poly]] = []
@@ -175,31 +168,20 @@ def decompose_derivation(d: SymmetricOperator) -> list[tuple[int, Poly]]:
             out.append((t_exp[0], b))
     out.sort(key=lambda pair: pair[0])
 
-    rebuilt = WeylOp.zero(x_space(k))
-    for p_low, b in out:
-        rebuilt = rebuilt + u_operator(k, p_low).left_mul_poly(sigma_to_x(b, k))
+    rebuilt = WeylOp.sum(x_space(k), (u_operator(k, p_low).left_mul_poly(sigma_to_x(b, k))
+                                      for p_low, b in out))
     if rebuilt != op:
         raise AssertionError("derivation decomposition failed to reconstruct the input")
     return out
-
-
-def _unit(n: int, pos: int, e: int) -> tuple[int, ...]:
-    exp = [0] * n
-    exp[pos] = e
-    return tuple(exp)
 
 
 def _reduce_aux_powers(p: Poly, k: int) -> Poly:
     """Rewrite t^k as sum_h (-1)^(h-1) s_h t^(k-h) until the t-degree is < k."""
     space = p.space
     tpos = space.position("t", 1)
-    step = Poly.zero(space)
-    for h in range(1, k + 1):
-        exp = [0] * space.nvars
-        exp[tpos] = k - h
-        exp[space.position("sigma", h)] = 1
-        sign = -1 if (h - 1) % 2 else 1
-        step = step + Poly.monomial(space, exp, sign)
+    t = Poly.variable(space, "t")
+    step = Poly.sum(space, (Poly.variable(space, "sigma", h) * t ** (k - h) * (-1) ** (h - 1)
+                            for h in range(1, k + 1)))
     while p.degree_in("t") >= k:
         out: dict[tuple[int, ...], Fraction] = {}
         for exp, c in p.terms.items():

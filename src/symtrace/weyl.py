@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, prod
 from operator import le, sub
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .poly import Poly, Weight, _add_product, term_sort_key
 from .spaces import VarSpace, check_same_space, sigma_eta_space, sigma_space, x_space, x_xi_space
@@ -42,12 +42,18 @@ def _derivative(derivs: dict, beta: tuple[int, ...]) -> Poly:
 
     Each derivative is taken from its prefix with one partial fewer and
     memoised in derivs, so the derivatives of one polynomial share their
-    chains.  Positions run over the first len(beta) variables.
+    chains; the chain down to the nearest memoised prefix is walked in a
+    loop, so its length costs no stack depth.  Positions run over the
+    first len(beta) variables.
     """
     g = derivs.get(beta)
-    if g is None:
+    chain = []
+    while g is None:
         pos = max(i for i, e in enumerate(beta) if e)
-        g = _derivative(derivs, beta[:pos] + (beta[pos] - 1,) + beta[pos + 1:])
+        chain.append((beta, pos))
+        beta = beta[:pos] + (beta[pos] - 1,) + beta[pos + 1:]
+        g = derivs.get(beta)
+    for beta, pos in reversed(chain):
         if g:
             g = g.partial_pos(pos)
         derivs[beta] = g
@@ -91,6 +97,12 @@ class WeylOp:
     @staticmethod
     def zero(space: VarSpace) -> WeylOp:
         return WeylOp(space)
+
+    @staticmethod
+    def sum(space: VarSpace, ops: Iterable[WeylOp]) -> WeylOp:
+        """The sum of the operators, all over space: the Poly.sum of their full symbols."""
+        zero = WeylOp(space)
+        return zero._like(Poly.sum(zero.poly.space, (op.poly for op in ops)))
 
     @staticmethod
     def from_poly(p: Poly) -> WeylOp:

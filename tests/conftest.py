@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from symtrace.poly import Poly
@@ -15,6 +18,18 @@ def pytest_runtest_logreport(report):
     if report.when == "call" and report.failed and "test_acceptance" in report.nodeid:
         name = report.nodeid.split("::")[-1].removeprefix("test_criterion_").replace("_", "-")
         print(f"\nACCEPTANCE {name}: FAIL")
+
+
+@contextmanager
+def shallow_stack(frames: int = 150):
+    """Cap the recursion limit at the current depth plus frames, so code
+    that recurses once per unit of a size in the hundreds fails inside."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def rational_point(rng: random.Random, k: int, lo: int = -9, hi: int = 9, den: int = 4):

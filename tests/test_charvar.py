@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import shallow_stack
 from symtrace.annihilators import op_A, op_T
 from symtrace.charvar import (
     NotOnVarietyError,
@@ -276,3 +277,15 @@ def test_symbols_of_generators_vanish_on_variety():
             for q in range(2, k + 1):
                 if p != q - 1:
                     assert vanishes_on_Z(op_A(k, p, q, 1).symbol(), k)
+
+
+def test_descent_takes_no_recursion_depth():
+    # one loop pass per eta-degree, carrying the power of eta_k divided out
+    k = 2
+    f = minors(k)[1, 2] * eta(k, 2) ** 298
+    with shallow_stack():
+        with pytest.raises(NotOnVarietyError):
+            decompose_in_minors(eta(k, 2) ** 300, k)
+        coeffs = decompose_in_minors(f, k)
+    assert recombine(k, coeffs) == f
+    assert coeffs == {(1, 2): eta(k, 2) ** 298}

@@ -490,3 +490,49 @@ def test_internal_invariant_failure_is_one_line_error(capsys, tmp_path, monkeypa
     assert code == 1
     assert out == ""
     assert err == "error: internal error: minor decomposition failed to recombine\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--k", "1", "--suite", "relations"],
+    ["verify", "--k", "3", "--suite", "system", "--max-m", "-2"],
+    ["verify", "--k", "3", "--suite", "forms", "--max-m", "-3"],
+    ["verify", "--k", "3", "--suite", "primitive", "--max-m", "0"],
+    ["member", "--k", "2", "--op", "golden/sigma2_k2.json", "--newton-bound", "-5"],
+])
+def test_a_check_that_would_check_nothing_is_refused(args, capsys):
+    # these once passed on empty ranges: k = 1 leaves the relations
+    # without generators, and a bound below the family's first index
+    # draws no member
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--k", "3", "--suite", "system", "--max-m", "0"],
+    ["verify", "--k", "3", "--suite", "forms", "--max-m", "-2"],
+    ["verify", "--k", "3", "--suite", "primitive", "--max-m", "1"],
+    ["member", "--k", "2", "--op", "golden/sigma2_k2.json", "--newton-bound", "0"],
+])
+def test_a_bound_at_the_first_index_still_checks(args, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert json.loads(out)
+
+
+def test_golden_on_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    code, out, err = run_cli(["golden", "--dir", str(missing)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: no such directory: {missing}\n"
+
+
+def test_decompose_of_a_high_eta_power_is_a_semantic_negative(capsys, tmp_path):
+    path = tmp_path / "eta2_1200.json"
+    eta2 = Poly.variable(sigma_eta_space(2), "eta", 2)
+    path.write_text(dumps(poly_to_dict(eta2 ** 1200)), encoding="utf-8")
+    code, out, _ = run_cli(["charvar", "--k", "2", "--decompose", str(path)], capsys)
+    assert code == 2
+    assert json.loads(out)["member_of_minor_ideal"] is False

@@ -13,11 +13,12 @@ denominators up to 3, so sums and products that become integral
 from collections import defaultdict
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtrace.poly import Poly
-from symtrace.spaces import sigma_eta_space, sigma_space
+from symtrace.spaces import SpaceMismatchError, sigma_eta_space, sigma_space, x_space
 from symtrace.weyl import WeylOp
 
 BOUNDED = settings(max_examples=40, deadline=None)
@@ -85,6 +86,53 @@ def test_add_sub_neg_match_reference(pair):
     assert_matches(a - b, a.space, dict_sum(a.terms, b.terms, signs=(1, -1)))
     assert_matches(-a, a.space, dict_sum(a.terms, signs=(-1,)))
     assert (a - a).terms == {}
+
+
+@st.composite
+def summands(draw, pieces):
+    """Drawn pieces, then some of them again (the same objects) with their
+    negations, in a drawn order: the repeats cancel against the negations."""
+    drawn = draw(st.lists(pieces, max_size=5))
+    again = draw(st.lists(st.sampled_from(drawn), max_size=3)) if drawn else []
+    return draw(st.permutations(drawn + again + [-p for p in again]))
+
+
+def consumed_once(items: list, seen: list):
+    """A one-shot generator over items that records each item it yields."""
+    return (seen.append(p) or p for p in items)
+
+
+@BOUNDED
+@given(st.integers(1, 3), st.data())
+def test_sum_matches_reference(k, data):
+    space = sigma_space(k)
+    pieces = data.draw(summands(polys(space)))
+    seen: list = []
+    total = Poly.sum(space, consumed_once(pieces, seen))
+    assert seen == pieces
+    assert_matches(total, space, dict_sum(*(p.terms for p in pieces)))
+
+
+@BOUNDED
+@given(st.integers(1, 3), st.data())
+def test_weyl_sum_matches_reference(k, data):
+    space = sigma_space(k)
+    ops = data.draw(summands(weylops(space)))
+    seen: list = []
+    total = WeylOp.sum(space, consumed_once(ops, seen))
+    assert seen == ops
+    assert total.space == space
+    assert_matches(total.poly, sigma_eta_space(k), dict_sum(*(op.poly.terms for op in ops)))
+
+
+def test_sum_of_nothing_is_zero_and_pieces_share_one_space():
+    S = sigma_space(2)
+    assert Poly.sum(S, iter(())) == Poly.zero(S)
+    assert WeylOp.sum(S, []) == WeylOp.zero(S)
+    with pytest.raises(SpaceMismatchError):
+        Poly.sum(S, [Poly.one(S), Poly.one(sigma_space(3))])
+    with pytest.raises(SpaceMismatchError):
+        WeylOp.sum(S, [WeylOp.partial(S, 1), WeylOp.partial(x_space(2), 1)])
 
 
 @BOUNDED

@@ -1,6 +1,4 @@
-import inspect
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +9,7 @@ from conftest import (
     elementary_values,
     random_x_poly,
     rational_point,
+    shallow_stack,
 )
 from symtrace.poly import Poly
 from symtrace.spaces import sigma_space, x_space
@@ -120,14 +119,10 @@ def test_newton_recurrences_take_no_recursion_depth():
     # recursion on m fails long before m = 600.  (newton(2, 3000) itself
     # returns as well, but its exact 900-digit arithmetic takes about 35 s.)
     fam = NewtonFamily(2)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack()) + 150)
-    try:
+    with shallow_stack():
         n = fam.newton(600)
         dn = fam.derived(600)
         pn = fam.primitive(600)
-    finally:
-        sys.setrecursionlimit(limit)
     assert n.evaluate({"sigma": [3, 2]}) == 1 + 2 ** 600  # roots 1 and 2
     assert dn.evaluate({"sigma": [3, 2]}) == 2 ** 601 - 1  # 2^601/P'(2) + 1^601/P'(1)
     assert pn.weight().value == 600

@@ -1,8 +1,9 @@
 import random
+from math import factorial
 
 import pytest
 
-from conftest import random_sigma_poly
+from conftest import random_sigma_poly, shallow_stack
 from symtrace.annihilators import op_A, op_T, op_U0
 from symtrace.poly import Poly
 from symtrace.spaces import VarSpace, sigma_aux_space, sigma_eta_space, sigma_space, x_space, x_xi_space
@@ -193,3 +194,12 @@ def test_of_symbol_inverts_the_full_symbol():
     for space in bad_spaces:
         with pytest.raises(ValueError):
             WeylOp.of_symbol(Poly.one(space))
+
+
+def test_long_derivative_chains_take_no_recursion_depth():
+    # the chain d^300 f, d^299 f, .., f of the derivative memo is walked
+    # in a loop, not one stack frame per partial
+    S = sigma_space(2)
+    with shallow_stack():
+        image = WeylOp.partial(S, 1, 300).apply(Poly.variable(S, "sigma", 1) ** 300)
+    assert image == Poly.constant(S, factorial(300))
