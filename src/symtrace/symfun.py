@@ -4,13 +4,33 @@ Everything here is exact.  The families (power sums N_m, derived family
 DN_m, primitive family PN_m) are generated by their defining recurrences
 and cached per degree k; reduction of a symmetric x-polynomial to
 sigma-coordinates uses the classical leading-term descent.
+
+A symmetric x-polynomial f is fixed by its partition coefficients, the
+dict lam -> f[x^lam] over non-increasing exponents lam: the coefficient
+at any other exponent is the one at its sorted rearrangement.  That is
+up to k! fewer terms than the full polynomial.  Two rules work on them
+alone (Macdonald, *Symmetric Functions and Hall Polynomials*, ch. I):
+
+- e-products, the e_r . m_lam rule: [x^mu](e_r f) is the sum over the
+  r-subsets S of positions with mu_S >= 1 of f[sort(mu - 1_S)].  Every
+  such mu is sort(lam + 1_S) for a partition lam of f, which gives the
+  candidates.
+- reduction: the graded-lex leading exponent lam of a symmetric
+  polynomial is a partition, and the leading term of
+  prod_h e_h^(lam_h - lam_(h+1)) is x^lam with coefficient 1, so the
+  descent runs over partitions only, largest first off a heap.
+
+The transport applies operators to partition coefficients by a third
+rule (see the `transport` docstring).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
 from math import factorial
+from operator import add, ge, sub
 
 from .poly import Poly, _accumulate, _add_product, _canon, term_sort_key
 from .spaces import sigma_space, x_space
@@ -27,7 +47,6 @@ class NotSymmetricError(ValueError):
 # caches are per-process and written atomically; duplicated computation
 # under concurrency is harmless because every entry is deterministic
 _e_cache: dict[tuple[int, int], Poly] = {}
-_e_product_cache: dict[tuple[int, tuple[int, ...]], Poly] = {}
 _disc_cache: dict[int, Poly] = {}
 _families: dict[int, "NewtonFamily"] = {}
 
@@ -55,47 +74,80 @@ def assert_symmetric(p: Poly, k: int) -> None:
             raise NotSymmetricError("x", i, i + 1)
 
 
-def _e_power_product(k: int, mu: tuple[int, ...]) -> Poly:
-    """prod_h e_h(x)^mu_h, cached; each entry is one factor e_h times the
-    entry with that factor removed, so products share their prefixes."""
+def _partition(exp) -> tuple[int, ...]:
+    return tuple(sorted(exp, reverse=True))
+
+
+def e_times(r: int, f: dict, k: int) -> dict:
+    """e_r(x) * f on partition coefficients, by the e_r . m_lam rule."""
+    subsets = [[1 if i in s else 0 for i in range(k)] for s in combinations(range(k), r)]
+    candidates = {_partition(map(add, lam, ones)) for lam in f for ones in subsets}
+    out = {}
+    for mu in candidates:
+        acc = 0
+        for ones in subsets:
+            if all(map(ge, mu, ones)):
+                v = f.get(_partition(map(sub, mu, ones)))
+                if v:
+                    acc += v
+        if acc:
+            out[mu] = _canon(acc)
+    return out
+
+
+def e_product(k: int, beta: tuple[int, ...], memo: dict) -> dict:
+    """prod_h e_h(x)^beta_h on partition coefficients.  Each entry of memo
+    is one factor e_h times the entry with that factor removed, so the
+    products of one memo share their prefixes."""
     missing = []
-    while (k, mu) not in _e_product_cache:
-        if not any(mu):
-            _e_product_cache[(k, mu)] = Poly.one(x_space(k))
+    while beta not in memo:
+        if not any(beta):
+            memo[beta] = {(0,) * k: 1}
             break
-        h = max(i for i, e in enumerate(mu) if e)
-        missing.append((mu, h))
-        mu = mu[:h] + (mu[h] - 1,) + mu[h + 1:]
+        h = max(i for i, e in enumerate(beta) if e)
+        missing.append((beta, h))
+        beta = beta[:h] + (beta[h] - 1,) + beta[h + 1:]
     for full, h in reversed(missing):
-        _e_product_cache[(k, full)] = _e_product_cache[(k, mu)] * elementary_symmetric(k, h + 1)
-        mu = full
-    return _e_product_cache[(k, mu)]
+        memo[full] = e_times(h + 1, memo[beta], k)
+        beta = full
+    return memo[beta]
+
+
+def reduce_partitions(f: dict, k: int, memo: dict) -> Poly:
+    """The sigma-coordinate form of the symmetric polynomial with partition
+    coefficients f, by the leading-term descent over partitions; memo
+    holds the e-products (see `e_product`)."""
+    work = dict(f)
+    heap = [(term_sort_key(lam), lam) for lam in work]
+    heapify(heap)
+    out: dict[tuple[int, ...], Fraction] = {}
+    while heap:
+        lam = heappop(heap)[1]
+        c = work.pop(lam, None)
+        if c is None:  # cancelled since it was pushed
+            continue
+        mu = tuple(lam[h] - (lam[h + 1] if h + 1 < k else 0) for h in range(k))
+        for nu, v in e_product(k, mu, memo).items():
+            if nu == lam:  # the leading coefficient 1 cancels c
+                continue
+            if nu not in work:
+                heappush(heap, (term_sort_key(nu), nu))
+            _accumulate(work, nu, -c * v)
+        out[mu] = c
+    return Poly._trusted(sigma_space(k), out)
 
 
 def reduce_to_sigma(p: Poly, k: int) -> Poly:
     """Rewrite a symmetric x-polynomial in the coordinates s_1..s_k.
 
-    Leading-term descent: the graded-lex leading exponent of a symmetric
-    polynomial is non-increasing, so subtracting c * prod e_h^(lam_h -
-    lam_{h+1}) cancels it, and the remainder is strictly smaller.  The
-    output composed with e(x) reproduces the input exactly.
+    The input is checked symmetric, and its partition coefficients go
+    through `reduce_partitions`.  The output composed with e(x)
+    reproduces the input exactly.
     """
     if p.space != x_space(k):
         raise ValueError(f"expected a polynomial over {x_space(k)}, got {p.space}")
     assert_symmetric(p, k)
-    out: dict[tuple[int, ...], Fraction] = {}
-    work = dict(p.terms)
-    while work:
-        lam = min(work, key=term_sort_key)
-        c = work[lam]
-        mu = tuple(lam[h] - (lam[h + 1] if h + 1 < k else 0) for h in range(k))
-        if any(e < 0 for e in mu):  # cannot happen for symmetric input
-            raise AssertionError(f"non-sorted leading exponent {lam} on symmetric input")
-        neg = -c
-        for exp, v in _e_power_product(k, mu).terms.items():
-            _accumulate(work, exp, neg * v)
-        _accumulate(out, mu, c)
-    return Poly._trusted(sigma_space(k), out)
+    return reduce_partitions({e: c for e, c in p.terms.items() if all(map(ge, e, e[1:]))}, k, {})
 
 
 def sigma_to_x(p: Poly, k: int) -> Poly:

@@ -14,6 +14,25 @@ with binom(beta, beta') = prod_h C(beta_h, beta'_h) and beta' running over
 the componentwise-smaller multi-indices.  Each coefficient depends on the
 images alone, so multi-indices of total degree <= d may come in any
 order.
+
+The images never leave partition coefficients, the dicts lam -> f[x^lam]
+over non-increasing exponents that fix a symmetric x-polynomial
+(Macdonald, *Symmetric Functions and Hall Polynomials*, ch. I).  Three
+exact rules carry them:
+
+- e-products: s^beta is built one factor at a time by
+  [x^mu](e_r f) = sum over r-subsets S with mu_S >= 1 of f[sort(mu - 1_S)]
+  (`symfun.e_times`);
+- applying an operator: for a term c x^alpha d^beta and alpha <= lam,
+  [x^lam](c x^alpha d^beta f) = c (lam-alpha+beta)!/(lam-alpha)! f[sort(lam-alpha+beta)].
+  The term set of a symmetric operator is closed under permuting alpha
+  and beta together, so the partitions sort(nu - beta + alpha), over the
+  partitions nu of f with nu >= beta, are every candidate lam;
+- reduction: the leading-term descent over partitions
+  (`symfun.reduce_partitions`).
+
+The apply rule is sound only for symmetric operators, so it takes a
+`SymmetricOperator`, whose construction checks the invariance.
 """
 
 from __future__ import annotations
@@ -21,12 +40,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, factorial, prod
-from operator import sub
+from math import comb, factorial, perm, prod
+from operator import add, ge, sub
 
-from .poly import Poly, _accumulate, _add_product
+from .poly import Poly, _accumulate, _add_product, _canon
 from .spaces import sigma_aux_space, sigma_space, x_space
-from .symfun import NotSymmetricError, _e_power_product, elementary_symmetric, reduce_to_sigma, sigma_to_x
+from .symfun import (
+    NotSymmetricError,
+    _partition,
+    e_product,
+    elementary_symmetric,
+    reduce_partitions,
+    reduce_to_sigma,
+    sigma_to_x,
+)
 from .weyl import WeylOp
 
 
@@ -109,12 +136,33 @@ def _multi_indices(k: int, max_total: int):
             for c in combinations_with_replacement(range(k + 1), max_total)]
 
 
+def apply_partitions(p: SymmetricOperator, f: dict) -> dict:
+    """P[f] on partition coefficients, by the apply rule of the module docstring."""
+    k = p.k
+    terms = [(exp[:k], exp[k:], c) for exp, c in p.op.poly.terms.items()]
+    candidates = {_partition(map(add, map(sub, nu, beta), alpha))
+                  for alpha, beta, _ in terms for nu in f if all(map(ge, nu, beta))}
+    out = {}
+    for lam in candidates:
+        acc = 0
+        for alpha, beta, c in terms:
+            if all(map(ge, lam, alpha)):
+                nu = tuple(l - a + b for l, a, b in zip(lam, alpha, beta))
+                v = f.get(_partition(nu))
+                if v:
+                    acc += c * v * prod(map(perm, nu, beta))
+        if acc:
+            out[lam] = _canon(acc)
+    return out
+
+
 def xi_transport(p: SymmetricOperator) -> WeylOp:
     """Rewrite a symmetric x-operator as the sigma-coordinate operator
     acting identically on symmetric polynomials (see module docstring)."""
     k = p.k
     target = sigma_space(k)
-    images = {beta: reduce_to_sigma(p.op.apply(_e_power_product(k, beta)), k).terms
+    products: dict = {}  # the e-products of this call, shared by the images and the descents
+    images = {beta: reduce_partitions(apply_partitions(p, e_product(k, beta, products)), k, products).terms
               for beta in _multi_indices(k, max(p.order(), 0))}
     coeffs: dict[tuple[int, ...], Poly] = {}
     for beta in images:

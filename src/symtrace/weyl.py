@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, prod
-from operator import le, sub
+from operator import gt, le, sub
 from typing import Iterable, Mapping
 
 from .poly import Poly, Weight, _add_product, term_sort_key
@@ -44,9 +44,18 @@ def _derivative(derivs: dict, beta: tuple[int, ...]) -> Poly:
     memoised in derivs, so the derivatives of one polynomial share their
     chains; the chain down to the nearest memoised prefix is walked in a
     loop, so its length costs no stack depth.  Positions run over the
-    first len(beta) variables.
+    first len(beta) variables.  A beta that exceeds the polynomial's
+    degree in some variable gives zero at once, without a chain; the
+    per-variable degrees are memoised in derivs under the key None.
     """
     g = derivs.get(beta)
+    if g is None:
+        f = derivs[(0,) * len(beta)]
+        if None not in derivs:
+            derivs[None] = tuple(map(max, zip(*f.terms)))
+        if any(map(gt, beta, derivs[None])):
+            derivs[beta] = Poly.zero(f.space)
+            return derivs[beta]
     chain = []
     while g is None:
         pos = max(i for i, e in enumerate(beta) if e)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -536,3 +538,38 @@ def test_decompose_of_a_high_eta_power_is_a_semantic_negative(capsys, tmp_path):
     code, out, _ = run_cli(["charvar", "--k", "2", "--decompose", str(path)], capsys)
     assert code == 2
     assert json.loads(out)["member_of_minor_ideal"] is False
+
+
+def test_xi_rejects_a_file_asymmetric_only_under_a_later_transposition(capsys, tmp_path):
+    # d1 d2 + d3 over x:3 is invariant under (x1 x2) but not under (x2 x3)
+    X3 = x_space(3)
+    op = WeylOp.partial(X3, 1) * WeylOp.partial(X3, 2) + WeylOp.partial(X3, 3)
+    path = tmp_path / "asym.json"
+    path.write_text(dumps(weyl_to_dict(op)), encoding="utf-8")
+    code, out, err = run_cli(["xi", "--k", "3", "--op", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: not symmetric: fails under the transposition (x2 x3)\n"
+
+
+REFERENCE = json.loads((Path(__file__).parent.parent / "bench" / "reference.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(n for n in REFERENCE["sha256"] if n.startswith("xi ")) + ["golden"])
+def test_xi_and_golden_outputs_match_the_recorded_hashes(name, capsys):
+    if name == "golden":
+        argv = ["golden"]
+    else:
+        op, k = name.split()[1:]
+        argv = ["xi", "--k", k.removeprefix("k="), "--op", op]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REFERENCE["sha256"][name]
+
+
+def test_xi_s6_at_k6_output_hash(capsys):
+    # about 1 s; the full x-space transport took about 30 s
+    code, out, _ = run_cli(["xi", "--k", "6", "--op", "S6"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "ae125d6cf80dfd7b789091a976d1cbd63fdf84c5b3ec59b17671ffbd68223b89"

@@ -203,3 +203,22 @@ def test_long_derivative_chains_take_no_recursion_depth():
     with shallow_stack():
         image = WeylOp.partial(S, 1, 300).apply(Poly.variable(S, "sigma", 1) ** 300)
     assert image == Poly.constant(S, factorial(300))
+
+
+def test_a_derivative_past_the_degree_is_zero_without_a_chain(monkeypatch):
+    # d_2^50 of a polynomial of s_2-degree 3 is zero by the degree alone
+    S = sigma_space(2)
+    f = Poly.variable(S, "sigma", 2) ** 3 * Poly.variable(S, "sigma", 1) + Poly.variable(S, "sigma", 1) ** 5
+    calls = []
+    partial_pos = Poly.partial_pos
+
+    def counting(self, pos):
+        calls.append(pos)
+        return partial_pos(self, pos)
+
+    monkeypatch.setattr(Poly, "partial_pos", counting)
+    assert WeylOp.partial(S, 2, 50).apply(f).is_zero()
+    assert calls == []
+    # the counter sees the chain of a derivative within the degree
+    assert WeylOp.partial(S, 2, 3).apply(f) == Poly.variable(S, "sigma", 1).scale(6)
+    assert calls == [1, 1, 1]
