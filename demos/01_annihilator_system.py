@@ -15,17 +15,17 @@ from symtrace.annihilators import (
     op_U0,
     op_nabla,
 )
-from symtrace.symfun import newton
+from symtrace.symfun import family
 
 k = 3
 print(f"generators of the annihilator system, k = {k}:")
-for gid, op in generator_system(k, "trace").items():
+for gid, op in generator_system(k, "newton").items():
     print(f"  {gid:10s} = {op}")
 
 # Every generator sends every power sum to the exact zero polynomial;
 # check_images returns a witness (generator, m, image) for any that fails.
 print("\nimages of the power sums (all must be 0):")
-gens = generator_system(k, "trace")
+gens = generator_system(k, "newton")
 assert not check_images(gens, family_members(k, "newton", 12))
 for gid in gens:
     print(f"  {gid:10s} kills N_0..N_12")
@@ -47,7 +47,7 @@ print(f"\nT({m}) == T0({k - m}) + sum_h s_h A(h,{m},1):", op_T(k, m) == acc)
 # U0 = sum h s_h d_h reads off its pure weight.
 
 u0 = op_U0(k)
-for gid, op in generator_system(k, "trace").items():
+for gid, op in generator_system(k, "newton").items():
     w = op.weight()
     assert op.commutator(u0) == op.scale(-w.value)
     print(f"  {gid:10s} has pure weight {w}")
@@ -56,4 +56,4 @@ for gid, op in generator_system(k, "trace").items():
 nab = op_nabla(k)
 print("\nnabla =", nab)
 for m in range(1, 5):
-    print(f"  nabla[N_{m}] = {nab.apply(newton(k, m))}  (= {m} N_{m-1})")
+    print(f"  nabla[N_{m}] = {nab.apply(family(k).newton(m))}  (= {m} N_{m-1})")

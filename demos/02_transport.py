@@ -7,7 +7,7 @@
 # symmetric operators S_h of the d/dx_j are the key examples: S_h for
 # h >= 2 kill every trace function.
 
-from symtrace.symfun import newton, reduce_to_sigma
+from symtrace.symfun import family, reduce_to_sigma
 from symtrace.transport import (
     SymmetricOperator,
     decompose_derivation,
@@ -25,7 +25,7 @@ print("\ntransported S_3, k = 3:")
 print(" ", sigma3)
 
 # The classical hand check: apply it to the sixth power sum.
-n6 = newton(3, 6)
+n6 = family(3).newton(6)
 print("\nN_6 =", n6)
 print("Sigma_3[N_6] =", sigma3.apply(n6))
 

@@ -4,7 +4,7 @@
 # explicit system; the symbol descent makes that constructive.  The
 # certificate lists a cofactor per generator and recombines exactly.
 
-from symtrace.annihilators import op_variants
+from symtrace.annihilators import generator_system
 from symtrace.membership import reduce_modulo_system, verify_certificate
 from symtrace.transport import elementary_symmetric_op, xi_transport
 
@@ -26,7 +26,7 @@ cert_q = reduce_modulo_system(q, k)
 print("\nd_2 . Sigma_3 reduces to zero as well:", cert_q.is_member)
 
 # Non-members are reported with the first power sum they fail to kill.
-bad = op_variants(k, 2, "forms")
+bad = generator_system(k, "dnewton")["T~(2)"]
 cert_bad = reduce_modulo_system(bad, k)
 print("\nshifted variant T(2) + d_2 is a member?", cert_bad.is_member)
 print("first failing power-sum index:", cert_bad.failing_newton_index)

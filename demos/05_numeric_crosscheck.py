@@ -16,7 +16,7 @@ from symtrace.numerics import (
     trace_contour,
     trace_function_handle,
 )
-from symtrace.symfun import derived_newton, newton
+from symtrace.symfun import family
 from symtrace.spaces import sigma_space
 from symtrace.weyl import WeylOp
 
@@ -32,20 +32,20 @@ print("difference of the two contour forms:", tv.difference)
 print("\npower traces against the exact power sums:")
 for m in range(0, 7):
     got = trace_contour(power_function(m), sigma).value.real
-    exact = float(newton(2, m).evaluate({"sigma": sigma}))
+    exact = float(family(2).newton(m).evaluate({"sigma": sigma}))
     print(f"  m={m}: contour {got:+.12f}, exact {exact:+.1f}")
 
 print("\nderived family by contour (exact values in parentheses):")
 for m in range(-1, 5):
     got = dn_contour(m, sigma).real
-    exact = float(derived_newton(2, m).evaluate({"sigma": sigma}))
+    exact = float(family(2).derived(m).evaluate({"sigma": sigma}))
     print(f"  m={m:+d}: {got:+.12f}  ({exact:+.1f})")
 
 # Finite differences: every generator annihilates T(exp) numerically,
 # while a plain first partial visibly does not.
 F = trace_function_handle(EXP)
 print("\nfinite-difference residuals on T(exp) at sigma = (3, 2):")
-for gid, op in generator_system(2, "trace").items():
+for gid, op in generator_system(2, "newton").items():
     res = fd_annihilation_check(op, F, [3.0, 2.0])
     print(f"  {gid}: residual {res.residual:.2e} (tolerance {1e-6 * res.scale:.2e}), "
           f"order {res.convergence_order:.2f}")

@@ -6,17 +6,24 @@ Generators over sigma-space:
     T(m)     = d_1 d_{m-1} + (sum_h s_h d_h) d_m + d_m     m in [2,k]
 
 with companions: the integral-formula forms T0(mu), the Euler operator
-U0 = sum h s_h d_h, the lowering derivation nabla, and the variants
-T(m) +/- d_m annihilating the derived and primitive families.
+U0 = sum h s_h d_h and the lowering derivation nabla.
+
+The system has three shifted forms, one per family of the table
+`FAMILIES`: each keeps the A(p,q,1) and adds c d_m to T(m), c = 0 for
+the power sums N_m, +1 for DN_m and -1 for PN_m.  The table also holds
+each family's first index, T-type generator id and verify suite;
+`generator_system`, `family_members`, `gen --family` and the suites
+that take --max-m all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .poly import Poly
 from .spaces import sigma_space
+from .symfun import NewtonFamily
 from .symfun import family as newton_family
 from .weyl import WeylOp
 
@@ -78,72 +85,55 @@ def op_nabla(k: int) -> WeylOp:
     return _field(k, (_s(k, h).scale(k - h) for h in range(k)))
 
 
-def op_variants(k: int, m: int, which: str) -> WeylOp:
-    """T(m) + d_m ("forms") or T(m) - d_m ("primitive")."""
-    if which == "forms":
-        return op_T(k, m) + _partial(k, m)
-    if which == "primitive":
-        return op_T(k, m) - _partial(k, m)
-    raise ValueError(f"unknown variant {which!r}")
-
-
-def _a_pairs(k: int):
+def a_pairs(k: int):
+    """The (p, q) of the nonzero A(p,q,1), in generator order."""
     for p in range(1, k):
         for q in range(2, k + 1):
             if p != q - 1:  # those give the zero operator
                 yield p, q
 
 
-def generator_system(k: int, variant: str = "trace") -> dict[str, WeylOp]:
-    """The system for a family: "trace" (N_m), "forms" (DN_m), "primitive" (PN_m),
-    as id -> generator, the A(p,q,1) first.
+class Family(NamedTuple):
+    """One shifted form of the system: the family that T(m) + tail d_m and the A(p,q,1) kill."""
 
-    All three share the A(p,q,1); they differ in the order-one tail of
-    the T-type generators.
-    """
+    start: Callable[[int], int]  # the first index, given k
+    member: Callable[[NewtonFamily, int], Poly]
+    t_id: str  # the id of the T-type generator, formatted with m
+    tail: int
+    suite: str  # the verify suite that checks it
+
+
+FAMILIES = {
+    "newton": Family(lambda k: 0, NewtonFamily.newton, "T({m})", 0, "system"),
+    # the seeds DN_{-k+1}..DN_{-1} are zero
+    "dnewton": Family(lambda k: 1 - k, NewtonFamily.derived, "T~({m})", 1, "forms"),
+    "pnewton": Family(lambda k: 1, NewtonFamily.primitive, "T({m})-d{m}", -1, "primitive"),
+}
+
+
+def _family(name: str) -> Family:
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return FAMILIES[name]
+
+
+def generator_system(k: int, family: str) -> dict[str, WeylOp]:
+    """The system killing a family of `FAMILIES` as id -> generator, the
+    A(p,q,1) first, then the T(m) + tail d_m."""
     if k < 2:
         raise ValueError("the system needs k >= 2")
-    gens = {f"A({p},{q},1)": op_A(k, p, q, 1) for p, q in _a_pairs(k)}
+    fam = _family(family)
+    gens = {f"A({p},{q},1)": op_A(k, p, q, 1) for p, q in a_pairs(k)}
     for m in range(2, k + 1):
-        if variant == "trace":
-            gens[f"T({m})"] = op_T(k, m)
-        elif variant == "forms":
-            gens[f"T~({m})"] = op_variants(k, m, "forms")
-        elif variant == "primitive":
-            gens[f"T({m})-d{m}"] = op_variants(k, m, "primitive")
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+        gens[fam.t_id.format(m=m)] = op_T(k, m) + _partial(k, m).scale(fam.tail)
     return gens
 
 
-def family_start(family: str, k: int) -> int:
-    """First index of a named family: N_0, DN_{-k+1} (its seeds
-    DN_{-k+1}..DN_{-1} are zero), PN_1 and s_1."""
-    starts = {"newton": 0, "dnewton": -k + 1, "pnewton": 1, "sigma": 1}
-    if family not in starts:
-        raise ValueError(f"unknown family {family!r}")
-    return starts[family]
-
-
-def family_member(k: int, name: str, m: int) -> Poly:
-    fam = newton_family(k)
-    if name == "newton":
-        return fam.newton(m)
-    if name == "dnewton":
-        return fam.derived(m)
-    if name == "pnewton":
-        return fam.primitive(m)
-    if name == "sigma":
-        return Poly.variable(sigma_space(k), "sigma", m)
-    raise ValueError(f"unknown family {name!r}")
-
-
-def family_members(k: int, name: str, max_m: int) -> Iterator[tuple[int, Poly]]:
-    """Yield (m, member) lazily from the family's first index up to max_m;
-    "sigma" stops at k."""
-    stop = min(max_m, k) if name == "sigma" else max_m
-    for m in range(family_start(name, k), stop + 1):
-        yield m, family_member(k, name, m)
+def family_members(k: int, family: str, max_m: int) -> Iterator[tuple[int, Poly]]:
+    """Yield (m, member) lazily from the family's first index up to max_m."""
+    fam = _family(family)
+    for m in range(fam.start(k), max_m + 1):
+        yield m, fam.member(newton_family(k), m)
 
 
 @dataclass(frozen=True)

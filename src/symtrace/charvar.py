@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -38,9 +39,6 @@ class NotOnVarietyError(ValueError):
 
 MinorId = tuple[int, int]
 
-_minor_cache: dict[int, Mapping[MinorId, Poly]] = {}
-_rewrite_cache: dict[tuple[int, int, int], tuple[dict[MinorId, Poly], Poly]] = {}
-
 
 def _eta(k: int, h: int) -> Poly:
     return Poly.variable(sigma_eta_space(k), "eta", h)
@@ -52,24 +50,22 @@ def _l_sigma(k: int) -> Poly:
     return Poly.sum(space, (Poly.variable(space, "sigma", h) * _eta(k, h) for h in range(1, k + 1)))
 
 
+@cache
 def minors(k: int) -> Mapping[MinorId, Poly]:
     """All k(k-1)/2 minors m_(i,j) = eta_i eta_{j-1} - eta_{i-1} eta_j,
     with the row-1 convention that the eta_0 slot holds -l(s, eta),
     as a read-only mapping (i, j) -> m_(i,j) in row-major order."""
     if k < 2:
         raise ValueError("minors need k >= 2")
-    if k not in _minor_cache:
-        out: dict[MinorId, Poly] = {}
-        l = _l_sigma(k)
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                if i == 1:
-                    m = _eta(k, 1) * _eta(k, j - 1) + l * _eta(k, j)
-                else:
-                    m = _eta(k, i) * _eta(k, j - 1) - _eta(k, i - 1) * _eta(k, j)
-                out[i, j] = m
-        _minor_cache[k] = MappingProxyType(out)
-    return _minor_cache[k]
+    out: dict[MinorId, Poly] = {}
+    l = _l_sigma(k)
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            if i == 1:
+                out[i, j] = _eta(k, 1) * _eta(k, j - 1) + l * _eta(k, j)
+            else:
+                out[i, j] = _eta(k, i) * _eta(k, j - 1) - _eta(k, i - 1) * _eta(k, j)
+    return MappingProxyType(out)
 
 
 def minor_generator(mid: MinorId) -> tuple[str, int]:
@@ -91,16 +87,16 @@ def rewrite_eta_product(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Po
     """
     if not (1 <= i <= k and 1 <= j <= k):
         raise ValueError("indices out of range")
-    if i > j:
-        i, j = j, i
-    key = (k, i, j)
-    if key in _rewrite_cache:
-        return _rewrite_cache[key]
+    return _rewrite(k, min(i, j), max(i, j))
+
+
+@cache  # keyed by i <= j; rewrite_eta_product stays plain, as `symfun.family` does
+def _rewrite(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Poly]:
     se = sigma_eta_space(k)
     ss = sigma_space(k)
     if j == k:
-        result: tuple[dict[MinorId, Poly], Poly] = ({}, _eta(k, i))
-    elif i == 1:
+        return {}, _eta(k, i)
+    if i == 1:
         u: dict[MinorId, Poly] = {(1, j + 1): Poly.one(ss)}
         v: dict[tuple[int, ...], Fraction] = {}
         for p in range(1, k + 1):
@@ -109,14 +105,11 @@ def rewrite_eta_product(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Po
             for mid, c in up.items():
                 _accumulate(u, mid, -(sp_s * c))
             _add_product(v, Poly.variable(se, "sigma", p).terms, vp.terms, -1)
-        result = (u, Poly._trusted(se, v))
-    else:
-        up, vp = rewrite_eta_product(k, i - 1, j + 1)
-        u = dict(up)
-        _accumulate(u, (i, j + 1), Poly.one(ss))
-        result = (u, vp)
-    _rewrite_cache[key] = result
-    return result
+        return u, Poly._trusted(se, v)
+    up, vp = rewrite_eta_product(k, i - 1, j + 1)
+    u = dict(up)
+    _accumulate(u, (i, j + 1), Poly.one(ss))
+    return u, vp
 
 
 def embed_sigma(p: Poly, k: int) -> Poly:
@@ -326,7 +319,7 @@ def theta_contraction_check(k: int, sigma, a, z) -> bool:
 
 def minor_matches_symbol(k: int) -> list[tuple[MinorId, str, int]]:
     """Identify each minor with the symbol of a generator: (minor, id, sign)."""
-    gens = generator_system(k, "trace")
+    gens = generator_system(k, "newton")
     out = []
     for mid, m in minors(k).items():
         gid, sign = minor_generator(mid)

@@ -17,7 +17,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .annihilators import family_members
+from .annihilators import FAMILIES, family_members
 from .charvar import (
     NotOnVarietyError,
     decompose_in_minors,
@@ -114,11 +114,12 @@ def cmd_verify(args) -> int:
 
 def cmd_charvar(args) -> int:
     k = args.k
+    if args.seed is not None and args.sample is None:
+        raise ValueError("--seed applies only to --sample")
+    if (args.format != "json" or args.strict_paper) and not args.check_symbols:
+        raise ValueError("--format text and --strict-paper apply only to --check-symbols")
     if args.sample is not None:
-        seed = args.seed
-        env = os.environ.get("SYMTRACE_SEED")
-        if env is not None:
-            seed = int(env)
+        seed = int(os.environ.get("SYMTRACE_SEED", args.seed or 0))
         pts = sample_z_points(k, seed, args.sample)
         _print({
             "schema": SCHEMA, "object": "zpoints", "k": k, "seed": seed,
@@ -136,23 +137,20 @@ def cmd_charvar(args) -> int:
         return 0
     if args.check_symbols:
         return _print_report(run_suite("symbols", k), args)
-    if args.decompose is not None:
-        f = poly_from_dict(_load_value(args.decompose, "value"))
-        try:
-            coeffs = decompose_in_minors(f, k)
-        except NotOnVarietyError as exc:
-            _print({"schema": SCHEMA, "object": "minor-decomposition", "k": k,
-                    "member_of_minor_ideal": False, "reason": str(exc)})
-            return 2
-        _print({
-            "schema": SCHEMA, "object": "minor-decomposition", "k": k,
-            "member_of_minor_ideal": True,
-            "coefficients": {f"m({i},{j})": poly_to_dict(c) for (i, j), c in sorted(coeffs.items())},
-            "recombines": recombine(k, coeffs) == f,
-        })
-        return 0
-    print("error: one of --sample/--check-symbols/--decompose is required", file=sys.stderr)
-    return 1
+    f = poly_from_dict(_load_value(args.decompose, "value"))
+    try:
+        coeffs = decompose_in_minors(f, k)
+    except NotOnVarietyError as exc:
+        _print({"schema": SCHEMA, "object": "minor-decomposition", "k": k,
+                "member_of_minor_ideal": False, "reason": str(exc)})
+        return 2
+    _print({
+        "schema": SCHEMA, "object": "minor-decomposition", "k": k,
+        "member_of_minor_ideal": True,
+        "coefficients": {f"m({i},{j})": poly_to_dict(c) for (i, j), c in sorted(coeffs.items())},
+        "recombines": recombine(k, coeffs) == f,
+    })
+    return 0
 
 
 def cmd_member(args) -> int:
@@ -241,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="emit a symmetric-function family table")
-    g.add_argument("--family", required=True, choices=["newton", "dnewton", "pnewton"])
+    g.add_argument("--family", required=True, choices=list(FAMILIES))
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--max-m", type=int, required=True)
     g.add_argument("--format", choices=["json", "text"], default="json")
@@ -264,10 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("charvar", help="characteristic-variety tools")
     c.add_argument("--k", type=int, required=True)
-    c.add_argument("--sample", type=int, default=None)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--check-symbols", action="store_true")
-    c.add_argument("--decompose", default=None, help="JSON polynomial file over (sigma, eta)")
+    mode = c.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--sample", type=int, default=None)
+    mode.add_argument("--check-symbols", action="store_true")
+    mode.add_argument("--decompose", default=None, help="JSON polynomial file over (sigma, eta)")
+    c.add_argument("--seed", type=int, default=None, help="with --sample; 0 by default")
     c.add_argument("--format", choices=["json", "text"], default="json")
     c.add_argument("--strict-paper", action="store_true")
     c.set_defaults(fn=cmd_charvar)

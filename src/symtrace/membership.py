@@ -12,6 +12,7 @@ constant nonzero diagonal).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .annihilators import check_images, family_members, generator_system
 from .charvar import NotOnVarietyError, decompose_in_minors, minor_generator
@@ -75,7 +76,7 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
         cert.failing_newton_index = fails["p"].m
         return cert
 
-    gens = generator_system(k, "trace")
+    gens = generator_system(k, "newton")
     # the cofactor pieces of each generator, one per descent step it enters
     pieces: dict[str, list[WeylOp]] = {}
     q = p
@@ -90,8 +91,8 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
             gid, sign = minor_generator(mid)
             cof = WeylOp.of_symbol(c.scale(sign))
             pieces.setdefault(gid, []).append(cof)
-            step.append(cof * gens[gid])
-        q_next = q - WeylOp.sum(q.space, step)
+            step.append((cof, gens[gid]))
+        q_next = q - WeylOp.sum(q.space, (cof * gen for cof, gen in step))
         if not q_next.is_zero() and q_next.order() >= q.order():
             raise AssertionError("symbol descent failed to lower the order")
         q = q_next
@@ -110,9 +111,9 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
 
 def verify_certificate(p: WeylOp, cert: MembershipCertificate, k: int) -> bool:
     """Exact recombination: sum cofactor . generator + remainder == p."""
-    gens = generator_system(k, "trace")
-    rest = [] if cert.remainder is None else [cert.remainder]
-    return WeylOp.sum(sigma_space(k), [*(cof * gens[gid] for gid, cof in cert.entries), *rest]) == p
+    gens = generator_system(k, "newton")
+    rest = () if cert.remainder is None else (cert.remainder,)
+    return WeylOp.sum(sigma_space(k), chain((cof * gens[gid] for gid, cof in cert.entries), rest)) == p
 
 
 def trace_characterization_x(k: int, p: WeylOp) -> bool:

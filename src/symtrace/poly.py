@@ -21,10 +21,11 @@ Polynomials are built and summed in one way each:
   ``space.nvars`` with no negative entry.  The ring operations build such
   dicts by construction and wrap them with it; the dict must not be
   mutated afterwards.
-- ``Poly.sum(space, pieces)`` is the one way to sum polynomials: it
-  copies the largest piece and accumulates the others into that copy,
-  so a sum of many pieces wraps one dict once.  ``a + b`` is its
-  two-piece case.
+- ``Poly.sum(space, pieces)`` is the one way to sum polynomials.  It
+  streams: the pieces are drawn one at a time and accumulate into one
+  running dict, which is wrapped once at the end, so a sum fed from a
+  generator holds that dict and one piece.  ``a + b`` is its two-piece
+  case.
 - ``_accumulate(out, key, c)`` adds ``c`` into ``out[key]``, stores the
   sum in canonical form and drops the key when the sum cancels;
   ``_add_product`` accumulates a product of two term dicts through it.
@@ -161,16 +162,19 @@ class Poly:
     def sum(space: VarSpace, pieces: Iterable[Poly]) -> Poly:
         """The sum of the pieces, all over space; zero when there are none.
 
-        The largest piece is copied once and the others accumulate into
-        the copy (the first of equally large pieces is the one copied).
+        Each piece accumulates into the running dict, except that a piece
+        with more terms than the running dict is copied and the running
+        dict accumulates into the copy, so the smaller side is the one
+        walked.  Pieces are drawn one at a time and none is kept.
         """
-        pieces = sorted(pieces, key=lambda p: len(p.terms), reverse=True)
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for p in pieces:
             if p.space != space:
                 raise SpaceMismatchError(f"space mismatch: {space} vs {p.space}")
-        out = dict(pieces[0].terms) if pieces else {}
-        for p in pieces[1:]:
-            for exp, c in p.terms.items():
+            terms = p.terms
+            if len(terms) > len(out):
+                out, terms = dict(terms), out
+            for exp, c in terms.items():
                 _accumulate(out, exp, c)
         return Poly._trusted(space, out)
 

@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .annihilators import (
+    FAMILIES,
     Witness,
+    a_pairs,
     check_images,
     family_members,
     generator_system,
@@ -38,7 +41,7 @@ from .charvar import (
 from .poly import Poly
 from .serialize import poly_from_dict, weyl_from_dict
 from .spaces import sigma_eta_space, sigma_space
-from .symfun import discriminant_at, primitive_newton
+from .symfun import discriminant_at
 from .symfun import family as newton_family
 from .transport import elementary_symmetric_op, xi_transport
 from .weyl import WeylOp
@@ -119,16 +122,31 @@ class RunReport:
         return "\n".join(lines)
 
 
+# the suites that check a family against its system, by suite name
+SUITE_FAMILIES = {fam.suite: name for name, fam in FAMILIES.items()}
+
+
+def default_max_m(k: int) -> int:
+    """The last family index a family check draws by default."""
+    return 2 * k + 6
+
+
+def _annihilates(rep: RunReport, ops: dict[str, WeylOp], family: str, max_m: int,
+                 label: Callable[[str], str], expected=None) -> None:
+    """Apply ops to the family's members up to max_m (see `check_images`)
+    and add one entry per op, with its detail label(id)."""
+    fails = check_images(ops, family_members(rep.k, family, max_m), expected)
+    for gid in ops:
+        rep.add(f"annihilates:{gid}:{family}", gid not in fails, label(gid), fails.get(gid))
+
+
 def suite_system(k: int, max_m: int | None = None) -> RunReport:
     """Exact annihilation of the power-sum family by the system and its
     integral-formula companions."""
-    max_m = 2 * k + 6 if max_m is None else max_m
+    max_m = default_max_m(k) if max_m is None else max_m
     rep = RunReport(k, "system")
-    ops = generator_system(k, "trace") | {f"T0({mu})": op_T0(k, mu) for mu in range(k - 1)}
-    fails = check_images(ops, family_members(k, "newton", max_m))
-    for gid in ops:
-        rep.add(f"annihilates:{gid}:newton", gid not in fails,
-                f"N_m = 0 exactly for m <= {max_m}", fails.get(gid))
+    ops = generator_system(k, "newton") | {f"T0({mu})": op_T0(k, mu) for mu in range(k - 1)}
+    _annihilates(rep, ops, "newton", max_m, lambda _: f"N_m = 0 exactly for m <= {max_m}")
     return rep
 
 
@@ -180,15 +198,12 @@ def suite_relations(k: int) -> RunReport:
     )
 
     ok = True
-    for p in range(1, k):
-        for q in range(2, k + 1):
-            if p == q - 1:
-                continue
-            # the raised A(a,b,1) that exist: a + 1 <= k and b <= k
-            rhs = WeylOp.sum(S, (op_A(k, a, b, 1).scale(-c) for a, b, c in
-                                 ((p + 1, q, k - p - 1), (p, q + 1, k - q)) if a < k and b <= k))
-            if nabla.commutator(op_A(k, p, q, 1)) != rhs:
-                ok = False
+    for p, q in a_pairs(k):
+        # the raised A(a,b,1) that exist: a + 1 <= k and b <= k
+        rhs = WeylOp.sum(S, (op_A(k, a, b, 1).scale(-c) for a, b, c in
+                             ((p + 1, q, k - p - 1), (p, q + 1, k - q)) if a < k and b <= k))
+        if nabla.commutator(op_A(k, p, q, 1)) != rhs:
+            ok = False
     rep.add(
         "bracket:nabla-with-A", ok,
         "[nabla, A(p,q,1)] = -(k-p-1) A(p+1,q,1) - (k-q) A(p,q+1,1), exactly as displayed",
@@ -215,13 +230,10 @@ def suite_weights(k: int) -> RunReport:
     rep.add("weight:T", ok, "[T(m), U0] = m T(m); pure weight -m")
 
     ok = True
-    for p in range(1, k):
-        for q in range(2, k + 1):
-            if p == q - 1:
-                continue
-            A = op_A(k, p, q, 1)
-            if A.commutator(U0) != A.scale(p + q) or A.weight().value != -(p + q):
-                ok = False
+    for p, q in a_pairs(k):
+        A = op_A(k, p, q, 1)
+        if A.commutator(U0) != A.scale(p + q) or A.weight().value != -(p + q):
+            ok = False
     rep.add("weight:A", ok, "[A(p,q,1), U0] = (p+q) A(p,q,1); pure weight -(p+q)")
     rep.deviation(
         "weight:A:display-sign",
@@ -237,16 +249,16 @@ def suite_weights(k: int) -> RunReport:
     )
 
     ok = True
-    for G in generator_system(k, "trace").values():
+    for G in generator_system(k, "newton").values():
         w = -G.weight().value
         if G * U0 - (U0 + WeylOp.from_poly(Poly.constant(sigma_space(k), w))) * G != WeylOp.zero(sigma_space(k)):
             ok = False
     rep.add("weight:ideal-stability", ok, "G.U0 = (U0 + w_G).G for every generator")
 
     fam = newton_family(k)
-    fails = check_images({"U0": U0}, family_members(k, "newton", 2 * k + 6),
+    fails = check_images({"U0": U0}, family_members(k, "newton", default_max_m(k)),
                          lambda _, m: fam.newton(m).scale(m))
-    ok = not fails and all(fam.newton(m).weight().value == m for m in range(2 * k + 7))
+    ok = not fails and all(fam.newton(m).weight().value == m for m in range(default_max_m(k) + 1))
     rep.add("weight:newton-eigen", ok, "U0[N_m] = m N_m and N_m has pure weight m", fails.get("U0"))
 
     ok = all(m.weight().value == -(i + j - 1) for (i, j), m in minors(k).items())
@@ -256,13 +268,11 @@ def suite_weights(k: int) -> RunReport:
 
 def suite_forms(k: int, max_m: int | None = None) -> RunReport:
     """The shifted system annihilates the derived family."""
-    max_m = 2 * k + 6 if max_m is None else max_m
+    max_m = default_max_m(k) if max_m is None else max_m
     rep = RunReport(k, "forms")
-    gens = generator_system(k, "forms")
-    fails = check_images(gens, family_members(k, "dnewton", max_m))
-    for gid in gens:
-        rep.add(f"annihilates:{gid}:dnewton", gid not in fails,
-                f"DN_m = 0 exactly for m <= {max_m}", fails.get(gid))
+    family = SUITE_FAMILIES["forms"]
+    _annihilates(rep, generator_system(k, family), family, max_m,
+                 lambda _: f"DN_m = 0 exactly for m <= {max_m}")
     return rep
 
 
@@ -286,33 +296,31 @@ def primitive_gradient_holds(pn: Poly, m: int) -> bool:
 def suite_primitive(k: int, max_m: int | None = None) -> RunReport:
     """The lowered system on the primitive family: exact images, including
     the diagonal constant the published claim misses."""
-    max_m = 2 * k + 6 if max_m is None else max_m
+    max_m = default_max_m(k) if max_m is None else max_m
     rep = RunReport(k, "primitive")
-    fam = newton_family(k)
-    gens = generator_system(k, "primitive")
-    diagonals = {f"T({m})-d{m}": m for m in range(2, k + 1)}
+    family = SUITE_FAMILIES["primitive"]
+    gens = generator_system(k, family)
+    diagonals = {FAMILIES[family].t_id.format(m=m): m for m in range(2, k + 1)}
 
     def diagonal_image(gid: str, m: int) -> Poly | None:
         return Poly.constant(sigma_space(k), (-1) ** m) if diagonals.get(gid) == m else None
 
-    fails = check_images(gens, family_members(k, "pnewton", max_m), diagonal_image)
-    for gid in gens:
-        label = "PN_m = 0 exactly off the diagonal"
-        if gid in diagonals:
-            m = diagonals[gid]
-            label += f"; image at m = {m} is the constant (-1)^{m}"
-        rep.add(f"annihilates:{gid}:pnewton", gid not in fails, label, fails.get(gid))
+    def label(gid: str) -> str:
+        m = diagonals.get(gid)
+        return "PN_m = 0 exactly off the diagonal" + (f"; image at m = {m} is the constant (-1)^{m}" if m else "")
+
+    _annihilates(rep, gens, family, max_m, label, diagonal_image)
     rep.deviation(
         "annihilates:pnewton:diagonal",
         "published claim: the lowered system kills every PN_m; exact computation "
         "gives (T(m) - d_m)[PN_m] = (-1)^m, zero only off the diagonal",
     )
 
-    fails = check_images(gens, family_members(k, "sigma", k))
+    fails = check_images(gens, ((p, Poly.variable(sigma_space(k), "sigma", p)) for p in range(1, k + 1)))
     rep.add("annihilates:system:sigma", not fails, "every s_p is an exact solution",
             next(iter(fails.values()), None))
 
-    ok = all(primitive_gradient_holds(fam.primitive(m), m) for m in range(1, max_m + 1))
+    ok = all(primitive_gradient_holds(newton_family(k).primitive(m), m) for m in range(1, max_m + 1))
     rep.add(
         "gradient:pnewton", ok,
         "d_p PN_m = (-1)^(p-1) N_{m-p}/(m-p) for m > p, (-1)^p at m = p, 0 below",
@@ -396,7 +404,7 @@ def run_suite(name: str, k: int, max_m: int | None = None) -> RunReport:
     fn = SUITES[name]
     if max_m is None:
         return fn(k)
-    if name not in ("system", "forms", "primitive"):
+    if name not in SUITE_FAMILIES:
         raise ValueError(f"max-m applies only to the system, forms and primitive suites, not {name!r}")
     return fn(k, max_m)
 
@@ -408,16 +416,11 @@ def golden_dir() -> Path:
     return Path(resources.files("symtrace") / "golden")
 
 
-def _load_golden(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _diff_weyl(computed: WeylOp, stored: WeylOp) -> str:
+    ours, theirs, zero = computed.terms, stored.terms, Poly.zero(computed.space)
     lines = []
-    for dexp in sorted(set(computed.terms) | set(stored.terms)):
-        a = computed.coefficient(dexp)
-        b = stored.coefficient(dexp)
+    for dexp in sorted(ours.keys() | theirs.keys()):
+        a, b = ours.get(dexp, zero), theirs.get(dexp, zero)
         if a != b:
             lines.append(f"d^{list(dexp)}: computed {a}, stored {b}")
     return "computed operator differs: " + "; ".join(lines)
@@ -452,7 +455,7 @@ def golden_check(path: str | Path | None = None) -> RunReport:
             rep.add(gid, False, f"missing golden file {file.name}")
             return
         try:
-            doc = _load_golden(file)
+            doc = json.loads(file.read_text(encoding="utf-8"))
             kind = doc["kind"]
             if kind not in GOLDEN_KINDS:
                 rep.add(gid, False, f"unknown kind {kind!r}")
@@ -471,10 +474,10 @@ def golden_check(path: str | Path | None = None) -> RunReport:
 
     for name, k, h in (("sigma2_k2", 2, 2), ("sigma2_k3", 3, 2), ("sigma3_k3", 3, 3)):
         compare(name, lambda k=k, h=h: xi_transport(elementary_symmetric_op(k, h)),
-                lambda op, k=k: not check_images({"op": op}, family_members(k, "newton", 2 * k + 6)))
+                lambda op, k=k: not check_images({"op": op}, family_members(k, "newton", default_max_m(k))))
     compare("n6_k3", lambda: newton_family(3).newton(6))
     for m in range(1, 5):
-        compare(f"pn{m}_k4", lambda m=m: primitive_newton(4, m),
+        compare(f"pn{m}_k4", lambda m=m: newton_family(4).primitive(m),
                 lambda p, m=m: primitive_gradient_holds(p, m))
     compare("minors_k2", lambda: {f"m({i},{j})": p for (i, j), p in minors(2).items()})
     compare("minors_k3", lambda: {f"m({i},{j})": p for (i, j), p in minors(3).items()})

@@ -27,6 +27,7 @@ rule (see the `transport` docstring).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
 from math import factorial
@@ -44,28 +45,18 @@ class NotSymmetricError(ValueError):
         super().__init__(f"not symmetric: fails under the transposition ({family}{i} {family}{j})")
 
 
-# caches are per-process and written atomically; duplicated computation
-# under concurrency is harmless because every entry is deterministic
-_e_cache: dict[tuple[int, int], Poly] = {}
-_disc_cache: dict[int, Poly] = {}
-_families: dict[int, "NewtonFamily"] = {}
-
-
+@cache
 def elementary_symmetric(k: int, h: int) -> Poly:
     """e_h(x_1..x_k); e_0 = 1."""
     if not 0 <= h <= k:
         raise ValueError(f"need 0 <= h <= k, got h={h}, k={k}")
-    key = (k, h)
-    if key not in _e_cache:
-        space = x_space(k)
-        terms = {}
-        for subset in combinations(range(k), h):
-            exp = [0] * k
-            for i in subset:
-                exp[i] = 1
-            terms[tuple(exp)] = 1
-        _e_cache[key] = Poly(space, terms)
-    return _e_cache[key]
+    terms = {}
+    for subset in combinations(range(k), h):
+        exp = [0] * k
+        for i in subset:
+            exp[i] = 1
+        terms[tuple(exp)] = 1
+    return Poly(x_space(k), terms)
 
 
 def assert_symmetric(p: Poly, k: int) -> None:
@@ -222,22 +213,14 @@ class NewtonFamily:
         return self._primitive[m]
 
 
+# `family` and `discriminant` stay plain functions over a private cache:
+# bench/selftest.py counts the calls to them through their code objects
+_families = cache(NewtonFamily)
+
+
 def family(k: int) -> NewtonFamily:
-    if k not in _families:
-        _families[k] = NewtonFamily(k)
-    return _families[k]
-
-
-def newton(k: int, m: int) -> Poly:
-    return family(k).newton(m)
-
-
-def derived_newton(k: int, m: int) -> Poly:
-    return family(k).derived(m)
-
-
-def primitive_newton(k: int, m: int) -> Poly:
-    return family(k).primitive(m)
+    """The one NewtonFamily of degree k."""
+    return _families(k)
 
 
 def newton_varouchas(k: int, m: int) -> Poly:
@@ -326,23 +309,24 @@ def discriminant(k: int) -> Poly:
     """
     if k < 2:
         raise ValueError("discriminant needs k >= 2")
-    if k not in _disc_cache:
-        space = sigma_space(k)
-        zero = Poly.zero(space)
-        pc = [Poly.one(space)] + [
-            Poly.variable(space, "sigma", h).scale((-1) ** h) for h in range(1, k + 1)
-        ]
-        dc = [pc[h].scale(k - h) for h in range(k)]
-        n = 2 * k - 1
-        rows = []
-        for i in range(k - 1):
-            rows.append([zero] * i + pc + [zero] * (n - i - k - 1))
-        for j in range(k):
-            rows.append([zero] * j + dc + [zero] * (n - j - k))
-        det = _determinant(rows, space)
-        sign = (-1) ** (k * (k - 1) // 2)
-        _disc_cache[k] = det.scale(sign)
-    return _disc_cache[k]
+    return _sylvester_discriminant(k)
+
+
+@cache
+def _sylvester_discriminant(k: int) -> Poly:
+    space = sigma_space(k)
+    zero = Poly.zero(space)
+    pc = [Poly.one(space)] + [
+        Poly.variable(space, "sigma", h).scale((-1) ** h) for h in range(1, k + 1)
+    ]
+    dc = [pc[h].scale(k - h) for h in range(k)]
+    n = 2 * k - 1
+    rows = []
+    for i in range(k - 1):
+        rows.append([zero] * i + pc + [zero] * (n - i - k - 1))
+    for j in range(k):
+        rows.append([zero] * j + dc + [zero] * (n - j - k))
+    return _determinant(rows, space).scale((-1) ** (k * (k - 1) // 2))
 
 
 def discriminant_at(sigma) -> Fraction:

@@ -37,12 +37,9 @@ from symtrace.report import golden_check
 from symtrace.serialize import weyl_from_dict
 from symtrace.spaces import sigma_eta_space, sigma_space
 from symtrace.symfun import (
-    derived_newton,
     discriminant,
     family,
-    newton,
     omega_closedness,
-    primitive_newton,
 )
 from symtrace.transport import elementary_symmetric_op, xi_transport
 from symtrace.weyl import WeylOp
@@ -74,7 +71,7 @@ def test_criterion_golden_formulas():
             k = 3
             h = 2 if "sigma2" in name else 3
             op = xi_transport(elementary_symmetric_op(k, h))
-            assert all(op.apply(newton(k, m)).is_zero() for m in range(2 * k + 7))
+            assert all(op.apply(family(k).newton(m)).is_zero() for m in range(2 * k + 7))
     assert status["golden:sigma2_k2"] == "pass"
     assert rep.counts["fail"] == 0
     _stamp("golden-formula-reproduction", t0, 5.0)
@@ -83,7 +80,7 @@ def test_criterion_golden_formulas():
 def test_criterion_worked_example():
     t0 = time.time()
     sigma3 = xi_transport(elementary_symmetric_op(3, 3))
-    assert sigma3.apply(newton(3, 6)).is_zero()
+    assert sigma3.apply(family(3).newton(6)).is_zero()
     _stamp("worked-example-sigma3-n6", t0, 1.0)
 
 
@@ -92,13 +89,13 @@ def test_criterion_annihilation_suite():
     for k in range(2, 6):
         max_m = 2 * k + 6
         fam = family(k)
-        for op in generator_system(k, "trace").values():
+        for op in generator_system(k, "newton").values():
             for m in range(max_m + 1):
                 assert op.apply(fam.newton(m)).is_zero()
-        for op in generator_system(k, "forms").values():
+        for op in generator_system(k, "dnewton").values():
             for m in range(max_m + 1):
                 assert op.apply(fam.derived(m)).is_zero()
-        for gid, op in generator_system(k, "primitive").items():
+        for gid, op in generator_system(k, "pnewton").items():
             diagonal = int(gid[2:].split(")")[0]) if gid.startswith("T(") else None
             for m in range(1, max_m + 1):
                 image = op.apply(fam.primitive(m))
@@ -200,29 +197,29 @@ def test_criterion_family_identities():
         for m in range(0, 11):
             for h in range(1, k + 1):
                 sign = -1 if (h - 1) % 2 else 1
-                got = newton(k, m).partial("sigma", h)
+                got = family(k).newton(m).partial("sigma", h)
                 if m == 0:
                     assert got.is_zero()
                 else:
-                    assert got == derived_newton(k, m - h).scale(m * sign)
+                    assert got == family(k).derived(m - h).scale(m * sign)
 
     # derived-family seeds, signed recurrence, integrality
     for k in (2, 3, 4):
-        assert derived_newton(k, 0) == Poly.one(sigma_space(k))
+        assert family(k).derived(0) == Poly.one(sigma_space(k))
         for m in range(-k + 1, 0):
-            assert derived_newton(k, m).is_zero()
+            assert family(k).derived(m).is_zero()
         for m in range(1, 13):
             acc = Poly.zero(sigma_space(k))
             for h in range(0, k + 1):
                 sign = -1 if h % 2 else 1
-                term = derived_newton(k, m - h).scale(sign)
+                term = family(k).derived(m - h).scale(sign)
                 if h:
                     term = Poly.variable(sigma_space(k), "sigma", h) * term
                 acc = acc + term
             assert acc.is_zero()
-            assert all(c.denominator == 1 for c in derived_newton(k, m).terms.values())
+            assert all(c.denominator == 1 for c in family(k).derived(m).terms.values())
         for h in range(1, k + 1):
-            coeff = derived_newton(k, h).coefficient(
+            coeff = family(k).derived(h).coefficient(
                 tuple(1 if i == h - 1 else 0 for i in range(k))
             )
             assert coeff == (-1) ** (h - 1)
@@ -236,20 +233,20 @@ def test_criterion_family_identities():
     # validated against the published example table where it is
     # self-consistent (PN_1, PN_2); PN_3/PN_4 displays deviate
     S4 = sigma_space(4)
-    assert primitive_newton(4, 1) == Poly(S4, {(1, 0, 0, 0): -1})
-    assert primitive_newton(4, 2) == Poly(S4, {(2, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): 1})
+    assert family(4).primitive(1) == Poly(S4, {(1, 0, 0, 0): -1})
+    assert family(4).primitive(2) == Poly(S4, {(2, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): 1})
     rep = golden_check()
     status = {e.id: e.status for e in rep.entries}
     assert status["golden:pn1_k4"] == "pass" and status["golden:pn2_k4"] == "pass"
     assert status["golden:pn3_k4"] == "deviation" and status["golden:pn4_k4"] == "deviation"
     for k in (2, 3, 4):
         for m in range(1, 11):
-            pn = primitive_newton(k, m)
+            pn = family(k).primitive(m)
             for p in range(1, k + 1):
                 got = pn.partial("sigma", p)
                 if m > p:
                     sign = -1 if (p - 1) % 2 else 1
-                    assert got == newton(k, m - p).scale(Fraction(sign, m - p))
+                    assert got == family(k).newton(m - p).scale(Fraction(sign, m - p))
                 elif m == p:
                     assert got == Poly.constant(sigma_space(k), (-1) ** p)
                 else:
@@ -270,11 +267,11 @@ def test_criterion_numeric_cross_validation():
             assert abs(tv.value - oracle) <= 1e-8 * max(1.0, abs(oracle))
             assert abs(tv.value - tv.residue_form) <= 1e-8 * max(1.0, abs(tv.value))
             m = rng.randint(0, 6)
-            exact = float(newton(k, m).evaluate({"sigma": sigma}))
+            exact = float(family(k).newton(m).evaluate({"sigma": sigma}))
             pv = trace_contour(power_function(m), sigma).value
             assert abs(pv - exact) <= 1e-8 * max(1.0, abs(exact))
             md = rng.randint(-k + 1, 6)
-            dn_exact = float(derived_newton(k, md).evaluate({"sigma": sigma}))
+            dn_exact = float(family(k).derived(md).evaluate({"sigma": sigma}))
             assert abs(dn_contour(md, sigma) - dn_exact) <= 1e-8 * max(1.0, abs(dn_exact))
 
     # finite differences: the system annihilates the analytic trace of exp
@@ -285,7 +282,7 @@ def test_criterion_numeric_cross_validation():
     }
     for k, sigma0 in cases.items():
         F = trace_function_handle(EXP)
-        for op in generator_system(k, "trace").values():
+        for op in generator_system(k, "newton").values():
             res = fd_annihilation_check(op, F, sigma0)
             assert res.residual <= 1e-6 * res.scale, (k, res)
         for mu in range(0, k - 1):

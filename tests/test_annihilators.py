@@ -9,11 +9,10 @@ from symtrace.annihilators import (
     op_T0,
     op_U0,
     op_nabla,
-    op_variants,
 )
 from symtrace.poly import Poly
 from symtrace.spaces import sigma_space
-from symtrace.symfun import derived_newton, newton, primitive_newton
+from symtrace.symfun import family
 from symtrace.weyl import WeylOp
 
 
@@ -31,7 +30,7 @@ def test_op_A_construction():
 
 
 def test_op_A_kills_power_sum():
-    assert op_A(3, 1, 3, 1).apply(newton(3, 4)).is_zero()
+    assert op_A(3, 1, 3, 1).apply(family(3).newton(4)).is_zero()
 
 
 def test_op_T_closed_form_k2():
@@ -43,7 +42,7 @@ def test_op_T_closed_form_k2():
         (0, 1): Poly.one(S2),
     })
     assert op_T(2, 2) == expected
-    assert op_T(2, 2).apply(newton(2, 2)).is_zero()
+    assert op_T(2, 2).apply(family(2).newton(2)).is_zero()
     with pytest.raises(ValueError):
         op_T(3, 4)
 
@@ -52,11 +51,11 @@ def test_op_T0_matches_T_at_top_index():
     # mu = 0 and m = k coincide up to the A-correction, which is empty at k=2
     assert op_T0(2, 0) == op_T(2, 2)
     for k in (3, 4, 5):
-        fails = check_images(generator_system(k, "trace"), ((m, newton(k, m)) for m in range(0, 11)))
+        fails = check_images(generator_system(k, "newton"), ((m, family(k).newton(m)) for m in range(0, 11)))
         assert not fails
         for mu in range(0, k - 1):
             op = op_T0(k, mu)
-            assert all(op.apply(newton(k, m)).is_zero() for m in range(0, 11))
+            assert all(op.apply(family(k).newton(m)).is_zero() for m in range(0, 11))
     with pytest.raises(ValueError):
         op_T0(3, 2)
 
@@ -75,7 +74,7 @@ def test_U0_euler_action():
     for k in (2, 3):
         u0 = op_U0(k)
         for m in range(0, 9):
-            assert u0.apply(newton(k, m)) == newton(k, m).scale(m)
+            assert u0.apply(family(k).newton(m)) == family(k).newton(m).scale(m)
         for h in range(1, k + 1):
             sh = Poly.variable(sigma_space(k), "sigma", h)
             assert u0.apply(sh) == sh.scale(h)
@@ -94,7 +93,7 @@ def test_nabla_lowers_newton():
     for k in (2, 3, 4):
         nab = op_nabla(k)
         for m in range(1, 11):
-            assert nab.apply(newton(k, m)) == newton(k, m - 1).scale(m)
+            assert nab.apply(family(k).newton(m)) == family(k).newton(m - 1).scale(m)
 
 
 def test_bracket_identities_full_range():
@@ -133,7 +132,7 @@ def test_bracket_identities_full_range():
 def test_generator_weights_and_stability():
     for k in (2, 3, 4, 5):
         u0 = op_U0(k)
-        for G in generator_system(k, "trace").values():
+        for G in generator_system(k, "newton").values():
             w = G.weight()
             assert w.is_pure
             assert G.commutator(u0) == G.scale(-w.value)
@@ -145,25 +144,25 @@ def test_system_annihilates_power_sums():
     for k in (2, 3, 4, 5):
         drawn = []
         members = (drawn.append(m) or (m, f) for m, f in family_members(k, "newton", 2 * k + 6))
-        assert not check_images(generator_system(k, "trace"), members)
+        assert not check_images(generator_system(k, "newton"), members)
         assert drawn == list(range(2 * k + 7))
 
 
 def test_forms_variant_annihilates_derived_family():
     for k in (2, 3, 4, 5):
-        assert not check_images(generator_system(k, "forms"), family_members(k, "dnewton", 2 * k + 6))
+        assert not check_images(generator_system(k, "dnewton"), family_members(k, "dnewton", 2 * k + 6))
 
 
 def test_forms_variant_values():
-    assert op_variants(3, 2, "forms") == op_T(3, 2) + d(3, 2)
-    assert op_variants(3, 2, "primitive") == op_T(3, 2) - d(3, 2)
+    assert generator_system(3, "dnewton")["T~(2)"] == op_T(3, 2) + d(3, 2)
+    assert generator_system(3, "pnewton")["T(2)-d2"] == op_T(3, 2) - d(3, 2)
     with pytest.raises(ValueError):
-        op_variants(3, 2, "other")
+        generator_system(3, "other")
     for k in (2, 3, 4):
         for m in range(2, k + 1):
-            tt = op_variants(k, m, "forms")
+            tt = generator_system(k, "dnewton")[f"T~({m})"]
             for j in range(0, 11):
-                assert tt.apply(derived_newton(k, j)).is_zero()
+                assert tt.apply(family(k).derived(j)).is_zero()
 
 
 def test_primitive_variant_exact_images():
@@ -171,9 +170,9 @@ def test_primitive_variant_exact_images():
     # (the published blanket annihilation claim misses the diagonal)
     for k in (2, 3, 4):
         for m in range(2, k + 1):
-            op = op_variants(k, m, "primitive")
+            op = generator_system(k, "pnewton")[f"T({m})-d{m}"]
             for j in range(1, 2 * k + 7):
-                image = op.apply(primitive_newton(k, j))
+                image = op.apply(family(k).primitive(j))
                 if j == m:
                     assert image == Poly.constant(sigma_space(k), (-1) ** m)
                 else:
@@ -182,7 +181,8 @@ def test_primitive_variant_exact_images():
 
 def test_primitive_variant_kills_coordinates():
     for k in (2, 3, 4, 5):
-        assert not check_images(generator_system(k, "primitive"), family_members(k, "sigma", k))
+        coordinates = ((p, Poly.variable(sigma_space(k), "sigma", p)) for p in range(1, k + 1))
+        assert not check_images(generator_system(k, "pnewton"), coordinates)
 
 
 def test_annihilation_report_flags_failures():
@@ -207,8 +207,8 @@ def test_check_images_draws_lazily_and_stops_each_op_at_its_first_failure():
 
 def test_check_images_witness_is_image_less_expected():
     k = 3
-    members = [(m, newton(k, m)) for m in range(1, 6)]
-    assert not check_images({"nabla": op_nabla(k)}, members, lambda _, m: newton(k, m - 1).scale(m))
-    fails = check_images({"nabla": op_nabla(k)}, members, lambda _, m: newton(k, m - 1))
+    members = [(m, family(k).newton(m)) for m in range(1, 6)]
+    assert not check_images({"nabla": op_nabla(k)}, members, lambda _, m: family(k).newton(m - 1).scale(m))
+    fails = check_images({"nabla": op_nabla(k)}, members, lambda _, m: family(k).newton(m - 1))
     # nabla N_1 = 1 * N_0 holds; at m = 2 the residual is 2 N_1 - N_1 = N_1
-    assert fails["nabla"].m == 2 and fails["nabla"].image == newton(k, 1)
+    assert fails["nabla"].m == 2 and fails["nabla"].image == family(k).newton(1)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from symtrace.annihilators import check_images, family_members, family_start, generator_system
+from symtrace.annihilators import FAMILIES, check_images, family_members, generator_system
 from symtrace.cli import dispatch
 from symtrace.report import golden_check, run_suite
 from symtrace.serialize import dumps, poly_to_dict, weyl_from_dict, weyl_to_dict
@@ -202,10 +202,10 @@ def test_gen_roundtrip(capsys):
     assert code == 0
     doc = json.loads(out)
     from symtrace.serialize import poly_from_dict
-    from symtrace.symfun import newton
+    from symtrace.symfun import family
 
     for entry in doc["entries"]:
-        assert poly_from_dict(entry["poly"]) == newton(2, entry["m"])
+        assert poly_from_dict(entry["poly"]) == family(2).newton(entry["m"])
 
 
 def test_gen_dnewton_starts_below_zero(capsys):
@@ -221,19 +221,19 @@ def test_gen_and_annihilation_report_use_one_family_range(family, capsys):
     code, out, _ = run_cli(["gen", "--family", family, "--k", str(k), "--max-m", str(max_m)], capsys)
     assert code == 0
     ms = [e["m"] for e in json.loads(out)["entries"]]
-    assert ms == list(range(family_start(family, k), max_m + 1))
+    assert ms == list(range(FAMILIES[family].start(k), max_m + 1))
     drawn = []
     members = (drawn.append(m) or (m, f) for m, f in family_members(k, family, max_m))
-    check_images(generator_system(k, "trace"), members)
+    check_images(generator_system(k, family), members)
     assert drawn == ms
 
 
 def test_failing_check_names_its_witness(capsys, monkeypatch):
     import symtrace.report
 
-    def broken_system(k, variant="trace"):
+    def broken_system(k, family):
         d1 = WeylOp.partial(sigma_space(k), 1)
-        gens = generator_system(k, variant)
+        gens = generator_system(k, family)
         return {gid: op + d1 if gid == "T(2)" else op for gid, op in gens.items()}
 
     monkeypatch.setattr(symtrace.report, "generator_system", broken_system)
@@ -252,9 +252,9 @@ def test_failing_check_names_its_witness(capsys, monkeypatch):
 def test_witness_image_is_truncated():
     from symtrace.annihilators import Witness
     from symtrace.report import WITNESS_CHARS, CheckEntry
-    from symtrace.symfun import newton
+    from symtrace.symfun import family
 
-    image = newton(4, 12)
+    image = family(4).newton(12)
     entry = CheckEntry("annihilates:G:newton", "fail", "", Witness("G", 12, image))
     w = entry.to_dict()["witness"]
     assert w["terms"] == len(image.terms) and len(str(image)) > WITNESS_CHARS
@@ -306,6 +306,38 @@ def test_charvar_check_symbols(capsys):
     assert doc["counts"]["deviation"] >= 1  # the contraction display typos
 
 
+@pytest.mark.parametrize("modes", [
+    [],
+    ["--sample", "1", "--check-symbols"],
+    ["--sample", "1", "--decompose", "f.json"],
+    ["--check-symbols", "--decompose", "f.json"],
+])
+def test_charvar_takes_exactly_one_mode(modes, capsys):
+    code, out, err = run_cli(["charvar", "--k", "3", *modes], capsys)
+    assert code == 1 and out == ""
+    assert "error: " in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--sample", "1", "--format", "text"], "--format text and --strict-paper apply only to --check-symbols"),
+    (["--sample", "1", "--strict-paper"], "--format text and --strict-paper apply only to --check-symbols"),
+    (["--decompose", "FILE", "--format", "text"], "--format text and --strict-paper apply only to --check-symbols"),
+    (["--decompose", "FILE", "--strict-paper"], "--format text and --strict-paper apply only to --check-symbols"),
+    (["--check-symbols", "--seed", "3"], "--seed applies only to --sample"),
+    (["--decompose", "FILE", "--seed", "3"], "--seed applies only to --sample"),
+])
+def test_charvar_refuses_a_flag_its_mode_would_ignore(args, message, capsys, tmp_path):
+    # --sample once printed points for --format text and exited 0
+    path = tmp_path / "f.json"
+    path.write_text(dumps(poly_to_dict(Poly.variable(sigma_eta_space(3), "eta", 1))), encoding="utf-8")
+    argv = ["charvar", "--k", "3", *(str(path) if a == "FILE" else a for a in args)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+    code, out, _ = run_cli(["charvar", "--k", "3", "--sample", "1", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["object"] == "zpoints"
+
+
 def test_numcheck_values(capsys):
     code, out, _ = run_cli(["numcheck", "--k", "2", "--sigma", "3,2", "--f", "pow:2"], capsys)
     assert code == 0
@@ -351,10 +383,10 @@ def test_golden_check_corrupted_file(tmp_path, capsys):
 
 @pytest.fixture
 def golden_entry(tmp_path, capsys):
-    """Run `golden --dir` on a copy of golden/ in which tamper has edited the
-    document of one file; return the exit code and that file's entry."""
+    """Run `golden --dir` with flags on a copy of golden/ in which tamper has
+    edited the document of one file; return the exit code and that file's entry."""
 
-    def run(name, tamper):
+    def run(name, tamper, *flags):
         import shutil
 
         from symtrace.report import golden_dir
@@ -364,7 +396,7 @@ def golden_entry(tmp_path, capsys):
         file = base / f"{name}.json"
         doc = json.loads(file.read_text(encoding="utf-8"))
         file.write_text(json.dumps(tamper(doc)), encoding="utf-8")
-        code, out, _ = run_cli(["golden", "--dir", str(base)], capsys)
+        code, out, _ = run_cli(["golden", "--dir", str(base), *flags], capsys)
         checks = {c["id"]: c for c in json.loads(out)["checks"]}
         return code, checks[f"golden:{name}"]
 
@@ -383,6 +415,18 @@ def test_golden_tampered_weylop_with_passing_validator_is_deviation(golden_entry
     code, entry = golden_entry("sigma2_k3", tamper)
     assert code == 0 and entry["status"] == "deviation"
     assert "d^[2, 0, 0]: computed 3, stored 4" in entry["detail"]
+
+
+def test_golden_weylop_mismatch_names_the_partial_and_both_values(golden_entry):
+    def tamper(doc):
+        term = next(t for t in doc["value"]["terms"] if t["dexp"] == [0, 1, 1])
+        set_first_coeff(term["coeff"], "2/1")  # s1*s2 -> 2*s1*s2
+        return doc
+
+    code, entry = golden_entry("sigma2_k3", tamper, "--strict-paper")
+    assert code == 2 and entry["status"] == "deviation"
+    assert entry["detail"] == \
+        "computed operator differs: d^[0, 1, 1]: computed s1*s2 + 3*s3, stored 2*s1*s2 + 3*s3"
 
 
 def test_golden_tampered_poly_without_validator_fails(golden_entry):
@@ -442,12 +486,14 @@ def test_verify_symbols_k10_finishes():
 
 
 def test_golden_pn_mismatch_is_checked_not_excused(monkeypatch):
-    from symtrace.symfun import primitive_newton
+    from symtrace.symfun import NewtonFamily
 
-    def wrong(k, m):
-        return primitive_newton(k, m) + Poly.variable(sigma_space(k), "sigma", 1)
+    right = NewtonFamily.primitive
 
-    monkeypatch.setattr("symtrace.report.primitive_newton", wrong)
+    def wrong(fam, m):
+        return right(fam, m) + Poly.variable(fam.space, "sigma", 1)
+
+    monkeypatch.setattr(NewtonFamily, "primitive", wrong)
     statuses = {e.id: e.status for e in golden_check().entries}
     assert statuses["golden:pn3_k4"] == "fail"
     assert statuses["golden:pn4_k4"] == "fail"

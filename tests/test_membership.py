@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_sigma_poly
-from symtrace.annihilators import generator_system, op_A, op_T, op_variants
+from symtrace.annihilators import generator_system, op_A, op_T
 from symtrace.membership import (
     MembershipCertificate,
     reduce_modulo_system,
@@ -25,7 +25,7 @@ def test_constructed_member_reduces_to_zero():
     cert = reduce_modulo_system(p, 3)
     assert cert.is_member
     assert verify_certificate(p, cert, 3)
-    assert {gid for gid, _ in cert.entries} <= set(generator_system(3, "trace"))
+    assert {gid for gid, _ in cert.entries} <= set(generator_system(3, "newton"))
 
 
 def test_transported_operator_is_T_at_k2():
@@ -37,7 +37,7 @@ def test_transported_operator_is_T_at_k2():
 
 def test_transported_operators_reduce_for_all_k():
     for k in (2, 3, 4):
-        gens = generator_system(k, "trace")
+        gens = generator_system(k, "newton")
         for h in range(2, k + 1):
             op = xi_transport(elementary_symmetric_op(k, h))
             cert = reduce_modulo_system(op, k)
@@ -60,7 +60,7 @@ def test_non_member_partial():
 def test_non_member_forms_variant_with_failing_index():
     for k in (2, 3):
         for m in range(2, k + 1):
-            tt = op_variants(k, m, "forms")
+            tt = generator_system(k, "dnewton")[f"T~({m})"]
             cert = reduce_modulo_system(tt, k)
             assert not cert.is_member
             assert cert.failing_newton_index == m
@@ -84,7 +84,7 @@ def test_left_ideal_closure_randomized():
     rng = random.Random(71)
     k = 3
     S = sigma_space(k)
-    gens = generator_system(k, "trace")
+    gens = generator_system(k, "newton")
     for _ in range(6):
         member = WeylOp.zero(S)
         for g in gens.values():
@@ -125,7 +125,7 @@ def test_low_bound_gives_nonmember_with_exact_remainder():
     # a forms-variant annihilates N_m only below its index; with a tiny
     # bound the non-member is discovered late but the identity stays exact
     k = 3
-    tt = op_variants(k, 3, "forms")
+    tt = generator_system(k, "dnewton")["T~(3)"]
     cert = reduce_modulo_system(tt, k, newton_bound=2)
     assert not cert.is_member
     assert verify_certificate(tt, cert, k)

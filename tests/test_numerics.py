@@ -18,7 +18,7 @@ from symtrace.numerics import (
     trace_function_handle,
 )
 from symtrace.spaces import sigma_space
-from symtrace.symfun import derived_newton, discriminant, newton
+from symtrace.symfun import discriminant, family
 from symtrace.weyl import WeylOp
 
 
@@ -71,7 +71,7 @@ def test_trace_of_powers_matches_power_sums_pinned():
     # the pinned example point: within 1e-9 up to m = 8
     for m in range(0, 9):
         tv = trace_contour(power_function(m), [3, 2]).value
-        exact = float(newton(2, m).evaluate({"sigma": [3, 2]}))
+        exact = float(family(2).newton(m).evaluate({"sigma": [3, 2]}))
         assert abs(tv - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
@@ -83,7 +83,7 @@ def test_trace_of_powers_matches_power_sums_random():
             sigma = [rng.randint(-hi, hi) for _ in range(k)]
             for m in range(0, 7):
                 tv = trace_contour(power_function(m), sigma).value
-                exact = float(newton(k, m).evaluate({"sigma": sigma}))
+                exact = float(family(k).newton(m).evaluate({"sigma": sigma}))
                 assert abs(tv - exact) <= 1e-8 * max(1.0, abs(exact))
 
 
@@ -122,7 +122,7 @@ def test_dn_contour_matches_symbolic():
             sigma = [rng.randint(-3, 3) for _ in range(k)]
             for m in range(-k + 1, 9):
                 got = dn_contour(m, sigma)
-                exact = float(derived_newton(k, m).evaluate({"sigma": sigma}))
+                exact = float(family(k).derived(m).evaluate({"sigma": sigma}))
                 assert abs(got - exact) <= 1e-8 * max(1.0, abs(exact))
 
 
@@ -130,7 +130,7 @@ def test_quadrature_geometric_convergence():
     # doubling the node count shrinks the error at least 100-fold until
     # the machine floor; checked on the power family
     sigma = [3, 2]
-    exact = float(newton(2, 6).evaluate({"sigma": sigma}))
+    exact = float(family(2).newton(6).evaluate({"sigma": sigma}))
     errors = []
     for n in (8, 16, 32, 64):
         spec = QuadratureSpec(R=QuadratureSpec.radius_bound(sigma), n=n)

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_sigma_poly
 from symtrace.poly import NON_PURE, Poly
 from symtrace.spaces import SpaceMismatchError, sigma_eta_space, sigma_space, x_space
-from symtrace.symfun import newton
+from symtrace.symfun import family
 from symtrace.weyl import WeylOp
 
 
@@ -50,7 +50,7 @@ def test_partial_independent_variable():
 
 
 def test_partial_of_power_sum():
-    n2 = newton(2, 2)
+    n2 = family(2).newton(2)
     assert n2.partial("sigma", 2) == Poly.constant(sigma_space(2), -2)
 
 
@@ -68,7 +68,7 @@ def test_weight_table():
 
 
 def test_weight_of_power_sum():
-    assert newton(3, 6).weight().value == 6
+    assert family(3).newton(6).weight().value == 6
 
 
 def test_evaluate_exact():
@@ -132,3 +132,31 @@ def test_random_ring_axioms():
         assert (a + b) * c == a * c + b * c
         assert a * (b * c) == (a * b) * c
         assert a * b == b * a
+
+
+def test_sum_streams_its_pieces():
+    # 60 telescoping pieces of 2,000 terms each, fed from a generator; a
+    # sum that holds every piece peaks at about 60 pieces
+    import tracemalloc
+
+    space = x_space(2)
+
+    def terms(i, c):
+        return {(i, j): c for j in range(1000)}
+
+    def piece(i):
+        return Poly(space, {**terms(i, 1), **terms(i - 1, -1)})
+
+    tracemalloc.start()
+    try:
+        one = piece(1)
+        size = tracemalloc.get_traced_memory()[0]
+        del one
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        total = Poly.sum(space, (piece(i) for i in range(1, 61)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert total == Poly(space, {**terms(60, 1), **terms(0, -1)})
+    assert peak < 5 * size

@@ -42,3 +42,23 @@ def test_no_running_sum_in_a_loop():
                         and isinstance(value.left, ast.Name) and value.left.id == node.targets[0].id):
                     found.append(f"{path.name}:{fn.name}:{node.lineno}")
     assert sorted(set(found)) == []
+
+
+def test_every_function_the_benchmark_tracer_wraps_runs_its_own_code():
+    # bench/selftest.py counts the calls to each wrapped function through its
+    # code object; a functools.cache wrapper has none, and a hit skips it
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for name, module, attr in tracer.TARGETS:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        if not hasattr(obj, "__code__"):
+            missing.append(name)
+    assert missing == []

@@ -15,15 +15,12 @@ from symtrace.poly import Poly
 from symtrace.spaces import sigma_space, x_space
 from symtrace.symfun import (
     NotSymmetricError,
-    derived_newton,
     discriminant,
     NewtonFamily,
     elementary_symmetric,
     family,
-    newton,
     newton_varouchas,
     omega_closedness,
-    primitive_newton,
     reduce_to_sigma,
     sigma_to_x,
     symmetrize,
@@ -92,13 +89,13 @@ def test_reduce_recomposes_exactly_randomized():
 
 def test_newton_small_and_paper_value():
     for k in (1, 2, 3, 4):
-        assert newton(k, 1) == Poly.variable(sigma_space(k), "sigma", 1)
-    assert newton(2, 2) == Poly(sigma_space(2), {(2, 0): 1, (0, 1): -2})
+        assert family(k).newton(1) == Poly.variable(sigma_space(k), "sigma", 1)
+    assert family(2).newton(2) == Poly(sigma_space(2), {(2, 0): 1, (0, 1): -2})
     n6 = Poly(sigma_space(3), {
         (6, 0, 0): 1, (4, 1, 0): -6, (3, 0, 1): 6, (2, 2, 0): 9,
         (1, 1, 1): -12, (0, 3, 0): -2, (0, 0, 2): 3,
     })
-    assert newton(3, 6) == n6
+    assert family(3).newton(6) == n6
 
 
 def test_newton_matches_power_sum_oracle():
@@ -108,7 +105,7 @@ def test_newton_matches_power_sum_oracle():
             xs = rational_point(rng, k)
             sig = elementary_values(xs)
             for m in range(0, 13):
-                lhs = newton(k, m).evaluate({"sigma": list(sig)})
+                lhs = family(k).newton(m).evaluate({"sigma": list(sig)})
                 rhs = sum(v ** m for v in xs)
                 assert lhs == rhs
 
@@ -116,7 +113,7 @@ def test_newton_matches_power_sum_oracle():
 def test_newton_recurrences_take_no_recursion_depth():
     # The caches fill bottom-up, so a large index needs no deep call stack.
     # Under a recursion limit 150 frames above the current depth, a
-    # recursion on m fails long before m = 600.  (newton(2, 3000) itself
+    # recursion on m fails long before m = 600.  (family(2).newton(3000) itself
     # returns as well, but its exact 900-digit arithmetic takes about 35 s.)
     fam = NewtonFamily(2)
     with shallow_stack():
@@ -133,15 +130,15 @@ def test_varouchas_form_agrees():
     assert newton_varouchas(2, 2) == Poly(sigma_space(2), {(2, 0): 1, (0, 1): -2})
     for k in (1, 2, 3, 4):
         for m in range(1, 11):
-            assert newton_varouchas(k, m) == newton(k, m)
+            assert newton_varouchas(k, m) == family(k).newton(m)
 
 
 def test_derived_newton_seeds_and_values():
-    assert derived_newton(3, 0) == Poly.one(sigma_space(3))
-    assert derived_newton(2, -1).is_zero()
-    assert derived_newton(2, 2) == Poly(sigma_space(2), {(2, 0): 1, (0, 1): -1})
+    assert family(3).derived(0) == Poly.one(sigma_space(3))
+    assert family(2).derived(-1).is_zero()
+    assert family(2).derived(2) == Poly(sigma_space(2), {(2, 0): 1, (0, 1): -1})
     with pytest.raises(ValueError):
-        derived_newton(2, -2)
+        family(2).derived(-2)
 
 
 def test_derived_newton_root_oracle():
@@ -152,7 +149,7 @@ def test_derived_newton_root_oracle():
             xs = distinct_rational_point(rng, k)
             sig = elementary_values(xs)
             for m in range(-k + 1, 9):
-                lhs = derived_newton(k, m).evaluate({"sigma": list(sig)})
+                lhs = family(k).derived(m).evaluate({"sigma": list(sig)})
                 rhs = sum(xs[j] ** (m + k - 1) / dpoly_at_root(xs, j) for j in range(k))
                 assert lhs == rhs
 
@@ -163,7 +160,7 @@ def test_derived_newton_signed_recurrence():
             acc = Poly.zero(sigma_space(k))
             for h in range(0, k + 1):
                 sign = -1 if h % 2 else 1
-                term = derived_newton(k, m - h).scale(sign)
+                term = family(k).derived(m - h).scale(sign)
                 if h:
                     term = Poly.variable(sigma_space(k), "sigma", h) * term
                 acc = acc + term
@@ -175,8 +172,8 @@ def test_newton_gradient_is_derived_newton():
         for m in range(0, 11):
             for h in range(1, k + 1):
                 sign = -1 if (h - 1) % 2 else 1
-                expected = derived_newton(k, m - h).scale(m * sign) if m - h >= -k + 1 else None
-                got = newton(k, m).partial("sigma", h)
+                expected = family(k).derived(m - h).scale(m * sign) if m - h >= -k + 1 else None
+                got = family(k).newton(m).partial("sigma", h)
                 if expected is None:
                     assert got.is_zero()
                 else:
@@ -185,14 +182,14 @@ def test_newton_gradient_is_derived_newton():
 
 def test_primitive_newton_values():
     S4 = sigma_space(4)
-    assert primitive_newton(4, 1) == Poly(S4, {(1, 0, 0, 0): -1})
-    assert primitive_newton(4, 2) == Poly(S4, {(2, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): 1})
+    assert family(4).primitive(1) == Poly(S4, {(1, 0, 0, 0): -1})
+    assert family(4).primitive(2) == Poly(S4, {(2, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): 1})
     # the defining sums force these signs; the published example table
     # disagrees on PN_3/PN_4 and is tracked as a golden deviation
-    assert primitive_newton(4, 3) == Poly(S4, {
+    assert family(4).primitive(3) == Poly(S4, {
         (3, 0, 0, 0): Fraction(1, 6), (1, 1, 0, 0): -1, (0, 0, 1, 0): -1,
     })
-    assert primitive_newton(4, 4) == Poly(S4, {
+    assert family(4).primitive(4) == Poly(S4, {
         (4, 0, 0, 0): Fraction(1, 12), (2, 1, 0, 0): Fraction(-1, 2),
         (0, 2, 0, 0): Fraction(1, 2), (1, 0, 1, 0): 1, (0, 0, 0, 1): 1,
     })
@@ -201,12 +198,12 @@ def test_primitive_newton_values():
 def test_primitive_newton_gradient_signs():
     for k in (2, 3, 4):
         for m in range(1, 11):
-            pn = primitive_newton(k, m)
+            pn = family(k).primitive(m)
             for p in range(1, k + 1):
                 got = pn.partial("sigma", p)
                 if m > p:
                     sign = -1 if (p - 1) % 2 else 1
-                    assert got == newton(k, m - p).scale(Fraction(sign, m - p))
+                    assert got == family(k).newton(m - p).scale(Fraction(sign, m - p))
                 elif m == p:
                     assert got == Poly.constant(sigma_space(k), (-1) ** p)
                 else:
@@ -216,7 +213,7 @@ def test_primitive_newton_gradient_signs():
 def test_primitive_newton_pure_weight():
     for k in (2, 3, 4):
         for m in range(1, 9):
-            assert primitive_newton(k, m).weight().value == m
+            assert family(k).primitive(m).weight().value == m
 
 
 def test_symmetrize_examples():
@@ -227,7 +224,7 @@ def test_symmetrize_examples():
     for m in (1, 2, 5):
         k = 3
         lhs = symmetrize(Poly.variable(x_space(1), "x", 1) ** m, 1, k)
-        rhs = sigma_to_x(newton(k, m), k).scale(Fraction(1, k))
+        rhs = sigma_to_x(family(k).newton(m), k).scale(Fraction(1, k))
         assert lhs == rhs
     with pytest.raises(ValueError):
         symmetrize(Poly.variable(x_space(3), "x", 1), 3, 2)

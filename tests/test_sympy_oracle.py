@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from symtrace.charvar import NotOnVarietyError, decompose_in_minors, minors, recombine, vanishes_on_Z
 from symtrace.poly import Poly
 from symtrace.spaces import sigma_eta_space, sigma_space, x_space
-from symtrace.symfun import discriminant, discriminant_at, newton, reduce_to_sigma, symmetrize
+from symtrace.symfun import discriminant, discriminant_at, family, reduce_to_sigma, symmetrize
 from symtrace.transport import SymmetricOperator, elementary_symmetric_op, xi_transport
 from symtrace.weyl import WeylOp
 
@@ -68,7 +68,7 @@ def test_newton_matches_sympy_power_sums(k):
     for m in range(9):
         expr, rest, _ = sympy_symmetrize(sum(x**m for x in xs), *xs, formal=True, symbols=s)
         assert rest == 0
-        assert newton(k, m).terms == sympy_terms(expr, s)
+        assert family(k).newton(m).terms == sympy_terms(expr, s)
 
 
 @st.composite

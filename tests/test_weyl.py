@@ -7,7 +7,7 @@ from conftest import random_sigma_poly, shallow_stack
 from symtrace.annihilators import op_A, op_T, op_U0
 from symtrace.poly import Poly
 from symtrace.spaces import VarSpace, sigma_aux_space, sigma_eta_space, sigma_space, x_space, x_xi_space
-from symtrace.symfun import newton
+from symtrace.symfun import family
 from symtrace.weyl import WeylOp
 
 
@@ -63,7 +63,7 @@ def test_apply_kills_independent_variable():
 
 def test_apply_transported_operator_kills_power_sums():
     sigma2 = op_T(2, 2)  # the k=2 transported operator in closed form
-    assert sigma2.apply(newton(2, 3)).is_zero()
+    assert sigma2.apply(family(2).newton(3)).is_zero()
 
 
 def test_symbol_of_trace_generator():
@@ -158,14 +158,14 @@ def test_order_bound_under_product():
 def test_apply_shares_a_derivative_memo_across_operators():
     rng = random.Random(7)
     k = 3
-    f = newton(k, 7)
+    f = family(k).newton(7)
     derivs = {}
     for _ in range(6):
         op = random_op(rng, k)
         assert op.apply(f, derivs) == op.apply(f)
     assert derivs[(0, 0, 0)] is f and len(derivs) > 1
     with pytest.raises(ValueError):
-        op.apply(newton(k, 6), derivs)
+        op.apply(family(k).newton(6), derivs)
 
 
 def test_of_symbol_lifts_eta_to_partials():
