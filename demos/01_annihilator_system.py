@@ -49,7 +49,7 @@ print(f"\nT({m}) == T0({k - m}) + sum_h s_h A(h,{m},1):", op_T(k, m) == acc)
 u0 = op_U0(k)
 for gid, op in generator_system(k, "newton").items():
     w = op.weight()
-    assert op.commutator(u0) == op.scale(-w.value)
+    assert op.commutator(u0) == op.scale(-w)
     print(f"  {gid:10s} has pure weight {w}")
 
 # The lowering derivation nabla shifts N_m to m N_{m-1}.

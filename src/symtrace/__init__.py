@@ -10,7 +10,7 @@ contour integrals.
 
 __version__ = "1.0.0"
 
-from .poly import NON_PURE, Poly, Weight
+from .poly import Poly
 from .spaces import (
     SpaceMismatchError,
     VarSpace,
@@ -23,11 +23,9 @@ from .spaces import (
 from .weyl import WeylOp
 
 __all__ = [
-    "NON_PURE",
     "Poly",
     "SpaceMismatchError",
     "VarSpace",
-    "Weight",
     "WeylOp",
     "__version__",
     "sigma_aux_space",

@@ -19,6 +19,7 @@ that take --max-m all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .poly import Poly
@@ -138,12 +139,14 @@ def family_members(k: int, family: str, max_m: int) -> Iterator[tuple[int, Poly]
 
 @dataclass(frozen=True)
 class Witness:
-    """The first member an operator fails on: its index m and the nonzero
-    image (less the expected image, where one is given)."""
+    """Where a check first fails.  For a family check: the operator id, the
+    member index m and the nonzero image (less the expected image, where
+    one is given).  For an identity check: the case label in op, m None,
+    and the residual lhs - rhs."""
 
     op: str
-    m: int
-    image: Poly
+    m: int | None
+    image: Poly | WeylOp | Fraction | str
 
 
 def check_images(

@@ -285,9 +285,9 @@ def sample_z_points(k: int, seed: int, n: int) -> list[ZPoint]:
     return out
 
 
-def theta_contraction_check(k: int, sigma, a, z) -> bool:
-    """Exact check of the closed form of sum_h Theta_h(z, s) eta_h along
-    the ray eta_h = a^(h-1).
+def theta_contraction_sides(k: int, sigma, a, z) -> tuple[Fraction, Fraction]:
+    """Both sides of the closed form of sum_h Theta_h(z, s) eta_h along
+    the ray eta_h = a^(h-1), exactly: (the sum, the closed form).
 
     For a*z != -1 the sum equals -(-a)^k/(1+a z) (P(z) - P(-1/a)); on
     a*z = -1 it equals z^(-k+1) P'(z).  (These are the computation-
@@ -314,6 +314,12 @@ def theta_contraction_check(k: int, sigma, a, z) -> bool:
             (-1) ** h * sigma[h - 1] * (k - h) * z ** (k - h - 1) for h in range(1, k)
         )
         rhs = z ** (-k + 1) * dpz
+    return lhs, rhs
+
+
+def theta_contraction_check(k: int, sigma, a, z) -> bool:
+    """Whether the closed form of `theta_contraction_sides` holds exactly."""
+    lhs, rhs = theta_contraction_sides(k, sigma, a, z)
     return lhs == rhs
 
 

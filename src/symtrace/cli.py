@@ -3,7 +3,7 @@
 Subcommands: gen, xi, verify, charvar, member, numcheck, golden.  All
 structured output is UTF-8 JSON with a top-level schema field; exit 0
 means every check passed, 2 is a semantic negative (non-member, failed
-check), 1 a usage or internal error.  SYMTRACE_SEED overrides --seed.
+check), 1 a usage or internal error, reported on one `error:` line.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -96,8 +95,7 @@ def cmd_xi(args) -> int:
     else:
         op = weyl_from_dict(_load_value(args.op, "value", "op"))
         if op.space != x_space(k):
-            print(f"error: operator must live over {x_space(k)}", file=sys.stderr)
-            return 1
+            raise ValueError(f"operator must live over {x_space(k)}")
         sym = SymmetricOperator(op, k)
     transported = xi_transport(sym)
     if args.format == "json":
@@ -119,7 +117,7 @@ def cmd_charvar(args) -> int:
     if (args.format != "json" or args.strict_paper) and not args.check_symbols:
         raise ValueError("--format text and --strict-paper apply only to --check-symbols")
     if args.sample is not None:
-        seed = int(os.environ.get("SYMTRACE_SEED", args.seed or 0))
+        seed = args.seed or 0
         pts = sample_z_points(k, seed, args.sample)
         _print({
             "schema": SCHEMA, "object": "zpoints", "k": k, "seed": seed,
@@ -191,11 +189,9 @@ def _finite(v: complex) -> bool:
 def cmd_numcheck(args) -> int:
     sigma = _parse_sigma(args.sigma)
     if len(sigma) != args.k:
-        print(f"error: expected {args.k} sigma entries", file=sys.stderr)
-        return 1
+        raise ValueError(f"expected {args.k} sigma entries")
     if not all(_finite(v) for v in sigma):
-        print("error: sigma entries must be finite numbers", file=sys.stderr)
-        return 1
+        raise ValueError("sigma entries must be finite numbers")
     if args.f == "exp":
         f = EXP
     elif args.f == "sin":
@@ -203,19 +199,14 @@ def cmd_numcheck(args) -> int:
     elif args.f.startswith("pow:"):
         f = power_function(int(args.f.split(":", 1)[1]))
     else:
-        print(f"error: unknown function {args.f!r}", file=sys.stderr)
-        return 1
-    spec = QuadratureSpec.for_sigma(sigma, n=args.nodes)
-    if args.radius is not None:
-        spec = QuadratureSpec(R=args.radius, n=args.nodes)
+        raise ValueError(f"unknown function {args.f!r}")
+    spec = QuadratureSpec.for_sigma(sigma)
     with warnings.catch_warnings():
         # numpy's overflow warnings would add stderr lines; the check below refuses the result
         warnings.simplefilter("ignore", RuntimeWarning)
         tv = trace_contour(f, sigma, spec)
     if not (_finite(tv.value) and _finite(tv.residue_form) and _finite(tv.difference)):
-        print("error: the contour trace is not finite (overflow or a degenerate contour)",
-              file=sys.stderr)
-        return 1
+        raise ValueError("the contour trace is not finite (overflow or a degenerate contour)")
     _print({
         "schema": SCHEMA, "object": "numcheck", "k": args.k,
         "sigma": [[v.real, v.imag] for v in map(complex, sigma)],
@@ -233,8 +224,16 @@ def cmd_golden(args) -> int:
     return _print_report(golden_check(args.dir), args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser (its subparsers take its class) that raises a usage error
+    for `dispatch` to print, in place of printing the usage block."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="symtrace", description=__doc__)
+    ap = _Parser(prog="symtrace", description=__doc__)
     ap.add_argument("--version", action="version", version=f"symtrace {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -281,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--k", type=int, required=True)
     n.add_argument("--sigma", required=True, help="comma-separated values")
     n.add_argument("--f", default="exp", help="exp, sin, or pow:m")
-    n.add_argument("--radius", type=float, default=None)
-    n.add_argument("--nodes", type=int, default=256)
     n.set_defaults(fn=cmd_numcheck)
 
     d = sub.add_parser("golden", help="re-derive and compare the stored published formulas")
@@ -294,13 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # --help and --version
+        return 1 if exc.code else 0
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

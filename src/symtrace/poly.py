@@ -33,29 +33,11 @@ Polynomials are built and summed in one way each:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
 from .spaces import SpaceMismatchError, VarSpace, check_same_space
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A quasi-homogeneous weight: an integer, or non-pure."""
-
-    value: int | None
-
-    @property
-    def is_pure(self) -> bool:
-        return self.value is not None
-
-    def __str__(self):
-        return "non-pure" if self.value is None else str(self.value)
-
-
-NON_PURE = Weight(None)
 
 
 def _canon(c):
@@ -266,8 +248,9 @@ class Poly:
                 out[tuple(new)] = c if e == 1 else _canon(c * e)
         return Poly._trusted(self.space, out)
 
-    def weight(self) -> Weight:
-        """Pure quasi-homogeneous weight of all terms, or non-pure."""
+    def weight(self) -> int | None:
+        """The quasi-homogeneous weight shared by all terms (0 for zero), or
+        None where the terms differ (non-pure)."""
         ws = self.space.weights()
         seen: int | None = None
         for exp in self.terms:
@@ -275,8 +258,8 @@ class Poly:
             if seen is None:
                 seen = w
             elif seen != w:
-                return NON_PURE
-        return Weight(0 if seen is None else seen)
+                return None
+        return 0 if seen is None else seen
 
     # -- substitution and evaluation ----------------------------------------
 

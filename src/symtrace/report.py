@@ -1,9 +1,11 @@
 """Machine-readable verification reports.
 
-Every suite runs exact identities and records one entry per check.  A
-"deviation" marks an exact computation that contradicts a published
-display; deviations never silently alter the computed result and only
-fail a run under strict mode.
+Every suite runs exact identities and records one entry per check.  An
+identity over many cases goes through `RunReport.identity`, a family
+check through `check_images`; either way a failed entry carries the
+witness where it first fails.  A "deviation" marks an exact computation
+that contradicts a published display; deviations never silently alter
+the computed result and only fail a run under strict mode.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import __version__
 from .annihilators import (
@@ -31,12 +33,12 @@ from .annihilators import (
 )
 from .charvar import (
     char_poly_value,
-    minor_matches_symbol,
+    minor_generator,
     minors,
     recombine,
     rewrite_eta_product,
     sample_z_points,
-    theta_contraction_check,
+    theta_contraction_sides,
 )
 from .poly import Poly
 from .serialize import poly_from_dict, weyl_from_dict
@@ -51,6 +53,9 @@ FAIL = "fail"
 DEVIATION = "deviation"
 WITNESS_CHARS = 120
 
+# (case label, lhs, rhs): one case of an identity
+Case = tuple[str, object, object]
+
 
 @dataclass
 class CheckEntry:
@@ -60,16 +65,28 @@ class CheckEntry:
     witness: Witness | None = None
 
     def to_dict(self) -> dict:
-        """The entry, with the witness (op id, m, term count, truncated image)
-        only when the check failed."""
+        """The entry, with the witness only when the check failed: the op id
+        and m of a family check or the case of an identity check, then the
+        term count and the truncated image."""
         out = {"id": self.id, "status": self.status, "detail": self.detail}
         w = self.witness
         if self.status == FAIL and w is not None:
             text = str(w.image)
             if len(text) > WITNESS_CHARS:
                 text = text[:WITNESS_CHARS] + "..."
-            out["witness"] = {"op": w.op, "m": w.m, "terms": len(w.image.terms), "image": text}
+            where = {"case": w.op} if w.m is None else {"op": w.op, "m": w.m}
+            out["witness"] = {**where, "terms": len(getattr(w.image, "terms", [w.image])), "image": text}
         return out
+
+
+def first_mismatch(cases: Iterable[Case]) -> Witness | None:
+    """The witness of the first case whose sides differ: its label and the
+    residual lhs - rhs.  No case is drawn after it."""
+    for case, lhs, rhs in cases:
+        if lhs != rhs:
+            # a non-pure weight is None, which has no difference
+            return Witness(case, None, "non-pure" if lhs is None else lhs - rhs)
+    return None
 
 
 @dataclass
@@ -81,6 +98,12 @@ class RunReport:
 
     def add(self, id: str, ok: bool, detail: str = "", witness: Witness | None = None):
         self.entries.append(CheckEntry(id, PASS if ok else FAIL, detail, witness))
+
+    def identity(self, id: str, detail: str, cases: Iterable[Case]):
+        """One entry for an identity over lazily drawn cases: it passes when
+        every lhs equals its rhs, and fails with the `first_mismatch`."""
+        w = first_mismatch(cases)
+        self.add(id, w is None, detail, w)
 
     def deviation(self, id: str, detail: str):
         self.entries.append(CheckEntry(id, DEVIATION, detail))
@@ -115,8 +138,8 @@ class RunReport:
             lines.append(f"  {e.status.upper():9s} {e.id}" + (f"  {e.detail}" if e.detail else ""))
             w = e.to_dict().get("witness")
             if w:
-                lines.append(f"            witness: {w['op']} at m = {w['m']}, "
-                             f"{w['terms']} terms: {w['image']}")
+                where = w["case"] if "case" in w else f"{w['op']} at m = {w['m']}"
+                lines.append(f"            witness: {where}, {w['terms']} terms: {w['image']}")
         c = self.counts
         lines.append(f"  {c[PASS]} pass, {c[FAIL]} fail, {c[DEVIATION]} deviation")
         return "\n".join(lines)
@@ -156,57 +179,37 @@ def suite_relations(k: int) -> RunReport:
         raise ValueError("the system needs k >= 2")
     rep = RunReport(k, "relations")
     S = sigma_space(k)
-
-    ok = True
-    for m in range(2, k + 1):
-        T = op_T(k, m)
-        for h in range(1, k + 1):
-            dh = WeylOp.partial(S, h)
-            if dh.commutator(T) != WeylOp.partial(S, m) * dh:
-                ok = False
-    rep.add("bracket:partial-with-T", ok, "[d_h, T(m)] = d_m d_h for all h, m")
-
-    ok = True
-    for p in range(1, k + 1):
-        for q in range(1, k + 1):
-            for i in range(0, k):
-                if all(1 <= v <= k for v in (p, q, p + i, q - i, p + i + 1, q - i - 1)):
-                    if op_A(k, p, q, i + 1) != op_A(k, p, q, i) + op_A(k, p + i, q - i, 1):
-                        ok = False
-    rep.add("ladder:A-step", ok, "A(p,q,i+1) = A(p,q,i) + A(p+i,q-i,1) wherever legal")
-
-    ok = True
-    for m in range(2, k + 1):
-        corrections = (op_A(k, h, m, 1).left_mul_poly(Poly.variable(S, "sigma", h)) for h in range(1, k))
-        if op_T(k, m) != WeylOp.sum(S, [op_T0(k, k - m), *corrections]):
-            ok = False
-    rep.add("identity:T-from-T0", ok, "T(m) = T0(k-m) + sum_h s_h A(h,m,1), exactly")
+    d = {h: WeylOp.partial(S, h) for h in range(1, k + 1)}
+    T = {m: op_T(k, m) for m in range(2, k + 1)}
+    rep.identity("bracket:partial-with-T", "[d_h, T(m)] = d_m d_h for all h, m", (
+        (f"h = {h}, m = {m}", d[h].commutator(T[m]), d[m] * d[h]) for m in T for h in d))
+    rep.identity("ladder:A-step", "A(p,q,i+1) = A(p,q,i) + A(p+i,q-i,1) wherever legal", (
+        (f"p = {p}, q = {q}, i = {i}", op_A(k, p, q, i + 1), op_A(k, p, q, i) + op_A(k, p + i, q - i, 1))
+        for p in range(1, k + 1) for q in range(1, k + 1) for i in range(k)
+        if all(1 <= v <= k for v in (p, q, p + i, q - i, p + i + 1, q - i - 1))))
+    rep.identity("identity:T-from-T0", "T(m) = T0(k-m) + sum_h s_h A(h,m,1), exactly", (
+        (f"m = {m}", T[m], WeylOp.sum(S, [op_T0(k, k - m), *(
+            op_A(k, h, m, 1).left_mul_poly(Poly.variable(S, "sigma", h)) for h in range(1, k))]))
+        for m in T))
     rep.deviation(
         "identity:T-from-T0:display-sign",
         "published display subtracts the A-correction; exact expansion forces addition",
     )
 
     nabla = op_nabla(k)
-    ok = True
-    for h in range(2, k + 1):
-        raised = [op_T(k, h + 1).scale(-(k - h))] if h < k else []
-        if nabla.commutator(op_T(k, h)) != WeylOp.sum(S, [op_A(k, 1, h, 1).scale(k - 1), *raised]):
-            ok = False
-    rep.add(
-        "bracket:nabla-with-T", ok,
+    rep.identity(
+        "bracket:nabla-with-T",
         "[nabla, T(h)] = -(k-h) T(h+1) + (k-1) A(1,h,1), the exact correction term",
+        ((f"h = {h}", nabla.commutator(T[h]), WeylOp.sum(S, [op_A(k, 1, h, 1).scale(k - 1), *(
+            [T[h + 1].scale(-(k - h))] if h < k else [])])) for h in T),
     )
-
-    ok = True
-    for p, q in a_pairs(k):
-        # the raised A(a,b,1) that exist: a + 1 <= k and b <= k
-        rhs = WeylOp.sum(S, (op_A(k, a, b, 1).scale(-c) for a, b, c in
-                             ((p + 1, q, k - p - 1), (p, q + 1, k - q)) if a < k and b <= k))
-        if nabla.commutator(op_A(k, p, q, 1)) != rhs:
-            ok = False
-    rep.add(
-        "bracket:nabla-with-A", ok,
+    rep.identity(
+        "bracket:nabla-with-A",
         "[nabla, A(p,q,1)] = -(k-p-1) A(p+1,q,1) - (k-q) A(p,q+1,1), exactly as displayed",
+        # the raised A(a,b,1) that exist: a + 1 <= k and b <= k
+        ((f"p = {p}, q = {q}", nabla.commutator(op_A(k, p, q, 1)), WeylOp.sum(S, (
+            op_A(k, a, b, 1).scale(-c) for a, b, c in ((p + 1, q, k - p - 1), (p, q + 1, k - q))
+            if a < k and b <= k))) for p, q in a_pairs(k)),
     )
 
     fam = newton_family(k)
@@ -220,49 +223,35 @@ def suite_relations(k: int) -> RunReport:
 def suite_weights(k: int) -> RunReport:
     """Commutators with the weight operator and pure-weight bookkeeping."""
     rep = RunReport(k, "weights")
+    S = sigma_space(k)
     U0 = op_U0(k)
 
-    ok = True
-    for m in range(2, k + 1):
-        T = op_T(k, m)
-        if T.commutator(U0) != T.scale(m) or T.weight().value != -m:
-            ok = False
-    rep.add("weight:T", ok, "[T(m), U0] = m T(m); pure weight -m")
+    def weighs(label: str, G: WeylOp, w: int) -> Iterable[Case]:
+        yield f"[{label}, U0]", G.commutator(U0), G.scale(w)
+        yield f"weight of {label}", G.weight(), -w
 
-    ok = True
-    for p, q in a_pairs(k):
-        A = op_A(k, p, q, 1)
-        if A.commutator(U0) != A.scale(p + q) or A.weight().value != -(p + q):
-            ok = False
-    rep.add("weight:A", ok, "[A(p,q,1), U0] = (p+q) A(p,q,1); pure weight -(p+q)")
+    rep.identity("weight:T", "[T(m), U0] = m T(m); pure weight -m",
+                 (c for m in range(2, k + 1) for c in weighs(f"T({m})", op_T(k, m), m)))
+    rep.identity("weight:A", "[A(p,q,1), U0] = (p+q) A(p,q,1); pure weight -(p+q)",
+                 (c for p, q in a_pairs(k) for c in weighs(f"A({p},{q},1)", op_A(k, p, q, 1), p + q)))
     rep.deviation(
         "weight:A:display-sign",
         "published commutation display shows (U0 - (p+q)).A; computation forces "
         "(U0 + (p+q)).A, matching the stated pure weight -(p+q)",
     )
+    rep.identity("weight:nabla", "[nabla, U0] = nabla; pure weight -1", weighs("nabla", op_nabla(k), 1))
+    # a non-pure G (weight None) is held to w = 0, which it fails
+    rep.identity("weight:ideal-stability", "G.U0 = (U0 + w_G).G for every generator", (
+        (gid, G * U0, (U0 + WeylOp.from_poly(Poly.constant(S, -(G.weight() or 0)))) * G)
+        for gid, G in generator_system(k, "newton").items()))
 
-    nabla = op_nabla(k)
-    rep.add(
-        "weight:nabla",
-        nabla.commutator(U0) == nabla and nabla.weight().value == -1,
-        "[nabla, U0] = nabla; pure weight -1",
-    )
-
-    ok = True
-    for G in generator_system(k, "newton").values():
-        w = -G.weight().value
-        if G * U0 - (U0 + WeylOp.from_poly(Poly.constant(sigma_space(k), w))) * G != WeylOp.zero(sigma_space(k)):
-            ok = False
-    rep.add("weight:ideal-stability", ok, "G.U0 = (U0 + w_G).G for every generator")
-
-    fam = newton_family(k)
-    fails = check_images({"U0": U0}, family_members(k, "newton", default_max_m(k)),
-                         lambda _, m: fam.newton(m).scale(m))
-    ok = not fails and all(fam.newton(m).weight().value == m for m in range(default_max_m(k) + 1))
-    rep.add("weight:newton-eigen", ok, "U0[N_m] = m N_m and N_m has pure weight m", fails.get("U0"))
-
-    ok = all(m.weight().value == -(i + j - 1) for (i, j), m in minors(k).items())
-    rep.add("weight:minors", ok, "minor (i,j) has pure weight -(i+j-1) with eta_h of weight -h")
+    fam, max_m = newton_family(k), default_max_m(k)
+    w = (check_images({"U0": U0}, family_members(k, "newton", max_m),
+                      lambda _, m: fam.newton(m).scale(m)).get("U0")
+         or first_mismatch((f"weight of N_{m}", fam.newton(m).weight(), m) for m in range(max_m + 1)))
+    rep.add("weight:newton-eigen", w is None, "U0[N_m] = m N_m and N_m has pure weight m", w)
+    rep.identity("weight:minors", "minor (i,j) has pure weight -(i+j-1) with eta_h of weight -h",
+                 ((f"m{mid}", m.weight(), 1 - sum(mid)) for mid, m in minors(k).items()))
     return rep
 
 
@@ -276,9 +265,9 @@ def suite_forms(k: int, max_m: int | None = None) -> RunReport:
     return rep
 
 
-def primitive_gradient_holds(pn: Poly, m: int) -> bool:
-    """The exact gradient of PN_m over sigma_space(k): d_p PN_m is
-    (-1)^(p-1) N_{m-p}/(m-p) for m > p, (-1)^p at m = p, 0 below."""
+def primitive_gradient(pn: Poly, m: int) -> Iterable[Case]:
+    """The cases of the exact gradient of PN_m over sigma_space(k): d_p PN_m
+    is (-1)^(p-1) N_{m-p}/(m-p) for m > p, (-1)^p at m = p, 0 below."""
     k = pn.space.nvars
     fam = newton_family(k)
     for p in range(1, k + 1):
@@ -288,9 +277,7 @@ def primitive_gradient_holds(pn: Poly, m: int) -> bool:
             expected = Poly.constant(sigma_space(k), (-1) ** p)
         else:
             expected = Poly.zero(sigma_space(k))
-        if pn.partial("sigma", p) != expected:
-            return False
-    return True
+        yield f"m = {m}, p = {p}", pn.partial("sigma", p), expected
 
 
 def suite_primitive(k: int, max_m: int | None = None) -> RunReport:
@@ -320,10 +307,10 @@ def suite_primitive(k: int, max_m: int | None = None) -> RunReport:
     rep.add("annihilates:system:sigma", not fails, "every s_p is an exact solution",
             next(iter(fails.values()), None))
 
-    ok = all(primitive_gradient_holds(newton_family(k).primitive(m), m) for m in range(1, max_m + 1))
-    rep.add(
-        "gradient:pnewton", ok,
+    rep.identity(
+        "gradient:pnewton",
         "d_p PN_m = (-1)^(p-1) N_{m-p}/(m-p) for m > p, (-1)^p at m = p, 0 below",
+        (c for m in range(1, max_m + 1) for c in primitive_gradient(newton_family(k).primitive(m), m)),
     )
     rep.deviation(
         "gradient:pnewton:display-sign",
@@ -333,53 +320,48 @@ def suite_primitive(k: int, max_m: int | None = None) -> RunReport:
     return rep
 
 
+def _ray_and_root(n: int, pt) -> Iterable[Case]:
+    """The identities of sampled point n, with l = sum_h s_h eta_h: the ray
+    eta_h l^(h-1) = eta_1 (-eta_1)^(h-1), which for h = 2 needs l != 0,
+    then the root P(l / eta_1) = 0."""
+    l = sum(s * e for s, e in zip(pt.sigma, pt.eta))
+    for h in range(2, len(pt.eta) + 1):
+        yield f"point {n}, h = {h}", pt.eta[h - 1] * l ** (h - 1), pt.eta[0] * (-pt.eta[0]) ** (h - 1)
+    yield f"point {n}", char_poly_value(pt.sigma, l / pt.eta[0]), 0
+
+
 def suite_symbols(k: int, samples: int = 50, seed: int = 2024) -> RunReport:
     """Symbol identities, rewriting round-trips, and variety samples."""
     rep = RunReport(k, "symbols")
     se = sigma_eta_space(k)
 
-    try:
-        matches = minor_matches_symbol(k)
-        rep.add("symbols:minors-vs-generators", True,
-                "every minor is the symbol of T(j) or -A(i-1,j,1): " +
-                ", ".join(f"m{mid}={'+' if s > 0 else '-'}{gid}" for mid, gid, s in matches))
-    except AssertionError:
-        rep.add("symbols:minors-vs-generators", False, "minor/symbol identification failed")
+    ms, gens = minors(k), generator_system(k, "newton")
+    ids = {mid: minor_generator(mid) for mid in ms}
+    rep.identity(
+        "symbols:minors-vs-generators",
+        "every minor is the symbol of T(j) or -A(i-1,j,1): " +
+        ", ".join(f"m{mid}={'+' if s > 0 else '-'}{gid}" for mid, (gid, s) in ids.items()),
+        ((f"m{mid}", ms[mid], gens[gid].symbol().scale(s)) for mid, (gid, s) in ids.items()),
+    )
 
-    ok = True
-    for i in range(1, k + 1):
-        for j in range(i, k + 1):
-            u, v = rewrite_eta_product(k, i, j)
-            lhs = Poly.variable(se, "eta", i) * Poly.variable(se, "eta", j)
-            if lhs != recombine(k, u) + Poly.variable(se, "eta", k) * v:
-                ok = False
-    rep.add("rewrite:eta-products", ok, "eta_i eta_j reconstruct exactly for all pairs")
+    eta = {h: Poly.variable(se, "eta", h) for h in range(1, k + 1)}
+    rep.identity("rewrite:eta-products", "eta_i eta_j reconstruct exactly for all pairs", (
+        (f"i = {i}, j = {j}", eta[i] * eta[j], recombine(k, u) + eta[k] * v)
+        for i in eta for j in range(i, k + 1) for u, v in (rewrite_eta_product(k, i, j),)))
 
     pts = sample_z_points(k, seed, samples)
-    ok = True
-    degenerate = 0
-    for pt in pts:
-        l = sum(s * e for s, e in zip(pt.sigma, pt.eta))
-        if l == 0:
-            ok = False
-        for h in range(1, k + 1):
-            if pt.eta[h - 1] != pt.eta[0] * (-pt.eta[0] / l) ** (h - 1):
-                ok = False
-        if char_poly_value(pt.sigma, l / pt.eta[0]) != 0:
-            ok = False
-        if discriminant_at(pt.sigma) * pt.eta[0] == 0:
-            degenerate += 1
-    rep.add(
-        "variety:sampled-points", ok,
+    degenerate = sum(discriminant_at(pt.sigma) * pt.eta[0] == 0 for pt in pts)
+    rep.identity(
+        "variety:sampled-points",
         f"{samples} samples kill all minors and satisfy the root/ray identities; "
         f"{degenerate} degenerate draws",
+        (c for n, pt in enumerate(pts, 1) for c in _ray_and_root(n, pt)),
     )
 
-    ok = (
-        theta_contraction_check(k, [Fraction(i + 1) for i in range(k)], Fraction(2), Fraction(3))
-        and theta_contraction_check(k, [Fraction(1)] * k, Fraction(-1, 3), Fraction(3))
-    )
-    rep.add("contraction:theta-ray", ok, "closed form of the contracted cotangent sum holds exactly")
+    rep.identity("contraction:theta-ray", "closed form of the contracted cotangent sum holds exactly", (
+        (label, *theta_contraction_sides(k, sigma, a, Fraction(3))) for label, sigma, a in (
+            ("sigma_h = h, a = 2, z = 3", [Fraction(i + 1) for i in range(k)], Fraction(2)),
+            ("sigma_h = 1, a = -1/3, z = 3", [Fraction(1)] * k, Fraction(-1, 3)))))
     rep.deviation(
         "contraction:theta-ray:display",
         "published closed form shows a plus sign and exponent -k; computation "
@@ -478,7 +460,7 @@ def golden_check(path: str | Path | None = None) -> RunReport:
     compare("n6_k3", lambda: newton_family(3).newton(6))
     for m in range(1, 5):
         compare(f"pn{m}_k4", lambda m=m: newton_family(4).primitive(m),
-                lambda p, m=m: primitive_gradient_holds(p, m))
+                lambda p, m=m: first_mismatch(primitive_gradient(p, m)) is None)
     compare("minors_k2", lambda: {f"m({i},{j})": p for (i, j), p in minors(2).items()})
     compare("minors_k3", lambda: {f"m({i},{j})": p for (i, j), p in minors(3).items()})
     return rep

@@ -25,7 +25,7 @@ from math import comb, prod
 from operator import gt, le, sub
 from typing import Iterable, Mapping
 
-from .poly import Poly, Weight, _add_product, term_sort_key
+from .poly import Poly, _add_product, term_sort_key
 from .spaces import VarSpace, check_same_space, sigma_eta_space, sigma_space, x_space, x_xi_space
 
 _DUAL = {"x": "xi", "sigma": "eta"}
@@ -248,7 +248,7 @@ class WeylOp:
         k = self.space.nvars
         return Poly._trusted(self.poly.space, {exp: c for exp, c in self.poly.terms.items() if sum(exp[k:]) == d})
 
-    def weight(self) -> Weight:
+    def weight(self) -> int | None:
         return self.poly.weight()
 
     def swap(self, i: int, j: int) -> WeylOp:

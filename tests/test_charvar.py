@@ -76,7 +76,7 @@ def test_minors_homogeneous_and_pure_weight():
     for k in (2, 3, 4, 5):
         for (i, j), m in minors(k).items():
             assert m.degree_in("eta") == 2
-            assert m.weight().value == -(i + j - 1)
+            assert m.weight() == -(i + j - 1)
 
 
 def test_rewrite_base_case_and_example():

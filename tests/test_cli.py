@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from symtrace.annihilators import FAMILIES, check_images, family_members, generator_system
+from symtrace.annihilators import FAMILIES, Witness, check_images, family_members, generator_system
 from symtrace.cli import dispatch
-from symtrace.report import golden_check, run_suite
+from symtrace.report import first_mismatch, golden_check, run_suite
 from symtrace.serialize import dumps, poly_to_dict, weyl_from_dict, weyl_to_dict
 from symtrace.spaces import sigma_eta_space, sigma_space, x_space
 from symtrace.poly import Poly
@@ -262,13 +262,68 @@ def test_witness_image_is_truncated():
     assert "witness" not in CheckEntry("x", "pass", "", Witness("G", 12, image)).to_dict()
 
 
-def test_charvar_sample_deterministic_with_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("SYMTRACE_SEED", "123")
-    code1, out1, _ = run_cli(["charvar", "--k", "2", "--sample", "3", "--seed", "0"], capsys)
-    code2, out2, _ = run_cli(["charvar", "--k", "2", "--sample", "3", "--seed", "99"], capsys)
-    assert code1 == code2 == 0
-    assert out1 == out2  # env seed overrides --seed
-    assert json.loads(out1)["seed"] == 123
+def test_charvar_sample_deterministic_in_seed(capsys):
+    outs = [run_cli(["charvar", "--k", "2", "--sample", "3", "--seed", seed], capsys) for seed in ("7", "7", "99")]
+    assert [code for code, _, _ in outs] == [0, 0, 0]
+    assert outs[0][1] == outs[1][1] and json.loads(outs[0][1])["seed"] == 7
+    assert json.loads(outs[2][1])["points"] != json.loads(outs[0][1])["points"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["charvar", "--k", "3"],
+    ["verify", "--k", "3"],
+    ["gen", "--family", "sigma", "--k", "3", "--max-m", "2"],
+])
+def test_usage_error_is_one_error_line(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_and_version_exit_zero(capsys):
+    assert run_cli(["--version"], capsys)[0] == 0
+    assert run_cli(["verify", "--help"], capsys)[0] == 0
+
+
+def _t3_plus_d1(monkeypatch):
+    """Replace T(3) by T(3) + d_1 at k=3 wherever the report builds it."""
+    import symtrace.report
+    from symtrace.annihilators import op_T
+
+    def patched(k, m):
+        return op_T(k, m) + WeylOp.partial(sigma_space(k), 1) if (k, m) == (3, 3) else op_T(k, m)
+
+    monkeypatch.setattr(symtrace.report, "op_T", patched)
+
+
+def test_failing_identity_names_its_case_and_residual(capsys, monkeypatch):
+    _t3_plus_d1(monkeypatch)
+    code, out, _ = run_cli(["verify", "--k", "3", "--suite", "relations"], capsys)
+    assert code == 2
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert [cid for cid, c in checks.items() if c["status"] == "fail"] == [
+        "identity:T-from-T0", "bracket:nabla-with-T"]
+    # T(3) + d_1 - (T0(0) + sum_h s_h A(h,3,1)) = d_1; at h = 2 the raised
+    # -(k-h) T(3) on the right gains -d_1
+    assert checks["identity:T-from-T0"]["witness"] == {"case": "m = 3", "terms": 1, "image": "ds1"}
+    assert checks["bracket:nabla-with-T"]["witness"] == {"case": "h = 2", "terms": 1, "image": "ds1"}
+    assert all("witness" not in c for c in checks.values() if c["status"] != "fail")
+    code, out, _ = run_cli(["verify", "--k", "3", "--suite", "relations", "--format", "text"], capsys)
+    assert code == 2
+    assert "witness: m = 3, 1 terms: ds1" in out and "witness: h = 2, 1 terms: ds1" in out
+
+
+def test_failing_weight_check_names_its_case(monkeypatch):
+    import symtrace.annihilators
+
+    _t3_plus_d1(monkeypatch)
+    monkeypatch.setattr(symtrace.annihilators, "op_T", symtrace.report.op_T)
+    checks = {e.id: e.to_dict() for e in run_suite("weights", 3).entries}
+    # [T(3) + d_1, U0] - 3 (T(3) + d_1) = -2 d_1
+    assert checks["weight:T"]["witness"] == {"case": "[T(3), U0]", "terms": 1, "image": "-2*ds1"}
+    # the generator T(3) + d_1 is not of pure weight; it is held to w = 0
+    assert checks["weight:ideal-stability"]["witness"]["case"] == "T(3)"
+    assert first_mismatch([("weight of G", None, -3)]) == Witness("weight of G", None, "non-pure")
 
 
 def test_charvar_decompose_roundtrip(capsys, tmp_path):

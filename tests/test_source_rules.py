@@ -62,3 +62,20 @@ def test_every_function_the_benchmark_tracer_wraps_runs_its_own_code():
         if not hasattr(obj, "__code__"):
             missing.append(name)
     assert missing == []
+
+
+def test_report_has_no_pass_flag_set_in_a_loop():
+    # an `ok = False` inside a loop records a bare fail; identities go
+    # through RunReport.identity, which names the failing case
+    tree = ast.parse((SRC / "report.py").read_text(encoding="utf-8"))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        loops = [node for node in ast.walk(fn) if isinstance(node, (ast.For, ast.While))]
+        for node in (n for loop in loops for n in ast.walk(loop)):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, bool)
+                    and any(isinstance(t, ast.Name) for t in node.targets)):
+                found.append(f"{fn.name}:{node.lineno}")
+    assert sorted(set(found)) == []

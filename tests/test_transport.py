@@ -244,7 +244,7 @@ def test_nabla_p_as_partial_values_and_weight():
     assert nabla_p_as_partial(2, 0) == WeylOp.partial(S2, 2).scale(-1)
     for k in (2, 3, 4):
         for p in range(0, k):
-            assert nabla_p_as_partial(k, p).weight().value == p - k
+            assert nabla_p_as_partial(k, p).weight() == p - k
     with pytest.raises(ValueError):
         nabla_p_as_partial(3, 3)
 
