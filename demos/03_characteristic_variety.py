@@ -14,7 +14,7 @@ from symtrace.charvar import (
     minors,
     recombine,
     sample_z_points,
-    theta_contraction_check,
+    theta_contraction_sides,
     vanishes_on_Z,
 )
 from symtrace.poly import Poly
@@ -50,5 +50,5 @@ for pt in pts:
 
 # The contracted cotangent sum along a geometric ray has a closed form
 # (the computation-validated one; the published display carries typos).
-ok = theta_contraction_check(3, [Fraction(1), Fraction(4), Fraction(-2)], Fraction(2, 3), Fraction(5))
-print("\nclosed form of the theta-contraction holds:", ok)
+lhs, rhs = theta_contraction_sides(3, [Fraction(1), Fraction(4), Fraction(-2)], Fraction(2, 3), Fraction(5))
+print("\nclosed form of the theta-contraction holds:", lhs == rhs)

@@ -50,7 +50,7 @@ def op_T(k: int, m: int) -> WeylOp:
     """d_1 d_{m-1} + (sum_h s_h d_h) d_m + d_m."""
     if not 2 <= m <= k:
         raise ValueError(f"need 2 <= m <= k, got m={m}")
-    euler_like = euler_field(k)
+    euler_like = _field(k, (_s(k, h) for h in range(1, k + 1)))
     return _partial(k, 1) * _partial(k, m - 1) + euler_like * _partial(k, m) + _partial(k, m)
 
 
@@ -69,11 +69,6 @@ def op_T0(k: int, mu: int) -> WeylOp:
 def _field(k: int, coeffs) -> WeylOp:
     """The derivation sum_h c_h d_h with coefficients c_1..c_k in turn."""
     return WeylOp.sum(sigma_space(k), (_partial(k, h).left_mul_poly(c) for h, c in enumerate(coeffs, 1)))
-
-
-def euler_field(k: int) -> WeylOp:
-    """sum_h s_h d_h (the unweighted Euler-type field inside T(m))."""
-    return _field(k, (_s(k, h) for h in range(1, k + 1)))
 
 
 def op_U0(k: int) -> WeylOp:

@@ -317,12 +317,6 @@ def theta_contraction_sides(k: int, sigma, a, z) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-def theta_contraction_check(k: int, sigma, a, z) -> bool:
-    """Whether the closed form of `theta_contraction_sides` holds exactly."""
-    lhs, rhs = theta_contraction_sides(k, sigma, a, z)
-    return lhs == rhs
-
-
 def minor_matches_symbol(k: int) -> list[tuple[MinorId, str, int]]:
     """Identify each minor with the symbol of a generator: (minor, id, sign)."""
     gens = generator_system(k, "newton")

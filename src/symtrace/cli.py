@@ -24,7 +24,7 @@ from .charvar import (
     sample_z_points,
 )
 from .membership import reduce_modulo_system, verify_certificate
-from .numerics import EXP, SIN, QuadratureSpec, power_function, trace_contour
+from .numerics import EXP, NODES, SIN, contour_radius, power_function, trace_contour
 from .report import SUITES, golden_check, golden_dir, run_suite
 from .serialize import (
     SCHEMA,
@@ -200,17 +200,16 @@ def cmd_numcheck(args) -> int:
         f = power_function(int(args.f.split(":", 1)[1]))
     else:
         raise ValueError(f"unknown function {args.f!r}")
-    spec = QuadratureSpec.for_sigma(sigma)
     with warnings.catch_warnings():
         # numpy's overflow warnings would add stderr lines; the check below refuses the result
         warnings.simplefilter("ignore", RuntimeWarning)
-        tv = trace_contour(f, sigma, spec)
+        tv = trace_contour(f, sigma)
     if not (_finite(tv.value) and _finite(tv.residue_form) and _finite(tv.difference)):
         raise ValueError("the contour trace is not finite (overflow or a degenerate contour)")
     _print({
         "schema": SCHEMA, "object": "numcheck", "k": args.k,
         "sigma": [[v.real, v.imag] for v in map(complex, sigma)],
-        "f": f.name, "radius": spec.R, "nodes": spec.n,
+        "f": f.name, "radius": contour_radius(sigma), "nodes": NODES,
         "trace": {
             "value": [tv.value.real, tv.value.imag],
             "residue_form": [tv.residue_form.real, tv.residue_form.imag],

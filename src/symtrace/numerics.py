@@ -5,6 +5,15 @@ iteration, the two contour formulas for traces (residue form and
 integrated-by-parts log form), the contour form of the derived family,
 and finite-difference verification that the annihilators kill analytic
 trace functions.
+
+No caller sets a tuning value.  The contour is the circle of radius
+`contour_radius(sigma)` = 2 max(1, B), B = sum_h |s_h|^(1/h), sampled at
+`NODES` = 256 equispaced points.  Every root lies in |z| <= B, and on the
+circle |P(z)/z^k - 1| <= sum_h (|s_h|^(1/h) / R)^h <= B/R <= 1/2, so the
+contour encloses every root and log(P(z)/z^k) stays on the principal
+branch.  The root iteration stops at `ROOT_RESIDUAL` or after
+`ROOT_MAX_ITER` steps; the finite differences start at step `FD_STEP` and
+refuse stencils where the discriminant falls below `FD_SAFETY`.
 """
 
 from __future__ import annotations
@@ -13,6 +22,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+NODES = 256             # quadrature nodes on the contour
+ROOT_MAX_ITER = 600     # Aberth-Ehrlich steps before giving up
+ROOT_RESIDUAL = 1e-10   # target of |P(x_j)| / max(1, |x_j|)^k
+FD_STEP = 0.08          # the coarsest finite-difference step
+FD_SAFETY = 1e-6        # least |discriminant| at a stencil point
 
 
 class RootConvergenceError(RuntimeError):
@@ -35,18 +50,10 @@ def _coefficients(sigma: Sequence[complex]) -> np.ndarray:
     return coeffs
 
 
-def char_poly(sigma: Sequence[complex], z):
-    return np.polyval(_coefficients(sigma), z)
-
-
-def char_poly_deriv(sigma: Sequence[complex], z):
-    return np.polyval(np.polyder(_coefficients(sigma)), z)
-
-
-def poly_roots(sigma: Sequence[complex], max_iter: int = 600, residual_factor: float = 1e-10) -> np.ndarray:
+def poly_roots(sigma: Sequence[complex]) -> np.ndarray:
     """All k roots (with multiplicity) by Aberth-Ehrlich iteration.
 
-    Converges to residuals |P(x_j)| <= residual_factor * max(1,|x_j|)^k;
+    Converges to residuals |P(x_j)| <= ROOT_RESIDUAL * max(1,|x_j|)^k;
     multiple roots converge linearly but still pass the residual target.
     """
     k = len(sigma)
@@ -66,7 +73,7 @@ def poly_roots(sigma: Sequence[complex], max_iter: int = 600, residual_factor: f
         return np.abs(np.polyval(coeffs, zs)) / np.maximum(1.0, np.abs(zs)) ** k
 
     best = float(np.max(residuals(z)))
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         p = np.polyval(coeffs, z)
         dp = np.polyval(dcoeffs, z)
         dp = np.where(np.abs(dp) < 1e-300, 1e-300, dp)
@@ -78,7 +85,7 @@ def poly_roots(sigma: Sequence[complex], max_iter: int = 600, residual_factor: f
         z = z - corr
         res = residuals(z)
         best = min(best, float(np.max(res)))
-        if np.all(res <= residual_factor):
+        if np.all(res <= ROOT_RESIDUAL):
             return z
     raise RootConvergenceError(best)
 
@@ -90,39 +97,9 @@ def root_discriminant(sigma: Sequence[complex]) -> complex:
     return complex(np.prod((x[i] - x[j]) ** 2))
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Contour radius and node count for circle quadrature.
-
-    The radius must dominate the root bound 2*max(1, sum |s_h|^(1/h)) so
-    the normalized polynomial stays within distance < 1 of 1 on the
-    contour and the principal log branch is safe.
-    """
-
-    R: float
-    n: int = 256
-
-    def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("radius must be positive")
-        if self.n < 4 or self.n & (self.n - 1):
-            raise ValueError("node count must be a power of two, at least 4")
-
-    @staticmethod
-    def radius_bound(sigma: Sequence[complex]) -> float:
-        return 2.0 * max(1.0, sum(abs(complex(s)) ** (1.0 / h) for h, s in enumerate(sigma, start=1)))
-
-    @staticmethod
-    def for_sigma(sigma: Sequence[complex], n: int = 256) -> QuadratureSpec:
-        return QuadratureSpec(R=QuadratureSpec.radius_bound(sigma), n=n)
-
-    def validate(self, sigma: Sequence[complex]) -> None:
-        bound = QuadratureSpec.radius_bound(sigma)
-        if self.R < bound * (1.0 - 1e-12):
-            raise ValueError(
-                f"radius {self.R:.6g} below the safe bound {bound:.6g}; "
-                "the log branch would be ill-defined"
-            )
+def contour_radius(sigma: Sequence[complex]) -> float:
+    """The radius 2 max(1, sum_h |s_h|^(1/h)) of the quadrature circle."""
+    return 2.0 * max(1.0, sum(abs(complex(s)) ** (1.0 / h) for h, s in enumerate(sigma, start=1)))
 
 
 @dataclass(frozen=True)
@@ -155,11 +132,11 @@ class TraceValue:
     difference: float       # |value - residue_form|, a quadrature diagnostic
 
 
-def _nodes(spec: QuadratureSpec) -> np.ndarray:
-    return spec.R * np.exp(2j * np.pi * np.arange(spec.n) / spec.n)
+def _nodes(sigma: Sequence[complex]) -> np.ndarray:
+    return contour_radius(sigma) * np.exp(2j * np.pi * np.arange(NODES) / NODES)
 
 
-def trace_contour(f: AnalyticFunction, sigma: Sequence[complex], spec: QuadratureSpec | None = None) -> TraceValue:
+def trace_contour(f: AnalyticFunction, sigma: Sequence[complex]) -> TraceValue:
     """Both contour forms of the trace sum_j f(x_j) over the roots.
 
     Residue form averages f(z) P'(z)/P(z) z over the circle; the log
@@ -168,11 +145,10 @@ def trace_contour(f: AnalyticFunction, sigma: Sequence[complex], spec: Quadratur
     a diagnostic.
     """
     k = len(sigma)
-    spec = QuadratureSpec.for_sigma(sigma) if spec is None else spec
-    spec.validate(sigma)
-    z = _nodes(spec)
-    p = char_poly(sigma, z)
-    dp = char_poly_deriv(sigma, z)
+    coeffs = _coefficients(sigma)
+    z = _nodes(sigma)
+    p = np.polyval(coeffs, z)
+    dp = np.polyval(np.polyder(coeffs), z)
     residue_form = np.mean(f.f(z) * dp / p * z)
     log_form = -np.mean(f.df(z) * np.log(p / z ** k) * z) + k * complex(f.f(0.0))
     return TraceValue(
@@ -182,15 +158,13 @@ def trace_contour(f: AnalyticFunction, sigma: Sequence[complex], spec: Quadratur
     )
 
 
-def dn_contour(m: int, sigma: Sequence[complex], spec: QuadratureSpec | None = None) -> complex:
+def dn_contour(m: int, sigma: Sequence[complex]) -> complex:
     """Contour value of the derived family: mean of z^(m+k-1)/P(z) * z."""
     k = len(sigma)
     if m < -k + 1:
         raise ValueError(f"need m >= {-k + 1}")
-    spec = QuadratureSpec.for_sigma(sigma) if spec is None else spec
-    spec.validate(sigma)
-    z = _nodes(spec)
-    return complex(np.mean(z ** (m + k) / char_poly(sigma, z)))
+    z = _nodes(sigma)
+    return complex(np.mean(z ** (m + k) / np.polyval(_coefficients(sigma), z)))
 
 
 @dataclass(frozen=True)
@@ -255,25 +229,24 @@ def _apply_fd(op, F: Callable, sigma0: np.ndarray, h: float) -> complex:
     return total
 
 
-def fd_annihilation_check(op, F: Callable, sigma0: Sequence[float], h_step: float = 0.08,
-                          safety: float = 1e-6) -> FDResult:
+def fd_annihilation_check(op, F: Callable, sigma0: Sequence[float]) -> FDResult:
     """Numerically apply a (order <= 2) operator to a function of sigma.
 
-    Uses second-order central stencils at steps h, h/2, h/4 and two
+    Uses second-order central stencils at steps h = FD_STEP, h/2, h/4 and two
     Richardson extrapolations; returns the extrapolated |op[F]| together
     with the observed convergence order and the scale max(1, |F(s0)|).
     Rejects stencils that approach the discriminant locus, where
-    |root_discriminant| < safety at some stencil point.
+    |root_discriminant| < FD_SAFETY at some stencil point.
     """
     if op.order() > 2:
         raise ValueError("operator order must be <= 2")
     sigma0 = np.asarray(sigma0, dtype=float)
-    for pt in _stencil_points(op, sigma0, h_step):
-        if abs(root_discriminant(pt)) < safety:
+    for pt in _stencil_points(op, sigma0, FD_STEP):
+        if abs(root_discriminant(pt)) < FD_SAFETY:
             raise UnsafeStencilError(f"stencil point {pt} too close to the discriminant locus")
-    d1 = _apply_fd(op, F, sigma0, h_step)
-    d2 = _apply_fd(op, F, sigma0, h_step / 2)
-    d4 = _apply_fd(op, F, sigma0, h_step / 4)
+    d1 = _apply_fd(op, F, sigma0, FD_STEP)
+    d2 = _apply_fd(op, F, sigma0, FD_STEP / 2)
+    d4 = _apply_fd(op, F, sigma0, FD_STEP / 4)
     r1 = (4 * d2 - d1) / 3
     r2 = (4 * d4 - d2) / 3
     extrapolated = (16 * r2 - r1) / 15
@@ -284,10 +257,10 @@ def fd_annihilation_check(op, F: Callable, sigma0: Sequence[float], h_step: floa
     return FDResult(residual=float(abs(extrapolated)), convergence_order=order, scale=scale)
 
 
-def trace_function_handle(f: AnalyticFunction, n: int = 256) -> Callable:
+def trace_function_handle(f: AnalyticFunction) -> Callable:
     """A numeric sigma -> trace value closure built on the log-form contour."""
 
     def F(sigma):
-        return trace_contour(f, list(sigma), QuadratureSpec.for_sigma(list(sigma), n=n)).value
+        return trace_contour(f, list(sigma)).value
 
     return F

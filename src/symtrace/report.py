@@ -52,6 +52,7 @@ PASS = "pass"
 FAIL = "fail"
 DEVIATION = "deviation"
 WITNESS_CHARS = 120
+SYMBOL_SAMPLES, SYMBOL_SEED = 50, 2024  # the variety points the symbols suite draws
 
 # (case label, lhs, rhs): one case of an identity
 Case = tuple[str, object, object]
@@ -330,7 +331,7 @@ def _ray_and_root(n: int, pt) -> Iterable[Case]:
     yield f"point {n}", char_poly_value(pt.sigma, l / pt.eta[0]), 0
 
 
-def suite_symbols(k: int, samples: int = 50, seed: int = 2024) -> RunReport:
+def suite_symbols(k: int) -> RunReport:
     """Symbol identities, rewriting round-trips, and variety samples."""
     rep = RunReport(k, "symbols")
     se = sigma_eta_space(k)
@@ -349,11 +350,11 @@ def suite_symbols(k: int, samples: int = 50, seed: int = 2024) -> RunReport:
         (f"i = {i}, j = {j}", eta[i] * eta[j], recombine(k, u) + eta[k] * v)
         for i in eta for j in range(i, k + 1) for u, v in (rewrite_eta_product(k, i, j),)))
 
-    pts = sample_z_points(k, seed, samples)
+    pts = sample_z_points(k, SYMBOL_SEED, SYMBOL_SAMPLES)
     degenerate = sum(discriminant_at(pt.sigma) * pt.eta[0] == 0 for pt in pts)
     rep.identity(
         "variety:sampled-points",
-        f"{samples} samples kill all minors and satisfy the root/ray identities; "
+        f"{SYMBOL_SAMPLES} samples kill all minors and satisfy the root/ray identities; "
         f"{degenerate} degenerate draws",
         (c for n, pt in enumerate(pts, 1) for c in _ray_and_root(n, pt)),
     )

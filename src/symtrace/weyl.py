@@ -104,10 +104,6 @@ class WeylOp:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(space: VarSpace) -> WeylOp:
-        return WeylOp(space)
-
-    @staticmethod
     def sum(space: VarSpace, ops: Iterable[WeylOp]) -> WeylOp:
         """The sum of the operators, all over space: the Poly.sum of their full symbols."""
         zero = WeylOp(space)

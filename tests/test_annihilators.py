@@ -121,7 +121,7 @@ def test_bracket_identities_full_range():
             for q in range(2, k + 1):
                 if p == q - 1:
                     continue
-                rhs = WeylOp.zero(S)
+                rhs = WeylOp(S)
                 if p + 2 <= k:
                     rhs = rhs + op_A(k, p + 1, q, 1).scale(-(k - p - 1))
                 if q + 1 <= k:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from symtrace.annihilators import FAMILIES, Witness, check_images, family_members, generator_system
 from symtrace.cli import dispatch
+from symtrace.numerics import NODES, contour_radius
 from symtrace.report import first_mismatch, golden_check, run_suite
 from symtrace.serialize import dumps, poly_to_dict, weyl_from_dict, weyl_to_dict
 from symtrace.spaces import sigma_eta_space, sigma_space, x_space
@@ -326,6 +328,44 @@ def test_failing_weight_check_names_its_case(monkeypatch):
     assert first_mismatch([("weight of G", None, -3)]) == Witness("weight of G", None, "non-pure")
 
 
+def _cases_drawn_per_identity(monkeypatch, k: int) -> dict[tuple[str, str], int]:
+    """{(suite, entry id): cases drawn} for every `RunReport.identity` entry of
+    the relations, weights, symbols and primitive suites at k."""
+    import symtrace.report
+
+    original, drawn = symtrace.report.first_mismatch, {}
+
+    def counting(cases):
+        caller = sys._getframe(1)
+        n = 0
+
+        def counted():
+            nonlocal n
+            for case in cases:
+                n += 1
+                yield case
+
+        w = original(counted())
+        if caller.f_code is symtrace.report.RunReport.identity.__code__:
+            drawn[caller.f_locals["self"].suite, caller.f_locals["id"]] = n
+        return w
+
+    monkeypatch.setattr(symtrace.report, "first_mismatch", counting)
+    for suite in ("relations", "weights", "symbols", "primitive"):
+        run_suite(suite, k)
+    return drawn
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_every_identity_draws_a_case(monkeypatch, k):
+    # an identity over no cases passes having checked nothing; at k = 2 the
+    # system has no nonzero A(p,q,1), so the two identities over them are empty
+    drawn = _cases_drawn_per_identity(monkeypatch, k)
+    assert {suite for suite, _ in drawn} == {"relations", "weights", "symbols", "primitive"}
+    empty = sorted(entry for (_, entry), n in drawn.items() if n == 0)
+    assert empty == (["bracket:nabla-with-A", "weight:A"] if k == 2 else [])
+
+
 def test_charvar_decompose_roundtrip(capsys, tmp_path):
     from symtrace.charvar import minors
 
@@ -399,6 +439,23 @@ def test_numcheck_values(capsys):
     doc = json.loads(out)
     assert abs(doc["trace"]["value"][0] - 5.0) < 1e-9  # N_2(3,2) = 5
     assert doc["trace"]["difference"] < 1e-9
+
+
+def test_numcheck_reports_the_worked_out_radius_and_node_count(capsys, monkeypatch):
+    # the benchmark's numcheck inputs at k = 2..12, for each of its functions
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    from workloads import numcheck_sigma
+
+    rng = random.Random(1)
+    for k in range(2, 13):
+        sigma = [float(s) for s in numcheck_sigma(rng, k)]
+        text = ",".join(map(repr, sigma))
+        for f in ("exp", "sin", f"pow:{2 * k}"):
+            code, out, _ = run_cli(["numcheck", "--k", str(k), f"--sigma={text}", "--f", f], capsys)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["radius"] == contour_radius(sigma)
+            assert doc["nodes"] == NODES
 
 
 def test_numcheck_bad_sigma_count(capsys):

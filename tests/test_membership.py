@@ -86,7 +86,7 @@ def test_left_ideal_closure_randomized():
     S = sigma_space(k)
     gens = generator_system(k, "newton")
     for _ in range(6):
-        member = WeylOp.zero(S)
+        member = WeylOp(S)
         for g in gens.values():
             if rng.random() < 0.5:
                 cof = WeylOp.from_poly(random_sigma_poly(rng, k, 1, 2))
@@ -118,7 +118,7 @@ def test_order_descends_strictly():
 
 def test_zero_operator_rejected():
     with pytest.raises(ValueError):
-        reduce_modulo_system(WeylOp.zero(sigma_space(2)), 2)
+        reduce_modulo_system(WeylOp(sigma_space(2)), 2)
 
 
 def test_low_bound_gives_nonmember_with_exact_remainder():

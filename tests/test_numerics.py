@@ -3,12 +3,14 @@ import random
 import numpy as np
 import pytest
 
+from symtrace import numerics
 from symtrace.annihilators import op_A, op_T
 from symtrace.numerics import (
     EXP,
     SIN,
-    QuadratureSpec,
+    NODES,
     UnsafeStencilError,
+    contour_radius,
     dn_contour,
     fd_annihilation_check,
     poly_roots,
@@ -49,13 +51,11 @@ def test_roots_residual_criterion_random():
             assert abs(p) <= 1e-10 * max(1.0, abs(z)) ** k
 
 
-def test_quadrature_spec_validation():
-    spec = QuadratureSpec.for_sigma([3, 2])
-    assert spec.R >= 2.0
-    with pytest.raises(ValueError):
-        QuadratureSpec(R=0.5).validate([3, 2])
-    with pytest.raises(ValueError):
-        QuadratureSpec(R=10.0, n=100)  # not a power of two
+def test_contour_radius_dominates_the_root_bound():
+    radius = contour_radius([3, 2])
+    assert radius == 2.0 * max(1.0, abs(3) + abs(2) ** 0.5)
+    assert radius >= 2.0
+    assert NODES == 256
 
 
 def test_trace_of_constant_and_exp():
@@ -126,15 +126,15 @@ def test_dn_contour_matches_symbolic():
                 assert abs(got - exact) <= 1e-8 * max(1.0, abs(exact))
 
 
-def test_quadrature_geometric_convergence():
+def test_quadrature_geometric_convergence(monkeypatch):
     # doubling the node count shrinks the error at least 100-fold until
     # the machine floor; checked on the power family
     sigma = [3, 2]
     exact = float(family(2).newton(6).evaluate({"sigma": sigma}))
     errors = []
     for n in (8, 16, 32, 64):
-        spec = QuadratureSpec(R=QuadratureSpec.radius_bound(sigma), n=n)
-        errors.append(abs(trace_contour(power_function(6), sigma, spec).value - exact))
+        monkeypatch.setattr(numerics, "NODES", n)
+        errors.append(abs(trace_contour(power_function(6), sigma).value - exact))
     asserted = 0
     for a, b in zip(errors, errors[1:]):
         if a > 1e-8:  # above the roundoff floor for this magnitude

@@ -149,8 +149,13 @@ def test_sum_streams_its_pieces():
 
     tracemalloc.start()
     try:
+        # take every 2-tuple off the interpreter's free list, and keep them:
+        # tuples freed before tracing began are reused untraced, so one piece
+        # had read as little as half its size and the bound below was flaky
+        held = [(j, j) for j in range(5000)]
+        before = tracemalloc.get_traced_memory()[0]
         one = piece(1)
-        size = tracemalloc.get_traced_memory()[0]
+        size = tracemalloc.get_traced_memory()[0] - before
         del one
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]

@@ -214,7 +214,7 @@ def test_decompose_derivation_roundtrip_randomized():
     rng = random.Random(47)
     for k in (2, 3):
         for _ in range(4):
-            op = WeylOp.zero(x_space(k))
+            op = WeylOp(x_space(k))
             chosen = {}
             for p in range(0, k):
                 b = random_sigma_poly(rng, k, 1, 2)

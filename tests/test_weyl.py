@@ -93,7 +93,7 @@ def test_symbol_of_index_swap():
 
 def test_symbol_of_zero_rejected():
     with pytest.raises(ValueError):
-        WeylOp.zero(sigma_space(2)).symbol()
+        WeylOp(sigma_space(2)).symbol()
 
 
 def test_weight_of_generators():
