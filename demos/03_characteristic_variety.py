@@ -8,9 +8,10 @@
 
 from fractions import Fraction
 
+from symtrace.annihilators import generator_system
 from symtrace.charvar import (
     decompose_in_minors,
-    minor_matches_symbol,
+    minor_generator,
     minors,
     recombine,
     sample_z_points,
@@ -26,7 +27,10 @@ for (i, j), m in minors(k).items():
     print(f"  m({i},{j}) = {m}")
 
 print("\neach minor is the symbol of a generator:")
-for mid, gid, sign in minor_matches_symbol(k):
+gens = generator_system(k, "newton")
+for mid, m in minors(k).items():
+    gid, sign = minor_generator(mid)
+    assert m == gens[gid].symbol().scale(sign)
     print(f"  m{mid} = {'+' if sign > 0 else '-'}symbol({gid})")
 
 # Membership in the minor ideal is decided constructively.

@@ -27,8 +27,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .annihilators import generator_system
-from .poly import Poly, _accumulate, _add_product
+from .poly import Poly
 from .spaces import VarSpace, sigma_eta_space, sigma_space
 from .transport import theta
 
@@ -96,20 +95,17 @@ def _rewrite(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Poly]:
     ss = sigma_space(k)
     if j == k:
         return {}, _eta(k, i)
+    # every minor in a rewrite of eta_p eta_(j+1) has second index >= j + 2,
+    # so m_(i,j+1) is not among them
     if i == 1:
-        u: dict[MinorId, Poly] = {(1, j + 1): Poly.one(ss)}
-        v: dict[tuple[int, ...], Fraction] = {}
-        for p in range(1, k + 1):
-            up, vp = rewrite_eta_product(k, p, j + 1)
-            sp_s = Poly.variable(ss, "sigma", p)
-            for mid, c in up.items():
-                _accumulate(u, mid, -(sp_s * c))
-            _add_product(v, Poly.variable(se, "sigma", p).terms, vp.terms, -1)
-        return u, Poly._trusted(se, v)
+        rows = [(Poly.variable(ss, "sigma", p), Poly.variable(se, "sigma", p), *rewrite_eta_product(k, p, j + 1))
+                for p in range(1, k + 1)]
+        u = {mid: Poly.sum_of_products(ss, ((s, up[mid], -1) for s, _, up, _ in rows if mid in up))
+             for mid in dict.fromkeys(mid for *_, up, _ in rows for mid in up)}
+        v = Poly.sum_of_products(se, ((s, vp, -1) for _, s, _, vp in rows))
+        return {(1, j + 1): Poly.one(ss), **{mid: c for mid, c in u.items() if c}}, v
     up, vp = rewrite_eta_product(k, i - 1, j + 1)
-    u = dict(up)
-    _accumulate(u, (i, j + 1), Poly.one(ss))
-    return u, vp
+    return {**up, (i, j + 1): Poly.one(ss)}, vp
 
 
 def embed_sigma(p: Poly, k: int) -> Poly:
@@ -125,13 +121,11 @@ def recombine(k: int, coeffs: dict[MinorId, Poly]) -> Poly:
     return Poly.sum(sigma_eta_space(k), (embed_sigma(c, k) * ms[mid] for mid, c in coeffs.items()))
 
 
-def _eta_homogeneous_parts(f: Poly, k: int) -> dict[int, Poly]:
-    parts: dict[int, dict] = {}
-    off = f.space.offset("eta")
-    for exp, c in f.terms.items():
-        d = sum(exp[off:off + k])
-        parts.setdefault(d, {})[exp] = c
-    return {d: Poly._trusted(f.space, ts) for d, ts in parts.items()}
+def _eta_homogeneous_parts(f: Poly) -> dict[int, Poly]:
+    parts: dict[int, list[Poly]] = {}
+    for e, c in f.collect("eta").items():
+        parts.setdefault(sum(e), []).append(c.embed(f.space, "eta", e))
+    return {d: Poly.sum(f.space, ps) for d, ps in parts.items()}
 
 
 def _chart_space(k: int) -> VarSpace:
@@ -161,7 +155,7 @@ def vanishes_on_Z(f: Poly, k: int) -> bool:
         images[("sigma", h)] = Poly.variable(target, "sigma", h)
     for h in range(1, k + 1):
         images[("eta", h)] = t ** (k - h)
-    for part in _eta_homogeneous_parts(f, k).values():
+    for part in _eta_homogeneous_parts(f).values():
         if not part.compose(target, images).is_zero():
             return False
     return True
@@ -183,8 +177,7 @@ def decompose_in_minors(f: Poly, k: int) -> dict[MinorId, Poly]:
     """
     if f.space != sigma_eta_space(k):
         raise ValueError(f"expected a polynomial over {sigma_eta_space(k)}")
-    parts = _eta_homogeneous_parts(f, k)
-    if len(parts) > 1:
+    if len({sum(e) for e in f.collect("eta")}) > 1:
         raise ValueError("input must be homogeneous in eta")
     d = f.degree_in("eta")
     if not f.is_zero() and d <= 1:
@@ -199,41 +192,41 @@ def decompose_in_minors(f: Poly, k: int) -> dict[MinorId, Poly]:
 
 def _descend(f: Poly, k: int) -> dict[MinorId, Poly]:
     se = sigma_eta_space(k)
-    eta_k_pos = se.position("eta", k)
-    eta_off = se.offset("eta")
-    coeffs: dict[MinorId, dict[tuple[int, ...], Fraction]] = {}
-    # f = eta_k^level * terms modulo the minors, with the minor coefficients
-    # of the levels above already in coeffs
-    terms, level, d = f.terms, 0, f.degree_in("eta")
-    while terms:
+    # the (u, w, 1) product triples of each minor coefficient, over all levels
+    factors: dict[MinorId, list[tuple[Poly, Poly, int]]] = {}
+    # f = eta_k^level * g modulo the minors, with the triples of the levels above in factors
+    g, level, d = f, 0, f.degree_in("eta")
+    while g:
         if d <= 1:
             # a nonzero eta-linear cofactor does not vanish on the variety
             raise NotOnVarietyError("polynomial does not vanish on the variety")
-        # rest accumulates g + sum v*w: the eta_k-divisible part of terms
-        # divided by eta_k, plus the eta_k-multiples produced by the
-        # rewriting; the other terms are eta_i eta_j * w, grouped by (i, j)
-        rest: dict[tuple[int, ...], Fraction] = {}
-        groups: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
-        for exp, c in terms.items():
-            low = list(exp)
-            if exp[eta_k_pos]:
-                low[eta_k_pos] -= 1
-                rest[tuple(low)] = c
+        # g = eta_k * rest + sum over (i, j) of eta_i eta_j * w_(i,j), where
+        # eta_i eta_j is the first pair of eta factors of an eta_k-free block
+        rest: list[Poly] = []
+        groups: dict[tuple[int, int], list[Poly]] = {}
+        for e, c in g.collect("eta").items():
+            low = list(e)
+            if e[-1]:
+                low[-1] -= 1
+                rest.append(c.embed(se, "eta", low))
                 continue
-            first = next(h for h in range(k) if low[eta_off + h])
-            low[eta_off + first] -= 1
-            second = next(h for h in range(k) if low[eta_off + h])
-            low[eta_off + second] -= 1
-            groups.setdefault((first + 1, second + 1), {})[tuple(low)] = c
-        eta_k_level = (0,) * (k - 1) + (level,)
-        for (i, j), w in groups.items():
+            i = next(h for h in range(k) if low[h])
+            low[i] -= 1
+            j = next(h for h in range(k) if low[h])
+            low[j] -= 1
+            groups.setdefault((i + 1, j + 1), []).append(c.embed(se, "eta", low))
+        lift = (0,) * (k - 1) + (level,)
+        vw = []
+        for (i, j), ws in groups.items():
+            w = Poly.sum(se, ws)
             u, v = rewrite_eta_product(k, i, j)
             for mid, uc in u.items():
-                lifted = {exp + eta_k_level: c for exp, c in uc.terms.items()}
-                _add_product(coeffs.setdefault(mid, {}), lifted, w)
-            _add_product(rest, v.terms, w)
-        terms, level, d = rest, level + 1, d - 1
-    return {mid: Poly._trusted(se, ts) for mid, ts in coeffs.items() if ts}
+                factors.setdefault(mid, []).append((uc.embed(se, "eta", lift), w, 1))
+            vw.append((v, w, 1))
+        # eta_i eta_j w = sum_a u_a m_a w + eta_k v w, so the next g is rest + sum v w
+        g, level, d = Poly.sum(se, [*rest, Poly.sum_of_products(se, vw)]), level + 1, d - 1
+    coeffs = {mid: Poly.sum_of_products(se, triples) for mid, triples in factors.items()}
+    return {mid: c for mid, c in coeffs.items() if c}
 
 
 @dataclass(frozen=True)
@@ -315,15 +308,3 @@ def theta_contraction_sides(k: int, sigma, a, z) -> tuple[Fraction, Fraction]:
         )
         rhs = z ** (-k + 1) * dpz
     return lhs, rhs
-
-
-def minor_matches_symbol(k: int) -> list[tuple[MinorId, str, int]]:
-    """Identify each minor with the symbol of a generator: (minor, id, sign)."""
-    gens = generator_system(k, "newton")
-    out = []
-    for mid, m in minors(k).items():
-        gid, sign = minor_generator(mid)
-        if m != gens[gid].symbol().scale(sign):
-            raise AssertionError(f"minor {mid} is not the signed symbol of {gid}")
-        out.append((mid, gid, sign))
-    return out

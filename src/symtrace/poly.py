@@ -26,18 +26,26 @@ Polynomials are built and summed in one way each:
   running dict, which is wrapped once at the end, so a sum fed from a
   generator holds that dict and one piece.  ``a + b`` is its two-piece
   case.
+- ``Poly.sum_of_products(space, triples)`` is the one way to sum
+  products: c * a * b over triples (a, b, c), streamed the same way.
+  ``a * b`` is its one-triple case.
 - ``_accumulate(out, key, c)`` adds ``c`` into ``out[key]``, stores the
   sum in canonical form and drops the key when the sum cancels;
   ``_add_product`` accumulates a product of two term dicts through it.
+
+Term dicts are built only here and in ``weyl``, whose product and
+``apply`` stream into one dict through ``_add_product``, and at one
+edge: ``symfun.reduce_partitions`` wraps the sigma-terms of its descent,
+whose exponents are gaps of partitions and clean by construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, neg
 from typing import Iterable, Mapping
 
-from .spaces import SpaceMismatchError, VarSpace, check_same_space
+from .spaces import SpaceMismatchError, VarSpace
 
 
 def _canon(c):
@@ -49,6 +57,8 @@ def _canon(c):
 
 
 def _as_coeff(c) -> int | Fraction:
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         return _canon(c)
     if isinstance(c, int):
@@ -56,8 +66,13 @@ def _as_coeff(c) -> int | Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
+def _is_exponent(exp: tuple, n: int) -> bool:
+    """exp has n entries, each a non-negative int (bools refused)."""
+    return len(exp) == n and {*map(type, exp)} <= {int} and min(exp, default=0) >= 0
+
+
 def _accumulate(out: dict, key, c) -> None:
-    """out[key] += c, dropping the key when the sum is zero (rational or Poly values)."""
+    """out[key] += c for a rational c, dropping the key when the sum is zero."""
     s = out.get(key)
     if s is not None:
         c = s + c
@@ -83,7 +98,7 @@ def _add_product(out: dict, a: Mapping, b: Mapping, c=1) -> None:
 
 def term_sort_key(exp: tuple[int, ...]):
     """Graded-lex, largest first: sort ascending by this key."""
-    return (-sum(exp), tuple(-e for e in exp))
+    return (-sum(exp), tuple(map(neg, exp)))
 
 
 class Poly:
@@ -98,7 +113,7 @@ class Poly:
             if c == 0:
                 continue
             exp = tuple(exp)
-            if len(exp) != n or any(type(e) is not int or e < 0 for e in exp):
+            if not _is_exponent(exp, n):
                 raise ValueError(f"bad exponent {exp} for space {space}")
             clean[exp] = c
         object.__setattr__(self, "terms", clean)
@@ -160,6 +175,27 @@ class Poly:
                 _accumulate(out, exp, c)
         return Poly._trusted(space, out)
 
+    @staticmethod
+    def sum_of_products(space: VarSpace, triples: Iterable[tuple[Poly, Poly, int | Fraction]]) -> Poly:
+        """The sum of c * a * b over the triples (a, b, c), every factor
+        over space; zero when there are none.
+
+        Each product accumulates into one running dict, with the factor
+        of fewer terms walked in the outer loop.  Triples are drawn one
+        at a time and none is kept.
+        """
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        for a, b, c in triples:
+            if not a.space is space is b.space:  # spaces are cached: identity is the usual case
+                for p in (a, b):
+                    if p.space != space:
+                        raise SpaceMismatchError(f"space mismatch: {space} vs {p.space}")
+            c = _as_coeff(c)
+            if c:
+                small, big = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
+                _add_product(out, small.terms, big.terms, c)
+        return Poly._trusted(space, out)
+
     def __add__(self, other: Poly) -> Poly:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -176,11 +212,7 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        check_same_space(self, other)
-        small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        out: dict[tuple[int, ...], Fraction] = {}
-        _add_product(out, small.terms, big.terms)
-        return Poly._trusted(self.space, out)
+        return Poly.sum_of_products(self.space, ((self, other, 1),))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -350,7 +382,7 @@ class Poly:
         off = space.offset(family)
         count = space.family_count(family)
         fam_exp = tuple(fam_exp)
-        if len(fam_exp) != count or any(e < 0 for e in fam_exp):
+        if not _is_exponent(fam_exp, count):
             raise ValueError(f"bad {family} exponent block {fam_exp}")
         if space.drop(family) != self.space:
             raise ValueError(f"cannot embed a polynomial over {self.space} into {space}")

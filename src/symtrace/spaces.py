@@ -96,6 +96,7 @@ class VarSpace:
             out.extend(variable_weight(fam, i) for i in range(1, count + 1))
         return tuple(out)
 
+    @cache
     def drop(self, family: str) -> VarSpace:
         kept = tuple((f, c) for f, c in self.families if f != family)
         if len(kept) == len(self.families):

@@ -21,7 +21,10 @@ alone (Macdonald, *Symmetric Functions and Hall Polynomials*, ch. I):
   descent runs over partitions only, largest first off a heap.
 
 The transport applies operators to partition coefficients by a third
-rule (see the `transport` docstring).
+rule (see the `transport` docstring).  `reduce_partitions` is the edge
+where partition coefficients become sigma-terms: it wraps its term dict
+with `Poly._trusted`, the one place outside the kernel that does, since
+its exponents are gaps of partitions and its values canonical sums.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from itertools import combinations, permutations
 from math import factorial
 from operator import add, ge, sub
 
-from .poly import Poly, _accumulate, _add_product, _canon, term_sort_key
+from .poly import Poly, _accumulate, _canon, term_sort_key
 from .spaces import sigma_space, x_space
 
 
@@ -162,9 +165,8 @@ class NewtonFamily:
         for m in range(-k + 1, 0):
             self._derived[m] = Poly.zero(self.space)
         self._primitive: dict[int, Poly] = {}
-
-    def _sigma_terms(self, h: int) -> dict[tuple[int, ...], Fraction]:
-        return Poly.variable(self.space, "sigma", h).terms
+        # 1, s_1, .., s_k: the factors of the recurrences
+        self._sigma = [Poly.one(self.space)] + [Poly.variable(self.space, "sigma", h) for h in range(1, k + 1)]
 
     # The recurrences fill their caches bottom-up, so a large index costs
     # no recursion depth.
@@ -173,28 +175,22 @@ class NewtonFamily:
         """Power sum N_m in sigma-coordinates, by the Newton identities."""
         if m < 0:
             raise ValueError("newton index must be >= 0")
-        k = self.k
-        cache = self._newton
+        k, sigma, cache = self.k, self._sigma, self._newton
         for n in range(len(cache), m + 1):
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for h in range(1, min(n - 1, k) + 1):
-                _add_product(acc, self._sigma_terms(h), cache[n - h].terms, 1 if h % 2 == 1 else -1)
+            triples = [(sigma[h], cache[n - h], 1 if h % 2 == 1 else -1) for h in range(1, min(n - 1, k) + 1)]
             if n <= k:
-                for exp, c in self._sigma_terms(n).items():
-                    _accumulate(acc, exp, c * ((-1) ** (n - 1) * n))
-            cache[n] = Poly._trusted(self.space, acc)
+                triples.append((sigma[n], sigma[0], (-1) ** (n - 1) * n))
+            cache[n] = Poly.sum_of_products(self.space, triples)
         return cache[m]
 
     def derived(self, m: int) -> Poly:
         """DN_m: seeds DN_0 = 1, DN_m = 0 on [-k+1, -1], then the signed recurrence."""
         if m < -self.k + 1:
             raise ValueError(f"derived newton index must be >= {-self.k + 1}")
-        cache = self._derived
+        sigma, cache = self._sigma, self._derived
         for n in range(max(cache) + 1, m + 1):
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for h in range(1, self.k + 1):
-                _add_product(acc, self._sigma_terms(h), cache[n - h].terms, 1 if h % 2 == 1 else -1)
-            cache[n] = Poly._trusted(self.space, acc)
+            cache[n] = Poly.sum_of_products(self.space, ((sigma[h], cache[n - h], 1 if h % 2 == 1 else -1)
+                                                         for h in range(1, self.k + 1)))
         return cache[m]
 
     def primitive(self, m: int) -> Poly:
@@ -203,13 +199,9 @@ class NewtonFamily:
             raise ValueError("primitive newton index must be >= 1")
         if m not in self._primitive:
             hmax = self.k if m >= self.k + 1 else m - 1
-            one = {(0,) * self.k: 1}
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for h in range(0, hmax + 1):
-                sign = -1 if (h - 1) % 2 else 1
-                factor = self._sigma_terms(h) if h else one
-                _add_product(acc, factor, self.newton(m - h).terms, Fraction(sign, m - h))
-            self._primitive[m] = Poly._trusted(self.space, acc)
+            self._primitive[m] = Poly.sum_of_products(self.space, (
+                (self._sigma[h], self.newton(m - h), Fraction(-1 if (h - 1) % 2 else 1, m - h))
+                for h in range(hmax + 1)))
         return self._primitive[m]
 
 
@@ -259,15 +251,11 @@ def symmetrize(p: Poly, h: int, k: int) -> Poly:
         raise ValueError(f"need 1 <= h <= k, got h={h}, k={k}")
     if p.space != x_space(h):
         raise ValueError(f"expected a polynomial over {x_space(h)}")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for image in permutations(range(k), h):
-        for exp, c in p.terms.items():
-            new = [0] * k
-            for slot, e in enumerate(exp):
-                new[image[slot]] = e
-            _accumulate(out, tuple(new), c)
-    scale = Fraction(factorial(k - h), factorial(k))
-    return Poly._trusted(x_space(k), {e: _canon(c * scale) for e, c in out.items()})
+    space = x_space(k)
+    xs = [Poly.variable(space, "x", i) for i in range(1, k + 1)]
+    orbit = Poly.sum(space, (p.compose(space, {("x", slot): xs[i] for slot, i in enumerate(image, start=1)})
+                             for image in permutations(range(k), h)))
+    return orbit.scale(Fraction(factorial(k - h), factorial(k)))
 
 
 def _determinant(rows: list[list[Poly]], space) -> Poly:
@@ -279,18 +267,10 @@ def _determinant(rows: list[list[Poly]], space) -> Poly:
         if r == n:
             return Poly.one(space)
         key = (r, mask)
-        if key in memo:
-            return memo[key]
-        acc: dict[tuple[int, ...], Fraction] = {}
-        sign = 1
-        for c in range(n):
-            if not mask & (1 << c):
-                continue
-            entry = rows[r][c]
-            if not entry.is_zero():
-                _add_product(acc, entry.terms, rec(r + 1, mask & ~(1 << c)).terms, sign)
-            sign = -sign
-        memo[key] = Poly._trusted(space, acc)
+        if key not in memo:
+            cols = [c for c in range(n) if mask & (1 << c)]
+            memo[key] = Poly.sum_of_products(space, ((rows[r][c], rec(r + 1, mask & ~(1 << c)), (-1) ** t)
+                                                     for t, c in enumerate(cols) if rows[r][c]))
         return memo[key]
 
     return rec(0, (1 << n) - 1)

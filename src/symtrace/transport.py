@@ -43,7 +43,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial, perm, prod
 from operator import add, ge, sub
 
-from .poly import Poly, _accumulate, _add_product, _canon
+from .poly import Poly, _canon
 from .spaces import sigma_aux_space, sigma_space, x_space
 from .symfun import (
     NotSymmetricError,
@@ -162,16 +162,16 @@ def xi_transport(p: SymmetricOperator) -> WeylOp:
     k = p.k
     target = sigma_space(k)
     products: dict = {}  # the e-products of this call, shared by the images and the descents
-    images = {beta: reduce_partitions(apply_partitions(p, e_product(k, beta, products)), k, products).terms
+    images = {beta: reduce_partitions(apply_partitions(p, e_product(k, beta, products)), k, products)
               for beta in _multi_indices(k, max(p.order(), 0))}
+    # (-sigma)^gap once per gap: every gap beta - beta' is itself one of the beta
+    signed = {gap: Poly.monomial(target, gap, -1 if sum(gap) % 2 else 1) for gap in images}
     coeffs: dict[tuple[int, ...], Poly] = {}
     for beta in images:
-        acc: dict[tuple[int, ...], int | Fraction] = {}
-        for low in product(*(range(b + 1) for b in beta)):
-            gap = tuple(map(sub, beta, low))
-            binom = prod(map(comb, beta, low))
-            _add_product(acc, {gap: -binom if sum(gap) % 2 else binom}, images[low])
-        coeffs[beta] = Poly._trusted(target, acc).scale(Fraction(1, prod(map(factorial, beta))))
+        taylor = Poly.sum_of_products(target, (
+            (signed[tuple(map(sub, beta, low))], images[low], prod(map(comb, beta, low)))
+            for low in product(*(range(b + 1) for b in beta))))
+        coeffs[beta] = taylor.scale(Fraction(1, prod(map(factorial, beta))))
     return WeylOp(target, coeffs)
 
 
@@ -226,20 +226,12 @@ def decompose_derivation(d: SymmetricOperator) -> list[tuple[int, Poly]]:
 def _reduce_aux_powers(p: Poly, k: int) -> Poly:
     """Rewrite t^k as sum_h (-1)^(h-1) s_h t^(k-h) until the t-degree is < k."""
     space = p.space
-    tpos = space.position("t", 1)
     t = Poly.variable(space, "t")
     step = Poly.sum(space, (Poly.variable(space, "sigma", h) * t ** (k - h) * (-1) ** (h - 1)
                             for h in range(1, k + 1)))
     while p.degree_in("t") >= k:
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in p.terms.items():
-            if exp[tpos] >= k:
-                lowered = list(exp)
-                lowered[tpos] -= k
-                _add_product(out, {tuple(lowered): c}, step.terms)
-            else:
-                _accumulate(out, exp, c)
-        p = Poly._trusted(space, out)
+        p = Poly.sum(space, (b.embed(space, "t", (e - k,)) * step if e >= k else b.embed(space, "t", (e,))
+                             for (e,), b in p.collect("t").items()))
     return p
 
 

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import shallow_stack
-from symtrace.annihilators import op_A, op_T
+from symtrace.annihilators import generator_system, op_A, op_T
 from symtrace.charvar import (
     NotOnVarietyError,
     char_poly_value,
     decompose_in_minors,
-    minor_matches_symbol,
+    minor_generator,
     minors,
     recombine,
     rewrite_eta_product,
@@ -43,9 +43,11 @@ def test_minor_values():
 
 def test_minors_match_generator_symbols():
     for k in (2, 3, 4, 5, 6):
-        matches = minor_matches_symbol(k)
-        assert len(matches) == k * (k - 1) // 2
-        for (i, j), gid, sign in matches:
+        gens = generator_system(k, "newton")
+        assert len(minors(k)) == k * (k - 1) // 2
+        for (i, j), m in minors(k).items():
+            gid, sign = minor_generator((i, j))
+            assert m == gens[gid].symbol().scale(sign)
             if i == 1:
                 assert gid == f"T({j})" and sign == 1
             else:

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_sigma_poly
+from test_kernel_properties import assert_clean, coeffs, polys
 from symtrace.poly import Poly
 from symtrace.spaces import SpaceMismatchError, sigma_eta_space, sigma_space, x_space
 from symtrace.symfun import family
@@ -102,6 +105,37 @@ def test_embed_requires_the_space_without_the_family():
     for p in (x(2, 1), s(3, 1), Poly.variable(se, "eta", 1)):
         with pytest.raises(ValueError):
             p.embed(se, "eta", (0, 0))
+
+
+def test_embed_refuses_the_exponents_the_constructor_refuses():
+    se = sigma_eta_space(1)
+    for block in ((1.5,), (True,), (-1,), ("1",)):
+        with pytest.raises(ValueError):
+            Poly(se, {(0,) + block: 1})
+        with pytest.raises(ValueError):
+            Poly.one(sigma_space(1)).embed(se, "eta", block)
+    assert Poly.one(sigma_space(1)).embed(se, "eta", (2,)) == Poly.variable(se, "eta", 1) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_sum_of_products_is_the_sum_of_scaled_products(k, data):
+    space = sigma_space(k)
+    triples = data.draw(st.lists(st.tuples(polys(space), polys(space), st.just(0) | coeffs), max_size=5))
+    # some triples again with c negated: those products cancel
+    again = data.draw(st.lists(st.sampled_from(triples), max_size=3)) if triples else []
+    triples = data.draw(st.permutations(triples + [(a, b, -c) for a, b, c in again]))
+    got = Poly.sum_of_products(space, iter(triples))
+    assert_clean(got)
+    assert got == Poly.sum(space, ((a * b).scale(c) for a, b, c in triples))
+    assert Poly.sum_of_products(space, triples + [(a, b, -c) for a, b, c in triples]).terms == {}
+    assert Poly.sum_of_products(space, ()) == Poly.zero(space)
+    # a factor over another space is refused wherever it stands
+    other = Poly.one(sigma_space(k + 1))
+    pos = data.draw(st.integers(0, len(triples)))
+    for bad in ((other, Poly.one(space), 1), (Poly.one(space), other, 1)):
+        with pytest.raises(SpaceMismatchError):
+            Poly.sum_of_products(space, triples[:pos] + [bad] + triples[pos:])
 
 
 def test_ring_operations_refuse_other_types():

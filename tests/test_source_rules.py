@@ -44,6 +44,35 @@ def test_no_running_sum_in_a_loop():
     assert sorted(set(found)) == []
 
 
+# poly.py and weyl.py are the kernel: only they build term dicts with the
+# private helpers; everything above them goes through Poly.sum,
+# Poly.sum_of_products, collect/embed, scale or the validated constructor
+KERNEL = {"poly.py", "weyl.py"}
+KERNEL_HELPER_EDGES = {  # function -> why it may wrap a term dict
+    "symfun.reduce_partitions": "partition coefficients become sigma-terms here; the exponents are "
+                                "gaps of partitions, clean by construction, and validating them "
+                                "cost about 5% more calls on xi S6",
+}
+
+
+def test_only_the_kernel_uses_the_term_dict_helpers():
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name in KERNEL:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scope = {}  # node -> innermost enclosing function (ast.walk goes outside in)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "_add_product"
+                    or isinstance(node, ast.alias) and node.name == "_add_product"
+                    or isinstance(node, ast.Attribute) and node.attr == "_trusted"):
+                found.add(f"{path.stem}.{scope.get(node, '<module>')}")
+    assert sorted(found) == sorted(KERNEL_HELPER_EDGES)
+
+
 def test_every_function_the_benchmark_tracer_wraps_runs_its_own_code():
     # bench/selftest.py counts the calls to each wrapped function through its
     # code object; a functools.cache wrapper has none, and a hit skips it
