@@ -177,26 +177,29 @@ def decompose_in_minors(f: Poly, k: int) -> dict[MinorId, Poly]:
     """
     if f.space != sigma_eta_space(k):
         raise ValueError(f"expected a polynomial over {sigma_eta_space(k)}")
-    if len({sum(e) for e in f.collect("eta")}) > 1:
+    blocks = f.collect("eta")
+    degrees = {sum(e) for e in blocks}
+    if len(degrees) > 1:
         raise ValueError("input must be homogeneous in eta")
-    d = f.degree_in("eta")
-    if not f.is_zero() and d <= 1:
+    if degrees and max(degrees) <= 1:
         raise NotOnVarietyError(
             "eta-degree <= 1 polynomials vanish on the variety only when zero"
         )
-    coeffs = _descend(f, k)
+    coeffs = _descend(blocks, k)
     if recombine(k, coeffs) != f:
         raise AssertionError("minor decomposition failed to recombine")
     return coeffs
 
 
-def _descend(f: Poly, k: int) -> dict[MinorId, Poly]:
+def _descend(blocks: dict[tuple[int, ...], Poly], k: int) -> dict[MinorId, Poly]:
+    """The minor coefficients of an eta-homogeneous f, given as its eta-blocks f.collect("eta")."""
     se = sigma_eta_space(k)
     # the (u, w, 1) product triples of each minor coefficient, over all levels
     factors: dict[MinorId, list[tuple[Poly, Poly, int]]] = {}
-    # f = eta_k^level * g modulo the minors, with the triples of the levels above in factors
-    g, level, d = f, 0, f.degree_in("eta")
-    while g:
+    # f = eta_k^level * g modulo the minors, with blocks = g.collect("eta") and
+    # the triples of the levels above in factors
+    level, d = 0, max(map(sum, blocks), default=-1)
+    while blocks:
         if d <= 1:
             # a nonzero eta-linear cofactor does not vanish on the variety
             raise NotOnVarietyError("polynomial does not vanish on the variety")
@@ -204,7 +207,7 @@ def _descend(f: Poly, k: int) -> dict[MinorId, Poly]:
         # eta_i eta_j is the first pair of eta factors of an eta_k-free block
         rest: list[Poly] = []
         groups: dict[tuple[int, int], list[Poly]] = {}
-        for e, c in g.collect("eta").items():
+        for e, c in blocks.items():
             low = list(e)
             if e[-1]:
                 low[-1] -= 1
@@ -224,7 +227,8 @@ def _descend(f: Poly, k: int) -> dict[MinorId, Poly]:
                 factors.setdefault(mid, []).append((uc.embed(se, "eta", lift), w, 1))
             vw.append((v, w, 1))
         # eta_i eta_j w = sum_a u_a m_a w + eta_k v w, so the next g is rest + sum v w
-        g, level, d = Poly.sum(se, [*rest, Poly.sum_of_products(se, vw)]), level + 1, d - 1
+        g = Poly.sum(se, [*rest, Poly.sum_of_products(se, vw)])
+        blocks, level, d = g.collect("eta"), level + 1, d - 1
     coeffs = {mid: Poly.sum_of_products(se, triples) for mid, triples in factors.items()}
     return {mid: c for mid, c in coeffs.items() if c}
 

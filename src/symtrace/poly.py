@@ -28,21 +28,22 @@ Polynomials are built and summed in one way each:
   case.
 - ``Poly.sum_of_products(space, triples)`` is the one way to sum
   products: c * a * b over triples (a, b, c), streamed the same way.
-  ``a * b`` is its one-triple case.
+  ``a * b`` is its one-triple case, and ``compose`` and the products and
+  actions of ``weyl`` are built on it.
 - ``_accumulate(out, key, c)`` adds ``c`` into ``out[key]``, stores the
-  sum in canonical form and drops the key when the sum cancels;
-  ``_add_product`` accumulates a product of two term dicts through it.
+  sum in canonical form and drops the key when the sum cancels.
 
-Term dicts are built only here and in ``weyl``, whose product and
-``apply`` stream into one dict through ``_add_product``, and at one
-edge: ``symfun.reduce_partitions`` wraps the sigma-terms of its descent,
-whose exponents are gaps of partitions and clean by construction.
+Term dicts are built only here, and at one edge:
+``symfun.reduce_partitions`` accumulates the sigma-terms of its descent
+and wraps them, since their exponents are gaps of partitions and clean
+by construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, neg
+from functools import reduce
+from operator import add, mul, neg
 from typing import Iterable, Mapping
 
 from .spaces import SpaceMismatchError, VarSpace
@@ -80,20 +81,6 @@ def _accumulate(out: dict, key, c) -> None:
         out[key] = _canon(c)
     else:
         out.pop(key, None)
-
-
-def _add_product(out: dict, a: Mapping, b: Mapping, c=1) -> None:
-    """Accumulate c * a * b into out, where a and b are term dicts.
-
-    A unit factor from a skips the product, so a should be the
-    side with fewer terms and with unit coefficients when there is one.
-    """
-    for e1, c1 in a.items():
-        if c != 1:
-            c1 = c1 * c
-        unit = c1 == 1
-        for e2, c2 in b.items():
-            _accumulate(out, tuple(map(add, e1, e2)), c2 if unit else c1 * c2)
 
 
 def term_sort_key(exp: tuple[int, ...]):
@@ -181,8 +168,9 @@ class Poly:
         over space; zero when there are none.
 
         Each product accumulates into one running dict, with the factor
-        of fewer terms walked in the outer loop.  Triples are drawn one
-        at a time and none is kept.
+        of fewer terms walked in the outer loop; a unit coefficient there
+        skips its multiplication.  Triples are drawn one at a time and
+        none is kept.
         """
         out: dict[tuple[int, ...], int | Fraction] = {}
         for a, b, c in triples:
@@ -193,7 +181,13 @@ class Poly:
             c = _as_coeff(c)
             if c:
                 small, big = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
-                _add_product(out, small.terms, big.terms, c)
+                big = big.terms.items()
+                for e1, c1 in small.terms.items():
+                    if c != 1:
+                        c1 = c1 * c
+                    unit = c1 == 1
+                    for e2, c2 in big:
+                        _accumulate(out, tuple(map(add, e1, e2)), c2 if unit else c1 * c2)
         return Poly._trusted(space, out)
 
     def __add__(self, other: Poly) -> Poly:
@@ -223,6 +217,8 @@ class Poly:
         c = _as_coeff(c)
         if c == 0:
             return Poly.zero(self.space)
+        if c == 1:
+            return self
         return Poly._trusted(self.space, {e: _canon(c * v) for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> Poly:
@@ -331,24 +327,20 @@ class Poly:
         def img_pow(pos: int, e: int) -> Poly:
             key = (pos, e)
             if key not in power_cache:
+                if pos not in positions:
+                    raise KeyError(f"no image supplied for {self.space.var_names()[pos]}")
                 power_cache[key] = positions[pos] ** e
             return power_cache[key]
 
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            piece = None
-            for pos, e in enumerate(exp):
-                if e:
-                    if pos not in positions:
-                        name = self.space.var_names()[pos]
-                        raise KeyError(f"no image supplied for {name}")
-                    piece = img_pow(pos, e) if piece is None else piece * img_pow(pos, e)
-            if piece is None:
-                _accumulate(out, (0,) * target.nvars, c)
-            else:
-                for img_exp, v in piece.terms.items():
-                    _accumulate(out, img_exp, c * v)
-        return Poly._trusted(target, out)
+        one = Poly.one(target)
+
+        def triples():
+            # c times the image powers of exp, the last power as the second factor
+            for exp, c in self.terms.items():
+                *head, last = [img_pow(pos, e) for pos, e in enumerate(exp) if e] or [one]
+                yield (reduce(mul, head) if head else one), last, c
+
+        return Poly.sum_of_products(target, triples())
 
     def swap(self, family: str, i: int, j: int) -> Poly:
         """Apply the transposition of variables i and j inside a family."""

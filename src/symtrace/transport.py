@@ -147,7 +147,7 @@ def apply_partitions(p: SymmetricOperator, f: dict) -> dict:
         acc = 0
         for alpha, beta, c in terms:
             if all(map(ge, lam, alpha)):
-                nu = tuple(l - a + b for l, a, b in zip(lam, alpha, beta))
+                nu = tuple(map(add, map(sub, lam, alpha), beta))
                 v = f.get(_partition(nu))
                 if v:
                     acc += c * v * prod(map(perm, nu, beta))

@@ -6,26 +6,29 @@ symbol: one Poly over (sigma, eta) or (x, xi) in which a_beta d^beta is
 the term a_beta eta^beta (xi^beta over x).  Sums, scalings, equality,
 weights and swaps are those of the polynomial, and the order is its
 degree in the dual family.  Products normal-order eagerly through the
-Leibniz rule written on symbols, grouped by the partial index beta of
-the left factor,
+composition formula for normally ordered symbols,
 
-    A . B = sum_beta sum_{delta <= beta} binom(beta, delta) a_beta eta^(beta-delta) d_s^delta B
+    sigma(A . B) = sum_delta (1/delta!) d_eta^delta sigma(A) . d_s^delta sigma(B)
 
-with binom(beta, delta) = prod_h C(beta_h, delta_h) and d_s^delta acting
-on the coefficient variables only.  The nonzero derivatives d_s^delta B
-are found once per product, through the derivative memo that ``apply``
-uses too, and only those delta enter the sum.  Structural equality
-decides operator identity.  ``terms`` is the nested view {beta: a_beta}.
+with delta! = prod_h delta_h! and d_s^delta acting on the coefficient
+variables only.  Against d_eta^delta the 1/delta! gives the binomials
+binom(beta, delta) of the Leibniz rule, so integral symbols keep integral
+coefficients.  The nonzero derivatives d_s^delta sigma(B) are found once
+per product, through the derivative memo that ``apply`` uses too, and
+only those delta enter the sum.  Structural equality decides operator
+identity.  ``terms`` is the nested view {beta: a_beta}.  Every operation
+goes through the Poly API (embed, collect, sum, sum_of_products), so no
+term dict is built here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, prod
-from operator import gt, le, sub
+from math import factorial, prod
+from operator import gt
 from typing import Iterable, Mapping
 
-from .poly import Poly, _add_product, term_sort_key
+from .poly import Poly, term_sort_key
 from .spaces import VarSpace, check_same_space, sigma_eta_space, sigma_space, x_space, x_xi_space
 
 _DUAL = {"x": "xi", "sigma": "eta"}
@@ -75,17 +78,19 @@ class WeylOp:
     def __init__(self, space: VarSpace, terms: Mapping[tuple[int, ...], Poly] | None = None):
         family = _carrier_family(space)
         k = space.nvars
-        full: dict[tuple[int, ...], int | Fraction] = {}
-        for dexp, coeff in (terms or {}).items():
-            dexp = tuple(dexp)
-            if len(dexp) != k or any(type(e) is not int or e < 0 for e in dexp):
-                raise ValueError(f"bad partial multi-index {dexp}")
-            if coeff.space != space:
-                raise ValueError("coefficient space must match the operator space")
-            for exp, c in coeff.terms.items():
-                full[exp + dexp] = c
         dual = sigma_eta_space(k) if family == "sigma" else x_xi_space(k)
-        WeylOp._init(self, space, family, Poly._trusted(dual, full))
+
+        def blocks():  # a_beta eta^beta, embedded one at a time
+            for dexp, coeff in (terms or {}).items():
+                if coeff.space != space:
+                    raise ValueError("coefficient space must match the operator space")
+                try:
+                    block = coeff.embed(dual, _DUAL[family], dexp)
+                except ValueError:
+                    raise ValueError(f"bad partial multi-index {tuple(dexp)}") from None
+                yield block
+
+        WeylOp._init(self, space, family, Poly.sum(dual, blocks()))
 
     @staticmethod
     def _init(obj: WeylOp, space: VarSpace, family: str, poly: Poly) -> WeylOp:
@@ -169,26 +174,21 @@ class WeylOp:
             return NotImplemented
         check_same_space(self, other)
         k = self.space.nvars
-        derivs = {(0,) * k: other.poly}
+        zero = (0,) * k
+        derivs = {zero: other.poly}
         # the delta with d_s^delta B nonzero, grown from 0 one partial at a time
-        fan = [(0,) * k]
+        fan = [zero]
         for delta in fan:
             for pos in range(k):
                 up = delta[:pos] + (delta[pos] + 1,) + delta[pos + 1:]
                 if up not in derivs and _derivative(derivs, up):
                     fan.append(up)
-        # eta^-delta d_s^delta B: times a_beta eta^beta it carries eta^(beta-delta)
-        lowered = {delta: {e[:k] + tuple(map(sub, e[k:], delta)): c for e, c in derivs[delta].terms.items()}
-                   for delta in fan}
-        by_beta: dict[tuple[int, ...], dict] = {}
-        for exp, c in self.poly.terms.items():
-            by_beta.setdefault(exp[k:], {})[exp] = c
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        for beta, a in by_beta.items():
-            for delta, db in lowered.items():
-                if all(map(le, delta, beta)):
-                    _add_product(out, a, db, prod(map(comb, beta, delta)))
-        return self._like(Poly._trusted(self.poly.space, out))
+        # d_eta^delta A / delta! from a memo over the 2k variables of A's symbol;
+        # it takes a_beta eta^beta to binom(beta, delta) a_beta eta^(beta-delta)
+        eta_derivs = {zero + zero: self.poly}
+        return self._like(Poly.sum_of_products(self.poly.space, (
+            (_derivative(eta_derivs, zero + delta).scale(Fraction(1, prod(map(factorial, delta)))), derivs[delta], 1)
+            for delta in fan)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -211,13 +211,8 @@ class WeylOp:
         derivs = {} if derivs is None else derivs
         if derivs.setdefault((0,) * self.space.nvars, f) is not f:
             raise ValueError("the derivative memo belongs to another polynomial")
-        k = self.space.nvars
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        for exp, c in self.poly.terms.items():
-            d = _derivative(derivs, exp[k:])
-            if d:
-                _add_product(out, {exp[:k]: c}, d.terms)
-        return Poly._trusted(self.space, out)
+        return Poly.sum_of_products(self.space, (
+            (a, d, 1) for beta, a in self.terms.items() if (d := _derivative(derivs, beta))))
 
     # -- structure ----------------------------------------------------------------
 
@@ -238,11 +233,12 @@ class WeylOp:
 
         d/ds_h maps to eta_h (sigma-space) and d/dx_i to xi_i (x-space).
         """
-        d = self.order()
+        blocks = self.terms
+        d = max(map(sum, blocks), default=-1)
         if d < 0:
             raise ValueError("the zero operator has no symbol")
-        k = self.space.nvars
-        return Poly._trusted(self.poly.space, {exp: c for exp, c in self.poly.terms.items() if sum(exp[k:]) == d})
+        space = self.poly.space
+        return Poly.sum(space, (a.embed(space, _DUAL[self.family], beta) for beta, a in blocks.items() if sum(beta) == d))
 
     def weight(self) -> int | None:
         return self.poly.weight()

@@ -117,9 +117,12 @@ BAD_DOCUMENTS = {
     "coefficient with a huge decimal exponent": ("member", _d1_doc(inner_term={"coeff": "1e999999999"})),
     "coefficient zero denominator": ("member", _d1_doc(inner_term={"coeff": "1/0"})),
     "exponent half": ("member", _d1_doc(inner_term={"exp": [0.5, 0]})),
+    "exponent negative": ("member", _d1_doc(inner_term={"exp": [-1, 0]})),
     "exponent bool": ("member", _d1_doc(inner_term={"exp": [True, 0]})),
     "exponent array inside an exponent": ("member", _d1_doc(inner_term={"exp": [[0], 0]})),
     "partial index half": ("member", _d1_doc(term={"dexp": [0.5, 0]})),
+    "partial index negative": ("member", _d1_doc(term={"dexp": [-1, 0]})),
+    "partial index too short": ("member", _d1_doc(term={"dexp": [1]})),
     "repeated exponent": ("member", _d1_doc(term={"coeff": {"space": "sigma:2", "terms": 2 * [{"coeff": "1/1", "exp": [0, 0]}]}})),
     "repeated partial index": ("member", _d1_doc(outer={"terms": 2 * _d1_doc()["terms"]})),
     "decompose top-level array": ("charvar", []),

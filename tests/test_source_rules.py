@@ -44,11 +44,12 @@ def test_no_running_sum_in_a_loop():
     assert sorted(set(found)) == []
 
 
-# poly.py and weyl.py are the kernel: only they build term dicts with the
-# private helpers; everything above them goes through Poly.sum,
+# poly.py is the kernel: only it builds term dicts with the private
+# helpers; everything above it, weyl.py included, goes through Poly.sum,
 # Poly.sum_of_products, collect/embed, scale or the validated constructor
-KERNEL = {"poly.py", "weyl.py"}
-KERNEL_HELPER_EDGES = {  # function -> why it may wrap a term dict
+KERNEL = {"poly.py"}
+KERNEL_HELPERS = {"_accumulate", "_trusted"}
+KERNEL_HELPER_EDGES = {  # function -> why it may build and wrap a term dict
     "symfun.reduce_partitions": "partition coefficients become sigma-terms here; the exponents are "
                                 "gaps of partitions, clean by construction, and validating them "
                                 "cost about 5% more calls on xi S6",
@@ -66,9 +67,10 @@ def test_only_the_kernel_uses_the_term_dict_helpers():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope.update(dict.fromkeys(ast.walk(fn), fn.name))
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Name) and node.id == "_add_product"
-                    or isinstance(node, ast.alias) and node.name == "_add_product"
-                    or isinstance(node, ast.Attribute) and node.attr == "_trusted"):
+            # each use is a name or an attribute; an import counts where it renames a helper
+            if (isinstance(node, ast.Name) and node.id in KERNEL_HELPERS
+                    or isinstance(node, ast.alias) and node.name in KERNEL_HELPERS and node.asname
+                    or isinstance(node, ast.Attribute) and node.attr in KERNEL_HELPERS):
                 found.add(f"{path.stem}.{scope.get(node, '<module>')}")
     assert sorted(found) == sorted(KERNEL_HELPER_EDGES)
 

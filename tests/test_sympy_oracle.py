@@ -270,9 +270,9 @@ def test_transport_of_s_h_in_sympy(k):
 
 @st.composite
 def operator_pairs(draw):
-    """Two nonzero sigma-operators with |beta| <= 2 and nonzero coefficients, and an operand."""
+    """Two nonzero sigma- or x-operators with |beta| <= 2 and nonzero coefficients, and an operand."""
     k = draw(st.integers(1, 3))
-    space = sigma_space(k)
+    space = draw(st.sampled_from([sigma_space, x_space]))(k)
     small = st.tuples(*[st.integers(0, 2)] * k)
     nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
     coeffs = st.dictionaries(small, nonzero, min_size=1, max_size=3).map(lambda t: Poly(space, t))
