@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .poly import Poly
-from .spaces import VarSpace, sigma_eta_space, sigma_space
+from .spaces import VarSpace, check_space, sigma_eta_space, sigma_space
 from .transport import theta
 
 
@@ -110,7 +110,7 @@ def _rewrite(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Poly]:
 
 def embed_sigma(p: Poly, k: int) -> Poly:
     """View a sigma-polynomial inside the (sigma, eta) space."""
-    if p.space == sigma_eta_space(k):
+    if p.space is sigma_eta_space(k):
         return p
     return p.embed(sigma_eta_space(k), "eta", (0,) * k)
 
@@ -143,8 +143,7 @@ def vanishes_on_Z(f: Poly, k: int) -> bool:
     This is the independent chart check against which the descent of
     `decompose_in_minors` is tested; no runtime path calls it.
     """
-    if f.space != sigma_eta_space(k):
-        raise ValueError(f"expected a polynomial over {sigma_eta_space(k)}")
+    check_space(f, sigma_eta_space(k))
     target = _chart_space(k)
     t = Poly.variable(target, "t")
     sk_image = -(t ** k)
@@ -175,8 +174,7 @@ def decompose_in_minors(f: Poly, k: int) -> dict[MinorId, Poly]:
     exactly when r = 0 (see the module docstring).  The recombination
     is asserted exact.
     """
-    if f.space != sigma_eta_space(k):
-        raise ValueError(f"expected a polynomial over {sigma_eta_space(k)}")
+    check_space(f, sigma_eta_space(k))
     blocks = f.collect("eta")
     degrees = {sum(e) for e in blocks}
     if len(degrees) > 1:

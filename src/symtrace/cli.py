@@ -35,7 +35,6 @@ from .serialize import (
     weyl_from_dict,
     weyl_to_dict,
 )
-from .spaces import x_space
 from .transport import SymmetricOperator, elementary_symmetric_op, xi_transport
 
 
@@ -93,10 +92,7 @@ def cmd_xi(args) -> int:
         h = int(args.op[1:])
         sym = elementary_symmetric_op(k, h)
     else:
-        op = weyl_from_dict(_load_value(args.op, "value", "op"))
-        if op.space != x_space(k):
-            raise ValueError(f"operator must live over {x_space(k)}")
-        sym = SymmetricOperator(op, k)
+        sym = SymmetricOperator(weyl_from_dict(_load_value(args.op, "value", "op")), k)
     transported = xi_transport(sym)
     if args.format == "json":
         _print({"schema": SCHEMA, "object": "weylop", "k": k, "source": args.op,

@@ -17,7 +17,7 @@ from itertools import chain
 from .annihilators import check_images, family_members, generator_system
 from .charvar import NotOnVarietyError, decompose_in_minors, minor_generator
 from .poly import Poly
-from .spaces import sigma_space, x_space
+from .spaces import check_space, sigma_space, x_space
 from .weyl import WeylOp
 
 
@@ -66,8 +66,7 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
     """
     if p.is_zero():
         raise ValueError("the zero operator is a trivial member; nothing to reduce")
-    if p.space != sigma_space(k):
-        raise ValueError(f"expected an operator over {sigma_space(k)}")
+    check_space(p, sigma_space(k))
     bound = default_newton_bound(p, k) if newton_bound is None else newton_bound
     cert = MembershipCertificate(k=k, newton_bound=bound)
     fails = check_images({"p": p}, family_members(k, "newton", bound))
@@ -123,8 +122,7 @@ def trace_characterization_x(k: int, p: WeylOp) -> bool:
     multi-index touches at least two coordinates, so p belongs iff no
     term concentrates its partials on a single coordinate.
     """
-    if p.space != x_space(k):
-        raise ValueError(f"expected an operator over {x_space(k)}")
+    check_space(p, x_space(k))
     for dexp in p.terms:
         if sum(1 for e in dexp if e) < 2:
             return False

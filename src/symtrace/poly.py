@@ -46,7 +46,7 @@ from functools import reduce
 from operator import add, mul, neg
 from typing import Iterable, Mapping
 
-from .spaces import SpaceMismatchError, VarSpace
+from .spaces import VarSpace, check_space
 
 
 def _canon(c):
@@ -153,8 +153,8 @@ class Poly:
         """
         out: dict[tuple[int, ...], int | Fraction] = {}
         for p in pieces:
-            if p.space != space:
-                raise SpaceMismatchError(f"space mismatch: {space} vs {p.space}")
+            if p.space is not space:
+                check_space(p, space)
             terms = p.terms
             if len(terms) > len(out):
                 out, terms = dict(terms), out
@@ -174,10 +174,9 @@ class Poly:
         """
         out: dict[tuple[int, ...], int | Fraction] = {}
         for a, b, c in triples:
-            if not a.space is space is b.space:  # spaces are cached: identity is the usual case
-                for p in (a, b):
-                    if p.space != space:
-                        raise SpaceMismatchError(f"space mismatch: {space} vs {p.space}")
+            if not a.space is space is b.space:
+                check_space(a, space)
+                check_space(b, space)
             c = _as_coeff(c)
             if c:
                 small, big = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
@@ -234,7 +233,7 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.space == other.space and self.terms == other.terms
+        return isinstance(other, Poly) and self.space is other.space and self.terms == other.terms
 
     __hash__ = None
 
@@ -319,8 +318,7 @@ class Poly:
         """
         positions = {}
         for (fam, idx), img in images.items():
-            if img.space != target:
-                raise ValueError("image polynomials must live in the target space")
+            check_space(img, target)
             positions[self.space.position(fam, idx)] = img
         power_cache: dict[tuple[int, int], Poly] = {}
 
@@ -376,8 +374,7 @@ class Poly:
         fam_exp = tuple(fam_exp)
         if not _is_exponent(fam_exp, count):
             raise ValueError(f"bad {family} exponent block {fam_exp}")
-        if space.drop(family) != self.space:
-            raise ValueError(f"cannot embed a polynomial over {self.space} into {space}")
+        check_space(self, space.drop(family))
         out = {}
         for exp, c in self.terms.items():
             out[exp[:off] + fam_exp + exp[off:]] = c

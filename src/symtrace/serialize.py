@@ -3,8 +3,9 @@
 Rationals are decimal strings "p/q" (reduced, q > 0).  Terms are emitted
 in canonical graded-lex order, largest first, so serialize . parse is the
 identity and equal objects serialize to identical bytes.  Parsing
-accepts only documents of that shape, with integer coefficients allowed
-too, and refuses anything else with a ValueError.
+accepts only documents of that shape, space codes spelled as ``code()``
+writes them, with integer coefficients allowed too, and refuses anything
+else with a ValueError.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 A VarSpace declares an ordered list of indexed variable families.  Every
 Poly and WeylOp carries exactly one VarSpace; mixing spaces is an error.
-Families:
+Each layout has one VarSpace instance, so spaces compare with ``is``, and
+``check_space`` guards that an object lives over a given space.  Families:
 
     x      coordinates x_1..x_k (weight 1 each)
     sigma  elementary-symmetric coordinates s_1..s_k (weight h for s_h)
@@ -13,7 +14,6 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 FAMILY_ORDER = ("x", "sigma", "eta", "xi", "t")
@@ -37,49 +37,58 @@ def variable_weight(family: str, index: int) -> int:
     raise ValueError(f"unknown variable family {family!r}")
 
 
-@dataclass(frozen=True)
 class VarSpace:
-    """An ordered tuple of (family, count) pairs; indices run 1..count."""
+    """An ordered tuple of (family, count) pairs; indices run 1..count.
+    The first ``VarSpace(families)`` of a layout validates it and stores
+    its variable count and each family's (offset, count); later calls
+    return that instance."""
 
-    families: tuple[tuple[str, int], ...]
+    __slots__ = ("families", "nvars", "_layout")
+    _interned: dict[tuple, VarSpace] = {}
 
-    def __post_init__(self):
-        seen = []
-        for fam, count in self.families:
-            if fam not in FAMILY_ORDER:
-                raise ValueError(f"unknown variable family {fam!r}")
-            if count < 1:
-                raise ValueError(f"family {fam!r} needs at least one variable")
-            if fam == "t" and count != 1:
-                raise ValueError("the auxiliary family holds exactly one variable")
-            seen.append(fam)
-        if seen != sorted(set(seen), key=FAMILY_ORDER.index) or len(seen) != len(set(seen)):
-            raise ValueError("families must appear once each, in canonical order")
+    def __new__(cls, families):
+        families = tuple(map(tuple, families))
+        space = cls._interned.get(families)
+        if space is None:
+            layout, nvars = {}, 0
+            for fam, count in families:
+                if fam not in FAMILY_ORDER:
+                    raise ValueError(f"unknown variable family {fam!r}")
+                if count < 1:
+                    raise ValueError(f"family {fam!r} needs at least one variable")
+                if fam == "t" and count != 1:
+                    raise ValueError("the auxiliary family holds exactly one variable")
+                layout[fam] = (nvars, count)
+                nvars += count
+            if len(layout) < len(families) or list(layout) != sorted(layout, key=FAMILY_ORDER.index):
+                raise ValueError("families must appear once each, in canonical order")
+            space = object.__new__(cls)
+            object.__setattr__(space, "families", families)
+            object.__setattr__(space, "nvars", nvars)
+            object.__setattr__(space, "_layout", layout)
+            cls._interned[families] = space
+        return space
 
-    @property
-    def nvars(self) -> int:
-        return sum(count for _, count in self.families)
+    def __setattr__(self, name, value):
+        raise AttributeError("VarSpace is immutable")
+
+    def __reduce__(self):  # copy, deepcopy and pickle return the interned instance
+        return VarSpace, (self.families,)
 
     def family_count(self, family: str) -> int:
-        for fam, count in self.families:
-            if fam == family:
-                return count
-        return 0
+        return self._layout.get(family, (0, 0))[1]
 
     def offset(self, family: str) -> int:
-        pos = 0
-        for fam, count in self.families:
-            if fam == family:
-                return pos
-            pos += count
-        raise KeyError(f"family {family!r} not in space {self}")
+        if family not in self._layout:
+            raise KeyError(f"family {family!r} not in space {self}")
+        return self._layout[family][0]
 
     def position(self, family: str, index: int) -> int:
         """Global slot of the index-th variable of a family (1-based index)."""
-        count = self.family_count(family)
+        off, count = self._layout.get(family, (0, 0))
         if not 1 <= index <= count:
             raise KeyError(f"{family}{index} not in space {self}")
-        return self.offset(family) + index - 1
+        return off + index - 1
 
     def var_names(self) -> tuple[str, ...]:
         names = []
@@ -108,14 +117,23 @@ class VarSpace:
 
     @staticmethod
     def from_code(code: str) -> VarSpace:
+        """The space whose ``code()`` is code; any other spelling is refused."""
         families = []
         for token in code.split("+"):
             fam, _, count = token.partition(":")
             families.append((fam, int(count)))
-        return VarSpace(tuple(families))
+        space = VarSpace(families)
+        if space.code() != code:
+            raise ValueError(f"space code {code!r:.40} is not canonical; write {space.code()!r:.40}")
+        return space
 
-    def __str__(self):
-        return self.code()
+    __str__ = __repr__ = code
+
+
+def check_space(obj, space: VarSpace) -> None:
+    """Raise SpaceMismatchError unless obj (a Poly or WeylOp) lives over space."""
+    if obj.space is not space:
+        raise SpaceMismatchError(f"space mismatch: expected {space}, got {obj.space}")
 
 
 @cache
@@ -142,8 +160,3 @@ def x_xi_space(k: int) -> VarSpace:
 def sigma_aux_space(k: int) -> VarSpace:
     """sigma_1..sigma_k together with the auxiliary variable t."""
     return VarSpace((("sigma", k), ("t", 1)))
-
-
-def check_same_space(a, b) -> None:
-    if a.space != b.space:
-        raise SpaceMismatchError(f"space mismatch: {a.space} vs {b.space}")

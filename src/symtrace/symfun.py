@@ -37,7 +37,7 @@ from math import factorial
 from operator import add, ge, sub
 
 from .poly import Poly, _accumulate, _canon, term_sort_key
-from .spaces import sigma_space, x_space
+from .spaces import check_space, sigma_space, x_space
 
 
 class NotSymmetricError(ValueError):
@@ -138,16 +138,14 @@ def reduce_to_sigma(p: Poly, k: int) -> Poly:
     through `reduce_partitions`.  The output composed with e(x)
     reproduces the input exactly.
     """
-    if p.space != x_space(k):
-        raise ValueError(f"expected a polynomial over {x_space(k)}, got {p.space}")
+    check_space(p, x_space(k))
     assert_symmetric(p, k)
     return reduce_partitions({e: c for e, c in p.terms.items() if all(map(ge, e, e[1:]))}, k, {})
 
 
 def sigma_to_x(p: Poly, k: int) -> Poly:
     """Substitute s_h -> e_h(x): the exact inverse direction of reduce_to_sigma."""
-    if p.space != sigma_space(k):
-        raise ValueError(f"expected a polynomial over {sigma_space(k)}, got {p.space}")
+    check_space(p, sigma_space(k))
     images = {("sigma", h): elementary_symmetric(k, h) for h in range(1, k + 1)}
     return p.compose(x_space(k), images)
 
@@ -249,8 +247,7 @@ def symmetrize(p: Poly, h: int, k: int) -> Poly:
     with the (k-h)!/k! prefactor; the result is symmetric in x_1..x_k."""
     if not 1 <= h <= k:
         raise ValueError(f"need 1 <= h <= k, got h={h}, k={k}")
-    if p.space != x_space(h):
-        raise ValueError(f"expected a polynomial over {x_space(h)}")
+    check_space(p, x_space(h))
     space = x_space(k)
     xs = [Poly.variable(space, "x", i) for i in range(1, k + 1)]
     orbit = Poly.sum(space, (p.compose(space, {("x", slot): xs[i] for slot, i in enumerate(image, start=1)})

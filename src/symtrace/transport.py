@@ -44,7 +44,7 @@ from math import comb, factorial, perm, prod
 from operator import add, ge, sub
 
 from .poly import Poly, _canon
-from .spaces import sigma_aux_space, sigma_space, x_space
+from .spaces import check_space, sigma_aux_space, sigma_space, x_space
 from .symfun import (
     NotSymmetricError,
     _partition,
@@ -65,8 +65,7 @@ class SymmetricOperator:
     k: int
 
     def __post_init__(self):
-        if self.op.space != x_space(self.k):
-            raise ValueError(f"operator must live over {x_space(self.k)}")
+        check_space(self.op, x_space(self.k))
         for i in range(1, self.k):
             if self.op.swap(i, i + 1) != self.op:
                 raise NotSymmetricError("x", i, i + 1)

@@ -29,7 +29,7 @@ from operator import gt
 from typing import Iterable, Mapping
 
 from .poly import Poly, term_sort_key
-from .spaces import VarSpace, check_same_space, sigma_eta_space, sigma_space, x_space, x_xi_space
+from .spaces import VarSpace, check_space, sigma_eta_space, sigma_space, x_space, x_xi_space
 
 _DUAL = {"x": "xi", "sigma": "eta"}
 
@@ -82,8 +82,7 @@ class WeylOp:
 
         def blocks():  # a_beta eta^beta, embedded one at a time
             for dexp, coeff in (terms or {}).items():
-                if coeff.space != space:
-                    raise ValueError("coefficient space must match the operator space")
+                check_space(coeff, space)
                 try:
                     block = coeff.embed(dual, _DUAL[family], dexp)
                 except ValueError:
@@ -147,7 +146,7 @@ class WeylOp:
     def __add__(self, other: WeylOp) -> WeylOp:
         if not isinstance(other, WeylOp):
             return NotImplemented
-        check_same_space(self, other)
+        check_space(other, self.space)
         return self._like(self.poly + other.poly)
 
     def __neg__(self) -> WeylOp:
@@ -156,7 +155,7 @@ class WeylOp:
     def __sub__(self, other: WeylOp) -> WeylOp:
         if not isinstance(other, WeylOp):
             return NotImplemented
-        check_same_space(self, other)
+        check_space(other, self.space)
         return self._like(self.poly - other.poly)
 
     def scale(self, c) -> WeylOp:
@@ -172,7 +171,7 @@ class WeylOp:
             return self.scale(other)
         if not isinstance(other, WeylOp):
             return NotImplemented
-        check_same_space(self, other)
+        check_space(other, self.space)
         k = self.space.nvars
         zero = (0,) * k
         derivs = {zero: other.poly}
@@ -206,8 +205,7 @@ class WeylOp:
         Pass the same `derivs` dict (empty at first) to every operator
         applied to one f and they share the derivative memo.
         """
-        if f.space != self.space:
-            raise ValueError(f"operand space {f.space} differs from operator space {self.space}")
+        check_space(f, self.space)
         derivs = {} if derivs is None else derivs
         if derivs.setdefault((0,) * self.space.nvars, f) is not f:
             raise ValueError("the derivative memo belongs to another polynomial")
@@ -224,7 +222,7 @@ class WeylOp:
         return self.poly.degree_in(_DUAL[self.family])
 
     def __eq__(self, other):
-        return isinstance(other, WeylOp) and self.space == other.space and self.poly == other.poly
+        return isinstance(other, WeylOp) and self.space is other.space and self.poly == other.poly
 
     __hash__ = None
 

@@ -130,6 +130,13 @@ BAD_DOCUMENTS = {
     "decompose coefficient float": ("charvar", _poly_doc(coeff=0.1)),
     "decompose exponent half": ("charvar", _poly_doc(exp=[0, 0, 0.5, 1])),
 }
+# space codes are canonical: each spelling below names sigma:2 to int()
+# but differs from its code(), and is refused
+NONCANONICAL_SIGMA2 = ["sigma: 2", "sigma:2 ", "sigma:02", "sigma:0_2", "sigma:\u0662"]
+BAD_DOCUMENTS.update({f"space code {code!r}": ("member", _d1_doc(outer={"space": code}))
+                      for code in NONCANONICAL_SIGMA2})
+BAD_DOCUMENTS.update({f"decompose space code {code!r}": ("charvar", {**_poly_doc(), "space": code + "+eta:2"})
+                      for code in NONCANONICAL_SIGMA2})
 
 
 @pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
@@ -145,6 +152,17 @@ def test_malformed_json_input_is_one_line_error(case, capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_xi_on_an_operator_over_the_wrong_space_is_one_line_error(capsys, tmp_path):
+    # d/dx_1 + d/dx_2 is symmetric, so only the space guard refuses it at k=3
+    op = WeylOp.partial(x_space(2), 1) + WeylOp.partial(x_space(2), 2)
+    path = tmp_path / "dx_x2.json"
+    path.write_text(dumps(weyl_to_dict(op)), encoding="utf-8")
+    code, out, err = run_cli(["xi", "--k", "3", "--op", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: space mismatch: expected x:3, got x:2\n"
 
 
 def test_member_on_a_directory_is_one_line_error(capsys, tmp_path):

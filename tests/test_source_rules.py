@@ -75,6 +75,30 @@ def test_only_the_kernel_uses_the_term_dict_helpers():
     assert sorted(found) == sorted(KERNEL_HELPER_EDGES)
 
 
+def _is_space_expr(node) -> bool:
+    """A .space attribute, or a call that returns a VarSpace."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "space"
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    return name.endswith("_space") or name in ("VarSpace", "drop", "from_code")
+
+
+def test_spaces_are_compared_by_identity():
+    # each layout has one interned VarSpace, so == and != on spaces only
+    # restate `is`; guards go through spaces.check_space
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                    and any(map(_is_space_expr, [node.left, *node.comparators]))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_function_the_benchmark_tracer_wraps_runs_its_own_code():
     # bench/selftest.py counts the calls to each wrapped function through its
     # code object; a functools.cache wrapper has none, and a hit skips it
