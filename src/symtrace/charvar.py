@@ -29,7 +29,7 @@ from typing import Mapping
 
 from .poly import Poly
 from .spaces import VarSpace, check_space, sigma_eta_space, sigma_space
-from .transport import theta
+from .symfun import char_poly, horner, theta
 
 
 class NotOnVarietyError(ValueError):
@@ -242,19 +242,10 @@ class ZPoint:
     zeta1: Fraction
 
 
-def char_poly_value(sigma, z):
-    """P(z) = z^k + sum_h (-1)^h s_h z^(k-h), evaluated exactly."""
-    k = len(sigma)
-    acc = z ** k
-    for h, sh in enumerate(sigma, start=1):
-        acc += (-1) ** h * sh * z ** (k - h)
-    return acc
-
-
 def sample_z_points(k: int, seed: int, n: int) -> list[ZPoint]:
     """Draw n exact points: integer t != 0 and s_1..s_{k-1} in [-10,10],
-    s_k solved from the hypersurface relation, then sigma_h = (-1)^h s_h
-    and eta_h = t^(k-h).  Every returned point kills all minors."""
+    s_k solved from P_s(t) = 0, then sigma_h = (-1)^h s_h and
+    eta_h = t^(k-h).  Every returned point kills all minors."""
     if n < 1:
         raise ValueError("need n >= 1")
     rng = random.Random(seed)
@@ -265,11 +256,9 @@ def sample_z_points(k: int, seed: int, n: int) -> list[ZPoint]:
         while t == 0:
             t = Fraction(rng.randint(-10, 10))
         s = [Fraction(rng.randint(-10, 10)) for _ in range(k - 1)]
-        # sum_{h=0}^{k} (-1)^h s_h t^(k-h) = 0 with s_0 = 1, solved for s_k
-        partial = t ** k + sum((-1) ** h * s[h - 1] * t ** (k - h) for h in range(1, k))
-        sk = Fraction((-1) ** (k + 1)) * partial
-        s.append(sk)
-        sigma = tuple(Fraction((-1) ** h) * s[h - 1] for h in range(1, k + 1))
+        # P_s(t) = P_(s_1..s_(k-1), 0)(t) + (-1)^k s_k = 0, solved for s_k
+        s.append((-1) ** (k + 1) * horner(char_poly(s + [0]), t))
+        sigma = tuple(char_poly(s)[1:])
         eta = tuple(t ** (k - h) for h in range(1, k + 1))
         point = ZPoint(sigma=sigma, eta=eta, s=tuple(s), zeta0=Fraction(1), zeta1=t)
         for mid, m in ms.items():
@@ -300,13 +289,9 @@ def theta_contraction_sides(k: int, sigma, a, z) -> tuple[Fraction, Fraction]:
     for h in range(1, k + 1):
         th = theta(k, h).evaluate({"sigma": sigma, "t": [z]})
         lhs += th * a ** (h - 1)
+    row = char_poly(sigma)
     if a * z != -1:
-        pz = char_poly_value(sigma, z)
-        pma = char_poly_value(sigma, Fraction(-1) / a)
-        rhs = -((-a) ** k) / (1 + a * z) * (pz - pma)
+        rhs = -((-a) ** k) / (1 + a * z) * (horner(row, z) - horner(row, Fraction(-1) / a))
     else:
-        dpz = k * z ** (k - 1) + sum(
-            (-1) ** h * sigma[h - 1] * (k - h) * z ** (k - h - 1) for h in range(1, k)
-        )
-        rhs = z ** (-k + 1) * dpz
+        rhs = z ** (-k + 1) * horner([(k - h) * c for h, c in enumerate(row[:-1])], z)
     return lhs, rhs

@@ -294,6 +294,9 @@ def dispatch(argv: list[str]) -> int:
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except AssertionError as exc:
         detail = " ".join(str(exc).split()) or "an internal invariant does not hold"
         print(f"error: internal error: {detail}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Floating-point cross-validation of the exact layer.
 
-Roots of the defining polynomial via Aberth-Ehrlich simultaneous
-iteration, the two contour formulas for traces (residue form and
-integrated-by-parts log form), the contour form of the derived family,
-and finite-difference verification that the annihilators kill analytic
-trace functions.
+Roots of the defining polynomial P_s (its coefficient row is
+`symfun.char_poly`) via Aberth-Ehrlich simultaneous iteration, the two
+contour formulas for traces (residue form and integrated-by-parts log
+form), the contour form of the derived family, and finite-difference
+verification that the annihilators kill analytic trace functions.
 
 No caller sets a tuning value.  The contour is the circle of radius
 `contour_radius(sigma)` = 2 max(1, B), B = sum_h |s_h|^(1/h), sampled at
@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .symfun import char_poly
 
 NODES = 256             # quadrature nodes on the contour
 ROOT_MAX_ITER = 600     # Aberth-Ehrlich steps before giving up
@@ -41,13 +43,8 @@ class UnsafeStencilError(ValueError):
 
 
 def _coefficients(sigma: Sequence[complex]) -> np.ndarray:
-    """Monic coefficient vector [1, -s_1, +s_2, ...] of z^k + sum (-1)^h s_h z^(k-h)."""
-    k = len(sigma)
-    coeffs = np.empty(k + 1, dtype=complex)
-    coeffs[0] = 1.0
-    for h, sh in enumerate(sigma, start=1):
-        coeffs[h] = (-1) ** h * complex(sh)
-    return coeffs
+    """The row of P_s from `symfun.char_poly` as a complex vector."""
+    return np.array(char_poly(sigma), complex)
 
 
 def poly_roots(sigma: Sequence[complex]) -> np.ndarray:

@@ -245,10 +245,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def degree_in(self, family: str) -> int:
         off = self.space.offset(family)
         count = self.space.family_count(family)

@@ -32,7 +32,6 @@ from .annihilators import (
     op_nabla,
 )
 from .charvar import (
-    char_poly_value,
     minor_generator,
     minors,
     recombine,
@@ -43,7 +42,7 @@ from .charvar import (
 from .poly import Poly
 from .serialize import poly_from_dict, weyl_from_dict
 from .spaces import sigma_eta_space, sigma_space
-from .symfun import discriminant_at
+from .symfun import char_poly, discriminant_at, horner
 from .symfun import family as newton_family
 from .transport import elementary_symmetric_op, xi_transport
 from .weyl import WeylOp
@@ -328,7 +327,7 @@ def _ray_and_root(n: int, pt) -> Iterable[Case]:
     l = sum(s * e for s, e in zip(pt.sigma, pt.eta))
     for h in range(2, len(pt.eta) + 1):
         yield f"point {n}, h = {h}", pt.eta[h - 1] * l ** (h - 1), pt.eta[0] * (-pt.eta[0]) ** (h - 1)
-    yield f"point {n}", char_poly_value(pt.sigma, l / pt.eta[0]), 0
+    yield f"point {n}", horner(char_poly(pt.sigma), l / pt.eta[0]), 0
 
 
 def suite_symbols(k: int) -> RunReport:

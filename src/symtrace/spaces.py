@@ -48,6 +48,10 @@ class VarSpace:
 
     def __new__(cls, families):
         families = tuple(map(tuple, families))
+        for fam, count in families:
+            # 2.0 and True equal an int count and hash alike, so the lookup would take them for it
+            if type(count) is not int:
+                raise ValueError(f"family {fam!r} needs an int count, got {count!r}")
         space = cls._interned.get(families)
         if space is None:
             layout, nvars = {}, 0

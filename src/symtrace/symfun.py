@@ -1,7 +1,10 @@
 """Symmetric-function families and reduction to elementary coordinates.
 
-Everything here is exact.  The families (power sums N_m, derived family
-DN_m, primitive family PN_m) are generated by their defining recurrences
+Everything here is exact.  The defining polynomial P_s(z) =
+sum_h (-1)^h s_h z^(k-h), whose roots are x_1..x_k, is written once, as
+its coefficient row `char_poly`; `horner` evaluates a row, and `theta`
+is a Horner prefix.  The families (power sums N_m, derived family DN_m,
+primitive family PN_m) are generated by their recurrences over that row
 and cached per degree k; reduction of a symmetric x-polynomial to
 sigma-coordinates uses the classical leading-term descent.
 
@@ -37,7 +40,7 @@ from math import factorial
 from operator import add, ge, sub
 
 from .poly import Poly, _accumulate, _canon, term_sort_key
-from .spaces import check_space, sigma_space, x_space
+from .spaces import check_space, sigma_aux_space, sigma_space, x_space
 
 
 class NotSymmetricError(ValueError):
@@ -150,6 +153,31 @@ def sigma_to_x(p: Poly, k: int) -> Poly:
     return p.compose(x_space(k), images)
 
 
+def char_poly(sigma, one=1) -> list:
+    """The row [c_0..c_k] = [1, -s_1, s_2, .., (-1)^k s_k] of P_s, leading one
+    first, over the ring whose unit is one (int, Fraction, complex or Poly):
+    the one place that writes P_s's signs."""
+    return [one, *(-s if h % 2 else s for h, s in enumerate(sigma, start=1))]
+
+
+def horner(coeffs, z):
+    """sum_h coeffs[h] z^(n-h) for a row coeffs[0..n], leading one first."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * z + c
+    return acc
+
+
+def theta(k: int, h: int) -> Poly:
+    """Theta_h(z, s) = sum_{p=0}^{h-1} (-z)^(h-p-1) s_p over (sigma, t), t
+    playing z: the row 1, s_1, .., s_(h-1) by Horner at -t."""
+    if not 1 <= h <= k:
+        raise ValueError(f"need 1 <= h <= k, got h={h}")
+    space = sigma_aux_space(k)
+    row = [Poly.one(space)] + [Poly.variable(space, "sigma", p) for p in range(1, h)]
+    return horner(row, -Poly.variable(space, "t"))
+
+
 class NewtonFamily:
     """Cached generator of the N_m, DN_m, PN_m families for one k."""
 
@@ -163,43 +191,42 @@ class NewtonFamily:
         for m in range(-k + 1, 0):
             self._derived[m] = Poly.zero(self.space)
         self._primitive: dict[int, Poly] = {}
-        # 1, s_1, .., s_k: the factors of the recurrences
-        self._sigma = [Poly.one(self.space)] + [Poly.variable(self.space, "sigma", h) for h in range(1, k + 1)]
+        # c_0..c_k, the row of P_s: every recurrence is sum_h c_h X_(n-h) = 0
+        self._row = char_poly([Poly.variable(self.space, "sigma", h) for h in range(1, k + 1)],
+                              Poly.one(self.space))
 
     # The recurrences fill their caches bottom-up, so a large index costs
     # no recursion depth.
 
     def newton(self, m: int) -> Poly:
-        """Power sum N_m in sigma-coordinates, by the Newton identities."""
+        """Power sum N_m in sigma-coordinates, by the Newton identities
+        sum_{h<n} c_h N_(n-h) + n c_n = 0, the last term only for n <= k."""
         if m < 0:
             raise ValueError("newton index must be >= 0")
-        k, sigma, cache = self.k, self._sigma, self._newton
+        k, row, cache = self.k, self._row, self._newton
         for n in range(len(cache), m + 1):
-            triples = [(sigma[h], cache[n - h], 1 if h % 2 == 1 else -1) for h in range(1, min(n - 1, k) + 1)]
+            triples = [(row[h], cache[n - h], -1) for h in range(1, min(n - 1, k) + 1)]
             if n <= k:
-                triples.append((sigma[n], sigma[0], (-1) ** (n - 1) * n))
+                triples.append((row[n], row[0], -n))
             cache[n] = Poly.sum_of_products(self.space, triples)
         return cache[m]
 
     def derived(self, m: int) -> Poly:
-        """DN_m: seeds DN_0 = 1, DN_m = 0 on [-k+1, -1], then the signed recurrence."""
+        """DN_m: seeds DN_0 = 1, DN_m = 0 on [-k+1, -1], then sum_h c_h DN_(n-h) = 0."""
         if m < -self.k + 1:
             raise ValueError(f"derived newton index must be >= {-self.k + 1}")
-        sigma, cache = self._sigma, self._derived
+        row, cache = self._row, self._derived
         for n in range(max(cache) + 1, m + 1):
-            cache[n] = Poly.sum_of_products(self.space, ((sigma[h], cache[n - h], 1 if h % 2 == 1 else -1)
-                                                         for h in range(1, self.k + 1)))
+            cache[n] = Poly.sum_of_products(self.space, ((row[h], cache[n - h], -1) for h in range(1, self.k + 1)))
         return cache[m]
 
     def primitive(self, m: int) -> Poly:
-        """PN_m: the antiderivative-style combination of N_{m-h}/(m-h)."""
+        """PN_m = -sum_h c_h N_(m-h)/(m-h), h <= min(k, m-1)."""
         if m < 1:
             raise ValueError("primitive newton index must be >= 1")
         if m not in self._primitive:
-            hmax = self.k if m >= self.k + 1 else m - 1
             self._primitive[m] = Poly.sum_of_products(self.space, (
-                (self._sigma[h], self.newton(m - h), Fraction(-1 if (h - 1) % 2 else 1, m - h))
-                for h in range(hmax + 1)))
+                (self._row[h], self.newton(m - h), Fraction(-1, m - h)) for h in range(min(self.k, m - 1) + 1)))
         return self._primitive[m]
 
 
@@ -293,10 +320,8 @@ def discriminant(k: int) -> Poly:
 def _sylvester_discriminant(k: int) -> Poly:
     space = sigma_space(k)
     zero = Poly.zero(space)
-    pc = [Poly.one(space)] + [
-        Poly.variable(space, "sigma", h).scale((-1) ** h) for h in range(1, k + 1)
-    ]
-    dc = [pc[h].scale(k - h) for h in range(k)]
+    pc = char_poly([Poly.variable(space, "sigma", h) for h in range(1, k + 1)], Poly.one(space))
+    dc = [(k - h) * c for h, c in enumerate(pc[:-1])]
     n = 2 * k - 1
     rows = []
     for i in range(k - 1):
@@ -321,8 +346,7 @@ def discriminant_at(sigma) -> Fraction:
     for s in sigma:
         if isinstance(s, bool) or not isinstance(s, (int, Fraction)):
             raise TypeError(f"discriminant_at needs int or Fraction entries, got {type(s).__name__}")
-    # coefficients from the leading one down
-    a = [Fraction(1)] + [Fraction((-1) ** h * s) for h, s in enumerate(sigma, start=1)]
+    a = [Fraction(c) for c in char_poly(sigma)]
     b = [(k - h) * c for h, c in enumerate(a[:-1])]
     res = Fraction((-1) ** (k * (k - 1) // 2))
     while len(b) > 1:

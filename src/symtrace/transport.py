@@ -33,6 +33,9 @@ exact rules carry them:
 
 The apply rule is sound only for symmetric operators, so it takes a
 `SymmetricOperator`, whose construction checks the invariance.
+
+`decompose_derivation` reads P_s and Theta_h(z, s) from `symfun`, where
+P_s's coefficient row is written once.
 """
 
 from __future__ import annotations
@@ -48,11 +51,14 @@ from .spaces import check_space, sigma_aux_space, sigma_space, x_space
 from .symfun import (
     NotSymmetricError,
     _partition,
+    char_poly,
     e_product,
     elementary_symmetric,
+    horner,
     reduce_partitions,
     reduce_to_sigma,
     sigma_to_x,
+    theta,
 )
 from .weyl import WeylOp
 
@@ -72,23 +78,6 @@ class SymmetricOperator:
 
     def order(self) -> int:
         return self.op.order()
-
-
-def theta(k: int, h: int) -> Poly:
-    """Theta_h(z, s) = sum_{p=0}^{h-1} (-z)^(h-p-1) s_p over (sigma, t); t plays z."""
-    if not 1 <= h <= k:
-        raise ValueError(f"need 1 <= h <= k, got h={h}")
-    space = sigma_aux_space(k)
-    tpos = space.position("t", 1)
-    terms = {}
-    for p in range(h):
-        exp = [0] * space.nvars
-        exp[tpos] = h - p - 1
-        if p:
-            exp[space.position("sigma", p)] = 1
-        sign = -1 if (h - p - 1) % 2 else 1
-        terms[tuple(exp)] = Fraction(sign)
-    return Poly(space, terms)
 
 
 def jacobian_entry(k: int, h: int, j: int) -> Poly:
@@ -223,11 +212,11 @@ def decompose_derivation(d: SymmetricOperator) -> list[tuple[int, Poly]]:
 
 
 def _reduce_aux_powers(p: Poly, k: int) -> Poly:
-    """Rewrite t^k as sum_h (-1)^(h-1) s_h t^(k-h) until the t-degree is < k."""
+    """Rewrite t^k as t^k - P_s(t) until the t-degree is < k."""
     space = p.space
     t = Poly.variable(space, "t")
-    step = Poly.sum(space, (Poly.variable(space, "sigma", h) * t ** (k - h) * (-1) ** (h - 1)
-                            for h in range(1, k + 1)))
+    row = char_poly([Poly.variable(space, "sigma", h) for h in range(1, k + 1)], Poly.one(space))
+    step = t ** k - horner(row, t)
     while p.degree_in("t") >= k:
         p = Poly.sum(space, (b.embed(space, "t", (e - k,)) * step if e >= k else b.embed(space, "t", (e,))
                              for (e,), b in p.collect("t").items()))

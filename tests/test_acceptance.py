@@ -14,7 +14,6 @@ import numpy as np
 
 from symtrace.annihilators import generator_system, op_T0
 from symtrace.charvar import (
-    char_poly_value,
     decompose_in_minors,
     minor_generator,
     minors,
@@ -37,8 +36,10 @@ from symtrace.report import golden_check
 from symtrace.serialize import weyl_from_dict
 from symtrace.spaces import sigma_eta_space, sigma_space
 from symtrace.symfun import (
+    char_poly,
     discriminant,
     family,
+    horner,
     omega_closedness,
 )
 from symtrace.transport import elementary_symmetric_op, xi_transport
@@ -174,7 +175,7 @@ def test_criterion_symbol_charvar_suite():
             assert l != 0
             for h in range(1, k + 1):
                 assert pt.eta[h - 1] == pt.eta[0] * (-pt.eta[0] / l) ** (h - 1)
-            assert char_poly_value(pt.sigma, l / pt.eta[0]) == 0
+            assert horner(char_poly(pt.sigma), l / pt.eta[0]) == 0
             if disc.evaluate({"sigma": list(pt.sigma)}) * pt.eta[0] == 0:
                 degenerate += 1
     assert degenerate <= 100  # generic nonvanishing of disc * eta_1

@@ -9,7 +9,6 @@ from conftest import shallow_stack
 from symtrace.annihilators import generator_system, op_A, op_T
 from symtrace.charvar import (
     NotOnVarietyError,
-    char_poly_value,
     decompose_in_minors,
     minor_generator,
     minors,
@@ -21,7 +20,7 @@ from symtrace.charvar import (
 )
 from symtrace.poly import Poly
 from symtrace.spaces import sigma_eta_space, sigma_space, x_space
-from symtrace.symfun import discriminant
+from symtrace.symfun import char_poly, discriminant, horner
 
 
 def eta(k, h):
@@ -202,7 +201,7 @@ def test_sampled_points_satisfy_ray_and_root_identities():
             assert pt.eta[k - 1] == 1
             for h in range(1, k + 1):
                 assert pt.eta[h - 1] == pt.eta[0] * (-pt.eta[0] / l) ** (h - 1)
-            assert char_poly_value(pt.sigma, l / pt.eta[0]) == 0
+            assert horner(char_poly(pt.sigma), l / pt.eta[0]) == 0
             assert pt.sigma == tuple(Fraction((-1) ** h) * pt.s[h - 1] for h in range(1, k + 1))
 
 
@@ -229,7 +228,7 @@ def test_worked_sample_arithmetic():
     minor = minors(2)[1, 2]
     assert minor.evaluate({"sigma": sigma, "eta": eta_pt}) == 0
     l = sigma[0] * eta_pt[0] + sigma[1] * eta_pt[1]
-    assert char_poly_value(sigma, l / eta_pt[0]) == 0
+    assert horner(char_poly(sigma), l / eta_pt[0]) == 0
     assert l / eta_pt[0] == -2
 
 

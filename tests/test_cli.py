@@ -303,6 +303,18 @@ def test_usage_error_is_one_error_line(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    import symtrace.cli
+
+    def exhausted(sym):
+        raise MemoryError
+
+    monkeypatch.setattr(symtrace.cli, "xi_transport", exhausted)
+    code, out, err = run_cli(["xi", "--k", "3", "--op", "S3"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_help_and_version_exit_zero(capsys):
     assert run_cli(["--version"], capsys)[0] == 0
     assert run_cli(["verify", "--help"], capsys)[0] == 0

@@ -9,6 +9,8 @@ both spaces.
 
 import copy
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -106,7 +108,29 @@ def test_invalid_layouts_are_refused_and_not_interned(families, data):
         with pytest.raises(ValueError):
             VarSpace(layout)
         assert layout not in VarSpace._interned
+    # a count that equals an int hashes as that int's layout, so it is refused
+    # even when that layout is interned, and no stored layout holds one
+    for not_int in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="needs an int count"):
+            VarSpace(families[:i] + ((fam, not_int),) + families[i + 1:])
+    assert all(type(c) is int for layout in VarSpace._interned for _, c in layout)
     assert VarSpace(families).families == families
+
+
+@pytest.mark.parametrize("layout, code", [((("sigma", 2.0),), "sigma:2"), ((("t", True),), "t:1")])
+def test_a_refused_count_does_not_leak_into_the_int_layout(layout, code):
+    # a fresh interpreter, where the int layout is not interned before the refused call
+    script = (
+        "from symtrace.spaces import VarSpace\n"
+        "try:\n"
+        f"    VarSpace({layout!r})\n"
+        "except ValueError:\n"
+        "    print('refused')\n"
+        f"print(repr(VarSpace.from_code({code!r})))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"refused\n{code}\n"
 
 
 @pytest.mark.parametrize("code, message", [

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     distinct_rational_point,
@@ -11,14 +13,17 @@ from conftest import (
     rational_point,
     shallow_stack,
 )
+from symtrace.numerics import _coefficients
 from symtrace.poly import Poly
 from symtrace.spaces import sigma_space, x_space
 from symtrace.symfun import (
     NotSymmetricError,
+    char_poly,
     discriminant,
     NewtonFamily,
     elementary_symmetric,
     family,
+    horner,
     newton_varouchas,
     omega_closedness,
     reduce_to_sigma,
@@ -29,6 +34,19 @@ from symtrace.symfun import (
 
 def x(k, i):
     return Poly.variable(x_space(k), "x", i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=1, max_size=6, unique=True))
+def test_char_poly_row_has_the_roots_it_was_built_from(xs):
+    k = len(xs)
+    sigma = elementary_values(xs)
+    row = char_poly(sigma)
+    drow = [(k - h) * c for h, c in enumerate(row[:-1])]
+    for j, xj in enumerate(xs):
+        assert horner(row, xj) == 0
+        assert horner(drow, xj) == dpoly_at_root(xs, j)
+    assert _coefficients(sigma).tolist() == [complex(c) for c in row]
 
 
 def test_elementary_symmetric_small_cases():

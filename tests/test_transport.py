@@ -210,6 +210,13 @@ def test_decompose_derivation_examples():
     assert decompose_derivation(d) == [(1, Poly.one(S3)), (2, Poly.one(S3))]
 
 
+def test_decompose_derivation_at_k1():
+    # x_1 = s_1 and P_s(t) = t - s_1, so every power of t falls back to s_1^d
+    s1 = Poly.variable(sigma_space(1), "sigma", 1)
+    for d in range(4):
+        assert decompose_derivation(SymmetricOperator(u_operator(1, d), 1)) == [(0, s1 ** d)]
+
+
 def test_decompose_derivation_roundtrip_randomized():
     rng = random.Random(47)
     for k in (2, 3):
