@@ -89,6 +89,9 @@ def a_pairs(k: int):
                 yield p, q
 
 
+A_ID = "A({p},{q},1)"  # the id of A(p,q,1) in a generator system, formatted with p and q
+
+
 class Family(NamedTuple):
     """One shifted form of the system: the family that T(m) + tail d_m and the A(p,q,1) kill."""
 
@@ -119,7 +122,7 @@ def generator_system(k: int, family: str) -> dict[str, WeylOp]:
     if k < 2:
         raise ValueError("the system needs k >= 2")
     fam = _family(family)
-    gens = {f"A({p},{q},1)": op_A(k, p, q, 1) for p, q in a_pairs(k)}
+    gens = {A_ID.format(p=p, q=q): op_A(k, p, q, 1) for p, q in a_pairs(k)}
     for m in range(2, k + 1):
         gens[fam.t_id.format(m=m)] = op_T(k, m) + _partial(k, m).scale(fam.tail)
     return gens

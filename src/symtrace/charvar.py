@@ -27,6 +27,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
+from .annihilators import A_ID, FAMILIES
 from .poly import Poly
 from .spaces import VarSpace, check_space, sigma_eta_space, sigma_space
 from .symfun import char_poly, horner, theta
@@ -71,7 +72,7 @@ def minor_generator(mid: MinorId) -> tuple[str, int]:
     """The trace generator whose symbol is the minor, and the sign:
     m_(1,j) is the symbol of T(j), m_(i,j) for i >= 2 that of -A(i-1,j,1)."""
     i, j = mid
-    return (f"T({j})", 1) if i == 1 else (f"A({i - 1},{j},1)", -1)
+    return (FAMILIES["newton"].t_id.format(m=j), 1) if i == 1 else (A_ID.format(p=i - 1, q=j), -1)
 
 
 def rewrite_eta_product(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Poly]:

@@ -19,6 +19,7 @@ from typing import Callable, Iterable
 
 from . import __version__
 from .annihilators import (
+    A_ID,
     FAMILIES,
     Witness,
     a_pairs,
@@ -231,9 +232,9 @@ def suite_weights(k: int) -> RunReport:
         yield f"weight of {label}", G.weight(), -w
 
     rep.identity("weight:T", "[T(m), U0] = m T(m); pure weight -m",
-                 (c for m in range(2, k + 1) for c in weighs(f"T({m})", op_T(k, m), m)))
+                 (c for m in range(2, k + 1) for c in weighs(FAMILIES["newton"].t_id.format(m=m), op_T(k, m), m)))
     rep.identity("weight:A", "[A(p,q,1), U0] = (p+q) A(p,q,1); pure weight -(p+q)",
-                 (c for p, q in a_pairs(k) for c in weighs(f"A({p},{q},1)", op_A(k, p, q, 1), p + q)))
+                 (c for p, q in a_pairs(k) for c in weighs(A_ID.format(p=p, q=q), op_A(k, p, q, 1), p + q)))
     rep.deviation(
         "weight:A:display-sign",
         "published commutation display shows (U0 - (p+q)).A; computation forces "

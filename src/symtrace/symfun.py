@@ -366,20 +366,3 @@ def discriminant_at(sigma) -> Fraction:
         res *= (-1) ** (m * n) * b[0] ** (m - (len(r) - 1))
         a, b = b, r
     return res * b[0] ** (len(a) - 1)
-
-
-def omega_closedness(k: int, m: int) -> bool:
-    """Exact cross-partial symmetry of the coefficient family
-    (-1)^(h-1) N_{m-h}/(m-h), h in [1,k], for m >= k+1."""
-    if m < k + 1:
-        raise ValueError("closedness is stated for m >= k+1")
-    fam = family(k)
-    coeffs = {
-        h: fam.newton(m - h).scale(Fraction((-1) ** (h - 1), m - h))
-        for h in range(1, k + 1)
-    }
-    for p in range(1, k + 1):
-        for q in range(p + 1, k + 1):
-            if coeffs[q].partial("sigma", p) != coeffs[p].partial("sigma", q):
-                return False
-    return True

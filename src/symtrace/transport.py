@@ -53,7 +53,6 @@ from .symfun import (
     _partition,
     char_poly,
     e_product,
-    elementary_symmetric,
     horner,
     reduce_partitions,
     reduce_to_sigma,
@@ -78,15 +77,6 @@ class SymmetricOperator:
 
     def order(self) -> int:
         return self.op.order()
-
-
-def jacobian_entry(k: int, h: int, j: int) -> Poly:
-    """d s_h / d x_j = sum_{q=0}^{h-1} s_{h-q-1}(x) (-x_j)^q as an x-polynomial."""
-    if not (1 <= h <= k and 1 <= j <= k):
-        raise ValueError("indices out of range")
-    space = x_space(k)
-    xj = Poly.variable(space, "x", j)
-    return Poly.sum(space, (elementary_symmetric(k, h - q - 1) * (-xj) ** q for q in range(h)))
 
 
 def elementary_symmetric_op(k: int, h: int) -> SymmetricOperator:
@@ -221,12 +211,3 @@ def _reduce_aux_powers(p: Poly, k: int) -> Poly:
         p = Poly.sum(space, (b.embed(space, "t", (e - k,)) * step if e >= k else b.embed(space, "t", (e,))
                              for (e,), b in p.collect("t").items()))
     return p
-
-
-def nabla_p_as_partial(k: int, p: int) -> WeylOp:
-    """The sigma-coordinate form of the root-weighted derivation
-    sum_j x_j^p / P'(x_j) d/dx_j: equal to (-1)^(k-p-1) d/ds_(k-p)."""
-    if not 0 <= p <= k - 1:
-        raise ValueError(f"need 0 <= p <= k-1, got p={p}")
-    sign = -1 if (k - p - 1) % 2 else 1
-    return WeylOp.partial(sigma_space(k), k - p).scale(sign)

@@ -40,7 +40,6 @@ from symtrace.symfun import (
     discriminant,
     family,
     horner,
-    omega_closedness,
 )
 from symtrace.transport import elementary_symmetric_op, xi_transport
 from symtrace.weyl import WeylOp
@@ -227,11 +226,6 @@ def test_criterion_family_identities():
                 tuple(1 if i == h - 1 else 0 for i in range(k))
             )
             assert coeff == (-1) ** (h - 1)
-
-    # closedness of the antiderivative family's coefficient row
-    for k in (2, 3):
-        for m in range(k + 1, k + 5):
-            assert omega_closedness(k, m)
 
     # gradients of the primitive family with the corrected signs,
     # validated against the published example table where it is

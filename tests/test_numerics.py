@@ -7,6 +7,7 @@ from symtrace import numerics
 from symtrace.annihilators import op_A, op_T
 from symtrace.numerics import (
     EXP,
+    FD_SAFETY,
     SIN,
     NODES,
     UnsafeStencilError,
@@ -41,14 +42,36 @@ def test_roots_double_root_residual():
 
 def test_roots_residual_criterion_random():
     rng = random.Random(73)
+
+    def sigma_of(planted):  # np.poly gives (-1)^h s_h
+        return list(np.poly(planted)[1:] * (-1) ** np.arange(1, len(planted) + 1))
+
+    draws = []
     for _ in range(25):
-        k = rng.randint(1, 5)
-        sigma = [complex(rng.uniform(-4, 4), rng.uniform(-2, 2)) for _ in range(k)]
+        k = rng.randint(1, 12)
+        # repeated roots with multiplicities up to k, kept in [-2, 2]: from |root| 3
+        # at k >= 10 the companion eigenvalues can miss the residual target and
+        # raise, and the absolute FD_SAFETY no longer flags every repeat
+        pool = rng.sample(range(-2, 3), rng.randint(1, min(k, 5)))
+        repeated = [rng.choice(pool) for _ in range(k)]
+        simple = [r + 0.5 for r in rng.sample(range(-6, 6), k)]
+        draws += [([complex(rng.uniform(-4, 4), rng.uniform(-2, 2)) for _ in range(k)], None),
+                  (sigma_of(repeated), repeated), (sigma_of(simple), simple)]
+    for sigma, planted in draws:
+        k = len(sigma)
         roots = poly_roots(sigma)
         assert len(roots) == k
         for z in roots:
             p = z ** k + sum((-1) ** h * sigma[h - 1] * z ** (k - h) for h in range(1, k + 1))
             assert abs(p) <= 1e-10 * max(1.0, abs(z)) ** k
+        if planted is None:
+            continue
+        # the stencil guard reads a repeated root off a small discriminant
+        if len(set(planted)) < k:
+            assert abs(root_discriminant(sigma)) < FD_SAFETY
+        else:  # planted roots at least 1 apart
+            assert all(min(abs(roots - r)) < 1e-9 for r in planted)
+            assert abs(root_discriminant(sigma)) > FD_SAFETY
 
 
 def test_contour_radius_dominates_the_root_bound():

@@ -25,7 +25,6 @@ from symtrace.symfun import (
     family,
     horner,
     newton_varouchas,
-    omega_closedness,
     reduce_to_sigma,
     sigma_to_x,
     symmetrize,
@@ -270,17 +269,6 @@ def test_discriminant_matches_root_product():
             for j in range(i + 1, k + 1):
                 prod = prod * (x(k, i) - x(k, j)) ** 2
         assert reduce_to_sigma(prod, k) == discriminant(k)
-
-
-def test_omega_closedness():
-    assert omega_closedness(2, 4)
-    assert omega_closedness(3, 5)
-    assert omega_closedness(3, 4)
-    for k in (2, 3):
-        for m in range(k + 1, k + 5):
-            assert omega_closedness(k, m)
-    with pytest.raises(ValueError):
-        omega_closedness(3, 3)
 
 
 def test_family_weights_pure():

@@ -23,17 +23,11 @@ from symtrace.transport import (
     SymmetricOperator,
     decompose_derivation,
     elementary_symmetric_op,
-    jacobian_entry,
-    nabla_p_as_partial,
     theta,
     u_operator,
     xi_transport,
 )
 from symtrace.weyl import WeylOp
-
-
-def x(k, i):
-    return Poly.variable(x_space(k), "x", i)
 
 
 def test_theta_values():
@@ -55,22 +49,11 @@ def test_theta_is_jacobian_entry():
     for k in (2, 3, 4):
         for h in range(1, k + 1):
             for j in range(1, k + 1):
-                entry = jacobian_entry(k, h, j)
+                entry = elementary_symmetric(k, h).partial("x", j)
                 xs = [Fraction(rng.randint(-5, 5)) for _ in range(k)]
                 sig = elementary_values(xs)
                 lhs = theta(k, h).evaluate({"sigma": list(sig), "t": [xs[j - 1]]})
                 assert lhs == entry.evaluate({"x": xs})
-
-
-def test_jacobian_entries():
-    assert jacobian_entry(3, 1, 2) == Poly.one(x_space(3))
-    assert jacobian_entry(2, 2, 1) == x(2, 2)
-    assert jacobian_entry(3, 2, 1) == x(3, 2) + x(3, 3)
-    # exact derivative cross-check
-    for k in (2, 3):
-        for h in range(1, k + 1):
-            for j in range(1, k + 1):
-                assert jacobian_entry(k, h, j) == elementary_symmetric(k, h).partial("x", j)
 
 
 def test_elementary_symmetric_operators():
@@ -174,7 +157,7 @@ def _pullback_symbol(sym_x, k):
     for i in range(1, k + 1):
         acc = Poly.zero(mixed)
         for h in range(1, k + 1):
-            jac = jacobian_entry(k, h, i).embed(mixed, "eta", (0,) * k)
+            jac = elementary_symmetric(k, h).partial("x", i).embed(mixed, "eta", (0,) * k)
             acc = acc + jac * Poly.variable(mixed, "eta", h)
         images[("xi", i)] = acc
     for i in range(1, k + 1):
@@ -245,23 +228,13 @@ def test_decompose_derivation_rejects_non_derivation():
         decompose_derivation(SymmetricOperator(WeylOp.partial(X2, 1) * WeylOp.partial(X2, 2), 2))
 
 
-def test_nabla_p_as_partial_values_and_weight():
-    S2 = sigma_space(2)
-    assert nabla_p_as_partial(2, 1) == WeylOp.partial(S2, 1)
-    assert nabla_p_as_partial(2, 0) == WeylOp.partial(S2, 2).scale(-1)
-    for k in (2, 3, 4):
-        for p in range(0, k):
-            assert nabla_p_as_partial(k, p).weight() == p - k
-    with pytest.raises(ValueError):
-        nabla_p_as_partial(3, 3)
-
-
 def test_nabla_p_matches_root_weighted_derivation():
     # exact oracle: sum_j x_j^p / P'(x_j) dQ/dx_j at distinct rational roots
     rng = random.Random(53)
     for k in (2, 3):
         for p in range(0, k):
-            op = nabla_p_as_partial(k, p)
+            # the lemma's closed form: (-1)^(k-p-1) d/ds_(k-p)
+            op = WeylOp.partial(sigma_space(k), k - p).scale((-1) ** (k - p - 1))
             for _ in range(20):
                 xs = distinct_rational_point(rng, k)
                 sig = elementary_values(xs)
