@@ -20,9 +20,9 @@ def test_library_has_no_assert_statements():
 
 # a running x = x + piece over Poly or WeylOp copies the sum on every step;
 # Poly.sum and WeylOp.sum accumulate into one dict.  vanishes_on_Z keeps
-# its literal loop as the independent chart check, and check_images
-# subtracts one expected image per image.
-RUNNING_SUM_EXEMPT = {"vanishes_on_Z", "check_images"}
+# its literal loop as the independent chart check; check_images
+# subtracts one expected image per image, and poly_roots iterates floats.
+RUNNING_SUM_EXEMPT = {"vanishes_on_Z", "check_images", "poly_roots"}
 
 
 def test_no_running_sum_in_a_loop():
@@ -82,29 +82,52 @@ UNCALLED_OUTSIDE_TESTS = {  # public function -> why it stays with no caller in 
 }
 
 
-def _names(node):
-    """Every name, attribute and imported name used under node."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.alias):
-            yield n.name
+def _qualified_uses(path, tree):
+    """(module, name) for each use in tree that names the module it comes from.
+
+    A use is an import of the name from its symtrace module, an attribute
+    on a name bound to that module, or, inside the defining module itself,
+    a bare name loaded outside that name's own top-level definition.
+    """
+    modules = {}  # local name -> the symtrace module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname, a.name.split(".")[1]) for a in node.names
+                           if a.asname and a.name.startswith("symtrace."))
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("symtrace")):
+            module = (node.module or "").removeprefix("symtrace").lstrip(".")
+            for a in node.names:
+                if module:
+                    yield module, a.name
+                else:  # from symtrace import numerics
+                    modules[a.asname or a.name] = a.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            value = node.value
+            if isinstance(value, ast.Name) and value.id in modules:
+                yield modules[value.id], node.attr
+            elif isinstance(value, ast.Attribute) and getattr(value.value, "id", None) == "symtrace":
+                yield value.attr, node.attr  # symtrace.numerics.poly_roots
+    if path.parent == SRC:
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            yield from ((path.stem, n.id) for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id != own)
 
 
 def test_every_public_function_has_a_caller_outside_tests():
     # code that only its own tests call restates what something else
-    # already computes; it goes, or the table above says why it stays
+    # already computes; it goes, or the table above says why it stays.
+    # The package __init__ only re-exports, so its imports are no callers.
     defined, used = set(), set()
     for path in sorted(SRC.glob("*.py")) + sorted((Path(__file__).parent.parent / "demos").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for stmt in tree.body:
-            own = getattr(stmt, "name", None)  # a top-level def or class; its own body does not count
-            if path.parent == SRC and own and not own.startswith("_"):
-                defined.add(f"{path.stem}.{own}")
-            used.update(name for name in _names(stmt) if name != own)
-    assert sorted(d for d in defined if d.split(".")[1] not in used) == sorted(UNCALLED_OUTSIDE_TESTS)
+        if path.parent == SRC:
+            defined.update(f"{path.stem}.{stmt.name}" for stmt in tree.body
+                           if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"))
+        if path.name != "__init__.py":
+            used.update(f"{module}.{name}" for module, name in _qualified_uses(path, tree))
+    assert sorted(defined - used) == sorted(UNCALLED_OUTSIDE_TESTS)
 
 
 def _is_space_expr(node) -> bool:
