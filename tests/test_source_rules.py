@@ -83,31 +83,22 @@ UNCALLED_OUTSIDE_TESTS = {  # public function -> why it stays with no caller in 
 
 
 def _qualified_uses(path, tree):
-    """(module, name) for each use in tree that names the module it comes from.
-
-    A use is an import of the name from its symtrace module, an attribute
-    on a name bound to that module, or, inside the defining module itself,
-    a bare name loaded outside that name's own top-level definition.
-    """
-    modules = {}  # local name -> the symtrace module it is bound to
+    """(module, name) for each use in tree that names the module it comes from:
+    an import from that symtrace module, an attribute on a name bound to the
+    module, or, inside the module itself, a bare name loaded outside that
+    name's own top-level definition."""
+    modules = {}  # local name -> module, from `from symtrace import numerics`
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules.update((a.asname, a.name.split(".")[1]) for a in node.names
-                           if a.asname and a.name.startswith("symtrace."))
-        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("symtrace")):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("symtrace")):
             module = (node.module or "").removeprefix("symtrace").lstrip(".")
             for a in node.names:
                 if module:
                     yield module, a.name
-                else:  # from symtrace import numerics
+                else:
                     modules[a.asname or a.name] = a.name
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            value = node.value
-            if isinstance(value, ast.Name) and value.id in modules:
-                yield modules[value.id], node.attr
-            elif isinstance(value, ast.Attribute) and getattr(value.value, "id", None) == "symtrace":
-                yield value.attr, node.attr  # symtrace.numerics.poly_roots
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            yield modules[node.value.id], node.attr
     if path.parent == SRC:
         for stmt in tree.body:
             own = getattr(stmt, "name", None)
