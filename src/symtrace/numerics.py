@@ -1,42 +1,43 @@
 """Floating-point cross-validation of the exact layer.
 
 Roots of the defining polynomial P_s (its coefficient row is
-`symfun.char_poly`) via Aberth-Ehrlich simultaneous iteration, the two
-contour formulas for traces (residue form and integrated-by-parts log
-form), the contour form of the derived family, and finite-difference
-verification that the annihilators kill analytic trace functions.
+`symfun.char_poly`) as the eigenvalues of its companion matrix
+(`np.roots`), the two contour formulas for traces (residue form and
+integrated-by-parts log form), the contour form of the derived family,
+and finite-difference verification that the annihilators kill analytic
+trace functions.
 
 No caller sets a tuning value.  The contour is the circle of radius
 `contour_radius(sigma)` = 2 max(1, B), B = sum_h |s_h|^(1/h), sampled at
 `NODES` = 256 equispaced points.  Every root lies in |z| <= B, and on the
 circle |P(z)/z^k - 1| <= sum_h (|s_h|^(1/h) / R)^h <= B/R <= 1/2, so the
 contour encloses every root and log(P(z)/z^k) stays on the principal
-branch.  The root iteration stops at `ROOT_RESIDUAL` or after
-`ROOT_MAX_ITER` steps; the finite differences start at step `FD_STEP` and
-refuse stencils where the discriminant falls below `FD_SAFETY`.
+branch.  Every computed root x must have componentwise backward error
+|P(x)| / sum_h |c_h| |x|^(k-h) at most k `ROOT_BACKWARD_ERROR`; the finite
+differences start at step `FD_STEP` and refuse stencils where the exact
+discriminant falls below `FD_SAFETY`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .symfun import char_poly
+from .symfun import char_poly, discriminant_at
 
 NODES = 256             # quadrature nodes on the contour
-ROOT_MAX_ITER = 600     # Aberth-Ehrlich steps before giving up
-ROOT_RESIDUAL = 1e-10   # target of |P(x_j)| / max(1, |x_j|)^k
+ROOT_BACKWARD_ERROR = 2.0 ** -43  # per degree: 1024 unit roundoffs
 FD_STEP = 0.08          # the coarsest finite-difference step
 FD_SAFETY = 1e-6        # least |discriminant| at a stencil point
 
 
 class RootConvergenceError(RuntimeError):
-    def __init__(self, best_residual: float):
-        self.best_residual = best_residual
-        super().__init__(f"roots miss the residual target after {ROOT_MAX_ITER} steps; "
-                         f"best residual {best_residual:.3e}")
+    def __init__(self, backward_error: float):
+        self.backward_error = backward_error
+        super().__init__(f"a root misses the backward-error bound; worst {backward_error:.3e}")
 
 
 class UnsafeStencilError(ValueError):
@@ -49,50 +50,24 @@ def _coefficients(sigma: Sequence[complex]) -> np.ndarray:
 
 
 def poly_roots(sigma: Sequence[complex]) -> np.ndarray:
-    """All k roots (with multiplicity) by Aberth-Ehrlich iteration.
+    """All k roots (with multiplicity): the eigenvalues of the companion matrix.
 
-    Converges to residuals |P(x_j)| <= ROOT_RESIDUAL * max(1,|x_j|)^k;
-    multiple roots converge linearly but still pass the residual target.
+    Raises RootConvergenceError unless every root x satisfies
+    |P(x)| <= ROOT_BACKWARD_ERROR k sum_h |c_h| |x|^(k-h), about 512 times
+    Horner's rounding bound 2ku with u = 2^-53.
     """
     k = len(sigma)
     if k < 1:
         raise ValueError("need k >= 1")
     coeffs = _coefficients(sigma)
-    if k == 1:
-        return np.array([complex(sigma[0])])
-    if all(abs(c) == 0 for c in coeffs[1:]):
-        return np.zeros(k, dtype=complex)
-    dcoeffs = np.polyder(coeffs)
-    radius = 1.0 + max(abs(c) for c in coeffs[1:])
-    angles = 2.0 * np.pi * (np.arange(k) + 0.25) / k
-    z = 0.7 * radius * np.exp(1j * angles) * (1.0 + 0.05j)
-
-    def residuals(zs):
-        return np.abs(np.polyval(coeffs, zs)) / np.maximum(1.0, np.abs(zs)) ** k
-
-    best = float(np.max(residuals(z)))
-    for _ in range(ROOT_MAX_ITER):
-        p = np.polyval(coeffs, z)
-        dp = np.polyval(dcoeffs, z)
-        dp = np.where(np.abs(dp) < 1e-300, 1e-300, dp)
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        corr = w / (1.0 - w * s)
-        z = z - corr
-        res = residuals(z)
-        best = min(best, float(np.max(res)))
-        if np.all(res <= ROOT_RESIDUAL):
-            return z
-    raise RootConvergenceError(best)
-
-
-def root_discriminant(sigma: Sequence[complex]) -> complex:
-    """prod_{i<j} (x_i - x_j)^2 over the roots from poly_roots."""
-    x = poly_roots(sigma)
-    i, j = np.triu_indices(len(x), 1)
-    return complex(np.prod((x[i] - x[j]) ** 2))
+    roots = np.roots(coeffs).astype(complex)
+    value = np.abs(np.polyval(coeffs, roots))
+    scale = np.polyval(np.abs(coeffs), np.abs(roots))
+    # a product, not a quotient: an exact root 0 with c_k = 0 passes as 0 <= 0
+    bad = ~(value <= ROOT_BACKWARD_ERROR * k * scale)
+    if bad.any():
+        raise RootConvergenceError(float(np.max(value[bad] / scale[bad])))
+    return roots
 
 
 def contour_radius(sigma: Sequence[complex]) -> float:
@@ -233,15 +208,17 @@ def fd_annihilation_check(op, F: Callable, sigma0: Sequence[float]) -> FDResult:
     Uses second-order central stencils at steps h = FD_STEP, h/2, h/4 and two
     Richardson extrapolations; returns the extrapolated |op[F]| together
     with the observed convergence order and the scale max(1, |F(s0)|).
-    Rejects stencils that approach the discriminant locus, where
-    |root_discriminant| < FD_SAFETY at some stencil point.
+    Rejects stencils that approach the discriminant locus, where the
+    exact discriminant of some stencil point (its floats read as
+    fractions) is below FD_SAFETY in absolute value.
     """
     if op.order() > 2:
         raise ValueError("operator order must be <= 2")
     sigma0 = np.asarray(sigma0, dtype=float)
-    for pt in _stencil_points(op, sigma0, FD_STEP):
-        if abs(root_discriminant(pt)) < FD_SAFETY:
-            raise UnsafeStencilError(f"stencil point {pt} too close to the discriminant locus")
+    if len(sigma0) > 1:  # k = 1 has no discriminant locus
+        for pt in _stencil_points(op, sigma0, FD_STEP):
+            if abs(discriminant_at([Fraction(v) for v in pt])) < FD_SAFETY:
+                raise UnsafeStencilError(f"stencil point {pt} too close to the discriminant locus")
     d1 = _apply_fd(op, F, sigma0, FD_STEP)
     d2 = _apply_fd(op, F, sigma0, FD_STEP / 2)
     d4 = _apply_fd(op, F, sigma0, FD_STEP / 4)

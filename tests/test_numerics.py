@@ -7,21 +7,21 @@ from symtrace import numerics
 from symtrace.annihilators import op_A, op_T
 from symtrace.numerics import (
     EXP,
-    FD_SAFETY,
+    ROOT_BACKWARD_ERROR,
     SIN,
     NODES,
+    RootConvergenceError,
     UnsafeStencilError,
     contour_radius,
     dn_contour,
     fd_annihilation_check,
     poly_roots,
     power_function,
-    root_discriminant,
     trace_contour,
     trace_function_handle,
 )
 from symtrace.spaces import sigma_space
-from symtrace.symfun import discriminant, family
+from symtrace.symfun import family
 from symtrace.weyl import WeylOp
 
 
@@ -40,33 +40,40 @@ def test_roots_double_root_residual():
         assert abs(z ** 2 - 2 * z + 1) <= 1e-10 * max(1.0, abs(z)) ** 2
 
 
+def sigma_of(planted):  # np.poly gives (-1)^h s_h
+    return list(np.poly(planted)[1:] * (-1) ** np.arange(1, len(planted) + 1))
+
+
 def test_roots_residual_criterion_random():
-    rng = random.Random(73)
-
-    def sigma_of(planted):  # np.poly gives (-1)^h s_h
-        return list(np.poly(planted)[1:] * (-1) ** np.arange(1, len(planted) + 1))
-
     draws = []
-    for _ in range(25):
-        k = rng.randint(1, 12)
-        pool = rng.sample(range(-5, 6), rng.randint(1, min(k, 11)))
-        repeated = [rng.choice(pool) for _ in range(k)]  # multiplicities up to k
-        simple = rng.sample(range(-6, 7), k)
-        draws += [([complex(rng.uniform(-4, 4), rng.uniform(-2, 2)) for _ in range(k)], None),
-                  (sigma_of(repeated), repeated), (sigma_of(simple), simple)]
+    for seed in range(30):
+        rng = random.Random(seed)
+        for _ in range(25):
+            k = rng.randint(1, 12)
+            pool = rng.sample(range(-5, 6), rng.randint(1, min(k, 11)))
+            repeated = [rng.choice(pool) for _ in range(k)]  # multiplicities up to k
+            simple = rng.sample(range(-6, 7), k)
+            draws += [([complex(rng.uniform(-4, 4), rng.uniform(-2, 2)) for _ in range(k)], None),
+                      (sigma_of(repeated), repeated), (sigma_of(simple), simple)]
     for sigma, planted in draws:
         k = len(sigma)
         roots = poly_roots(sigma)
         assert len(roots) == k
+        coeffs = [1] + [(-1) ** h * sigma[h - 1] for h in range(1, k + 1)]
         for z in roots:
-            p = z ** k + sum((-1) ** h * sigma[h - 1] * z ** (k - h) for h in range(1, k + 1))
-            assert abs(p) <= 1e-10 * max(1.0, abs(z)) ** k
+            # P and the scale sum_h |c_h| |z|^(k-h) as Python sums, constant term first
+            terms = [coeffs[h] * z ** (k - h) for h in range(k, -1, -1)]
+            assert abs(sum(terms)) <= ROOT_BACKWARD_ERROR * k * sum(abs(t) for t in terms)
         if planted is not None and len(set(planted)) == k:
-            # the iteration stops at the residual target, which at |x| <= 6
-            # leaves a simple root about 1e-9 from its true value
-            assert all(min(abs(roots - r)) < 1e-8 for r in planted)
-            # planted roots at least 1 apart: the stencil guard lets the point through
-            assert abs(root_discriminant(sigma)) > FD_SAFETY
+            assert all(min(abs(roots - r)) < 1e-10 for r in planted)
+
+
+def test_roots_raise_when_a_root_misses_the_backward_error_bound(monkeypatch):
+    monkeypatch.setattr(numerics.np, "roots", lambda coeffs: np.array([1.0, 2.0]) + 1e-9)
+    with pytest.raises(RootConvergenceError) as err:
+        poly_roots([3, 2])
+    # the worse root is 1 + 1e-9: |P| = 1e-9 (1 - 1e-9), scale 1 + 3 + 2
+    assert err.value.backward_error == pytest.approx(1e-9 / 6, rel=1e-6)
 
 
 def test_contour_radius_dominates_the_root_bound():
@@ -181,15 +188,19 @@ def test_fd_rejects_stencil_near_discriminant():
     F = trace_function_handle(EXP)
     with pytest.raises(UnsafeStencilError):
         fd_annihilation_check(op_T(2, 2), F, [2.0, 1.0])  # double root locus
-
-
-def test_root_discriminant_matches_symbolic():
-    rng = random.Random(11)
-    for k in (2, 3, 4):
-        for _ in range(5):
-            sigma = [rng.uniform(-3, 3) for _ in range(k)]
-            exact = complex(discriminant(k).evaluate({"sigma": sigma}))
-            assert abs(root_discriminant(sigma) - exact) <= 1e-8 * max(1.0, abs(exact))
+    # roots -3, -2, 0, 2, 3, 3: the other roots spread, the discriminant is still 0
+    with pytest.raises(UnsafeStencilError):
+        fd_annihilation_check(op_T(6, 2), F, [3.0, -13.0, -39.0, 36.0, 108.0, 0.0])
+    rng = random.Random(31)
+    for _ in range(60):
+        k = rng.randint(2, 12)
+        roots = [rng.randint(-3, 3) for _ in range(k - 1)]
+        roots.append(rng.choice(roots))
+        with pytest.raises(UnsafeStencilError):
+            fd_annihilation_check(op_T(k, 2), F, sigma_of(roots))
+    # k = 1 has no locus: d_1 of T(exp) = exp(s_1)
+    res = fd_annihilation_check(WeylOp.partial(sigma_space(1), 1), F, [0.5])
+    assert res.residual == pytest.approx(np.exp(0.5), rel=1e-8)
 
 
 def test_fd_rejects_high_order():

@@ -20,9 +20,9 @@ def test_library_has_no_assert_statements():
 
 # a running x = x + piece over Poly or WeylOp copies the sum on every step;
 # Poly.sum and WeylOp.sum accumulate into one dict.  vanishes_on_Z keeps
-# its literal loop as the independent chart check; check_images
-# subtracts one expected image per image, and poly_roots iterates floats.
-RUNNING_SUM_EXEMPT = {"vanishes_on_Z", "check_images", "poly_roots"}
+# its literal loop as the independent chart check, and check_images
+# subtracts one expected image per image.
+RUNNING_SUM_EXEMPT = {"vanishes_on_Z", "check_images"}
 
 
 def test_no_running_sum_in_a_loop():
