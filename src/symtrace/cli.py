@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from pathlib import Path
 
 from . import __version__
@@ -196,12 +195,13 @@ def cmd_numcheck(args) -> int:
         f = power_function(int(args.f.split(":", 1)[1]))
     else:
         raise ValueError(f"unknown function {args.f!r}")
-    with warnings.catch_warnings():
-        # numpy's overflow warnings would add stderr lines; the check below refuses the result
-        warnings.simplefilter("ignore", RuntimeWarning)
+    not_finite = "the contour trace is not finite (overflow or a degenerate contour)"
+    try:
         tv = trace_contour(f, sigma)
+    except (ArithmeticError, ValueError) as exc:  # cmath's overflow, pole or math domain error
+        raise ValueError(not_finite) from exc
     if not (_finite(tv.value) and _finite(tv.residue_form) and _finite(tv.difference)):
-        raise ValueError("the contour trace is not finite (overflow or a degenerate contour)")
+        raise ValueError(not_finite)
     _print({
         "schema": SCHEMA, "object": "numcheck", "k": args.k,
         "sigma": [[v.real, v.imag] for v in map(complex, sigma)],

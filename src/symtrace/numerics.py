@@ -7,6 +7,13 @@ integrated-by-parts log form), the contour form of the derived family,
 and finite-difference verification that the annihilators kill analytic
 trace functions.
 
+Only `poly_roots` uses numpy, imported in its own body, so no CLI command
+loads it.  The contour sums are scalar `cmath` loops, P and P' by
+`symfun.horner`, each mean a `math.fsum` of real and imaginary parts.
+`cmath` and complex division raise (OverflowError, ZeroDivisionError,
+ValueError) where an array would read inf or nan; products can still
+overflow to inf.
+
 No caller sets a tuning value.  The contour is the circle of radius
 `contour_radius(sigma)` = 2 max(1, B), B = sum_h |s_h|^(1/h), sampled at
 `NODES` = 256 equispaced points.  Every root lies in |z| <= B, and on the
@@ -20,13 +27,13 @@ discriminant falls below `FD_SAFETY`.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .symfun import char_poly, discriminant_at
+from .symfun import char_poly, discriminant_at, horner
 
 NODES = 256             # quadrature nodes on the contour
 ROOT_BACKWARD_ERROR = 2.0 ** -43  # per degree: 1024 unit roundoffs
@@ -44,22 +51,25 @@ class UnsafeStencilError(ValueError):
     """Finite-difference stencil too close to the discriminant locus."""
 
 
-def _coefficients(sigma: Sequence[complex]) -> np.ndarray:
-    """The row of P_s from `symfun.char_poly` as a complex vector."""
-    return np.array(char_poly(sigma), complex)
+def _coefficients(sigma: Sequence[complex]) -> list[complex]:
+    """The row of P_s from `symfun.char_poly` as complex numbers."""
+    return [complex(c) for c in char_poly(sigma)]
 
 
-def poly_roots(sigma: Sequence[complex]) -> np.ndarray:
-    """All k roots (with multiplicity): the eigenvalues of the companion matrix.
+def poly_roots(sigma: Sequence[complex]):
+    """All k roots (with multiplicity), as a numpy array: the eigenvalues
+    of the companion matrix.
 
     Raises RootConvergenceError unless every root x satisfies
     |P(x)| <= ROOT_BACKWARD_ERROR k sum_h |c_h| |x|^(k-h), about 512 times
     Horner's rounding bound 2ku with u = 2^-53.
     """
+    import numpy as np
+
     k = len(sigma)
     if k < 1:
         raise ValueError("need k >= 1")
-    coeffs = _coefficients(sigma)
+    coeffs = np.array(_coefficients(sigma))
     roots = np.roots(coeffs).astype(complex)
     value = np.abs(np.polyval(coeffs, roots))
     scale = np.polyval(np.abs(coeffs), np.abs(roots))
@@ -77,25 +87,21 @@ def contour_radius(sigma: Sequence[complex]) -> float:
 
 @dataclass(frozen=True)
 class AnalyticFunction:
-    """An entire function together with its derivative."""
+    """An entire function together with its derivative, on complex scalars."""
 
     name: str
-    f: Callable
-    df: Callable
+    f: Callable[[complex], complex]
+    df: Callable[[complex], complex]
 
 
-EXP = AnalyticFunction("exp", np.exp, np.exp)
-SIN = AnalyticFunction("sin", np.sin, np.cos)
+EXP = AnalyticFunction("exp", cmath.exp, cmath.exp)
+SIN = AnalyticFunction("sin", cmath.sin, cmath.cos)
 
 
 def power_function(m: int) -> AnalyticFunction:
     if m < 0:
         raise ValueError("power must be >= 0")
-    return AnalyticFunction(
-        f"pow:{m}",
-        lambda z: np.asarray(z) ** m,
-        lambda z: m * np.asarray(z) ** (m - 1) if m else np.zeros_like(np.asarray(z)),
-    )
+    return AnalyticFunction(f"pow:{m}", lambda z: z ** m, lambda z: m * z ** (m - 1) if m else 0j)
 
 
 @dataclass(frozen=True)
@@ -105,8 +111,15 @@ class TraceValue:
     difference: float       # |value - residue_form|, a quadrature diagnostic
 
 
-def _nodes(sigma: Sequence[complex]) -> np.ndarray:
-    return contour_radius(sigma) * np.exp(2j * np.pi * np.arange(NODES) / NODES)
+def _nodes(sigma: Sequence[complex]) -> list[complex]:
+    radius = contour_radius(sigma)
+    return [radius * cmath.exp(2j * math.pi * n / NODES) for n in range(NODES)]
+
+
+def _mean(values: Sequence[complex]) -> complex:
+    """The mean, as correctly rounded sums of the real and imaginary parts."""
+    n = len(values)
+    return complex(math.fsum(v.real for v in values) / n, math.fsum(v.imag for v in values) / n)
 
 
 def trace_contour(f: AnalyticFunction, sigma: Sequence[complex]) -> TraceValue:
@@ -119,16 +132,15 @@ def trace_contour(f: AnalyticFunction, sigma: Sequence[complex]) -> TraceValue:
     """
     k = len(sigma)
     coeffs = _coefficients(sigma)
-    z = _nodes(sigma)
-    p = np.polyval(coeffs, z)
-    dp = np.polyval(np.polyder(coeffs), z)
-    residue_form = np.mean(f.f(z) * dp / p * z)
-    log_form = -np.mean(f.df(z) * np.log(p / z ** k) * z) + k * complex(f.f(0.0))
-    return TraceValue(
-        value=complex(log_form),
-        residue_form=complex(residue_form),
-        difference=float(abs(log_form - residue_form)),
-    )
+    dcoeffs = [(k - h) * c for h, c in enumerate(coeffs[:-1])]
+    residue, log = [], []
+    for z in _nodes(sigma):
+        p = horner(coeffs, z)
+        residue.append(f.f(z) * horner(dcoeffs, z) / p * z)
+        log.append(f.df(z) * cmath.log(p / z ** k) * z)
+    residue_form = _mean(residue)
+    log_form = -_mean(log) + k * complex(f.f(0.0))
+    return TraceValue(value=log_form, residue_form=residue_form, difference=abs(log_form - residue_form))
 
 
 def dn_contour(m: int, sigma: Sequence[complex]) -> complex:
@@ -136,8 +148,8 @@ def dn_contour(m: int, sigma: Sequence[complex]) -> complex:
     k = len(sigma)
     if m < -k + 1:
         raise ValueError(f"need m >= {-k + 1}")
-    z = _nodes(sigma)
-    return complex(np.mean(z ** (m + k) / np.polyval(_coefficients(sigma), z)))
+    coeffs = _coefficients(sigma)
+    return _mean([z ** (m + k) / horner(coeffs, z) for z in _nodes(sigma)])
 
 
 @dataclass(frozen=True)
@@ -159,42 +171,38 @@ _STENCILS = {
 }
 
 
-def _stencil(dexp, sigma0: np.ndarray, h: float):
+def _stencil(dexp, sigma0: tuple[float, ...], h: float):
     """The stencil points of d^dexp at sigma0 with step h, and its quotient."""
     active = [i for i, e in enumerate(dexp) if e]
     offsets, quotient = _STENCILS[tuple(dexp[i] for i in active)]
     points = []
     for signs in offsets:
-        q = sigma0.copy()
+        q = list(sigma0)
         for i, s in zip(active, signs):
             if s:
                 q[i] += s * h
-        points.append(q)
+        points.append(tuple(q))
     return points, quotient
 
 
-def _stencil_points(op, sigma0: np.ndarray, h: float) -> list[np.ndarray]:
+def _stencil_points(op, sigma0: tuple[float, ...], h: float) -> list[tuple[float, ...]]:
     """Every distinct point of the stencils of op's terms, sigma0 first."""
-    pts = {tuple(sigma0): sigma0}
-    for dexp in op.terms:
-        for q in _stencil(dexp, sigma0, h)[0]:
-            pts.setdefault(tuple(q), q)
-    return list(pts.values())
+    return list(dict.fromkeys([sigma0, *(q for dexp in op.terms for q in _stencil(dexp, sigma0, h)[0])]))
 
 
-def _apply_fd(op, F: Callable, sigma0: np.ndarray, h: float) -> complex:
+def _apply_fd(op, F: Callable, sigma0: tuple[float, ...], h: float) -> complex:
     """One central-difference evaluation of op[F] at sigma0 with step h."""
     total = 0.0 + 0.0j
     cache: dict[tuple, complex] = {}
 
-    def feval(q: np.ndarray) -> complex:
-        key = tuple(np.round(q, 12))
+    def feval(q: tuple[float, ...]) -> complex:
+        key = tuple(round(v, 12) for v in q)
         if key not in cache:
             cache[key] = complex(F(q))
         return cache[key]
 
     for dexp, coeff in op.terms.items():
-        a = complex(coeff.evaluate({"sigma": list(sigma0)}))
+        a = complex(coeff.evaluate({"sigma": sigma0}))
         if a == 0:
             continue
         points, quotient = _stencil(dexp, sigma0, h)
@@ -214,7 +222,7 @@ def fd_annihilation_check(op, F: Callable, sigma0: Sequence[float]) -> FDResult:
     """
     if op.order() > 2:
         raise ValueError("operator order must be <= 2")
-    sigma0 = np.asarray(sigma0, dtype=float)
+    sigma0 = tuple(map(float, sigma0))
     if len(sigma0) > 1:  # k = 1 has no discriminant locus
         for pt in _stencil_points(op, sigma0, FD_STEP):
             if abs(discriminant_at([Fraction(v) for v in pt])) < FD_SAFETY:
@@ -227,9 +235,9 @@ def fd_annihilation_check(op, F: Callable, sigma0: Sequence[float]) -> FDResult:
     extrapolated = (16 * r2 - r1) / 15
     num = abs(d1 - d2)
     den = abs(d2 - d4)
-    order = float(np.log2(num / den)) if num > 0 and den > 0 else float("inf")
+    order = math.log2(num / den) if num > 0 and den > 0 else float("inf")
     scale = max(1.0, abs(complex(F(sigma0))))
-    return FDResult(residual=float(abs(extrapolated)), convergence_order=order, scale=scale)
+    return FDResult(residual=abs(extrapolated), convergence_order=order, scale=scale)
 
 
 def trace_function_handle(f: AnalyticFunction) -> Callable:

@@ -1,11 +1,17 @@
+import cmath
+import contextlib
 import hashlib
+import io
 import json
+import math
 import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtrace.annihilators import FAMILIES, Witness, check_images, family_members, generator_system
 from symtrace.cli import dispatch
@@ -667,6 +673,37 @@ def test_numcheck_rejects_non_finite_trace(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_magnitudes = st.floats(-300, 300).map(lambda e: 10.0 ** e)
+_sigma_entries = st.one_of(
+    st.tuples(_magnitudes, st.sampled_from([1.0, -1.0])).map(lambda t: repr(t[0] * t[1])),
+    st.tuples(_magnitudes, st.floats(-math.pi, math.pi)).map(lambda t: repr(cmath.rect(*t))),
+)
+_trace_functions = st.one_of(
+    st.sampled_from(["exp", "sin"]),
+    st.integers(0, 40).map(lambda m: f"pow:{m}"),
+    st.integers(0, 10 ** 20).map(lambda m: f"pow:{m}"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(_sigma_entries, min_size=k, max_size=k)), _trace_functions)
+def test_numcheck_ends_in_finite_values_or_one_error_line(sigma, f):
+    # cmath raises where a contour value overflows, meets a pole or leaves
+    # the log's domain; that is the same one-line refusal as an inf or nan sum
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(["numcheck", "--k", str(len(sigma)), f"--sigma={','.join(sigma)}", "--f", f])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        doc = json.loads(out)
+        trace = doc["trace"]
+        values = [doc["radius"], *trace["value"], *trace["residue_form"], trace["difference"]]
+        assert err == "" and all(math.isfinite(v) for v in values)
+    else:
+        assert code == 1 and out == ""
+        assert err == "error: the contour trace is not finite (overflow or a degenerate contour)\n"
 
 
 def test_internal_invariant_failure_is_one_line_error(capsys, tmp_path, monkeypatch):

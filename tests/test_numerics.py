@@ -1,10 +1,13 @@
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symtrace import numerics
 from symtrace.annihilators import op_A, op_T
+from symtrace.cli import dispatch
 from symtrace.numerics import (
     EXP,
     ROOT_BACKWARD_ERROR,
@@ -69,7 +72,7 @@ def test_roots_residual_criterion_random():
 
 
 def test_roots_raise_when_a_root_misses_the_backward_error_bound(monkeypatch):
-    monkeypatch.setattr(numerics.np, "roots", lambda coeffs: np.array([1.0, 2.0]) + 1e-9)
+    monkeypatch.setattr(np, "roots", lambda coeffs: np.array([1.0, 2.0]) + 1e-9)
     with pytest.raises(RootConvergenceError) as err:
         poly_roots([3, 2])
     # the worse root is 1 + 1e-9: |P| = 1e-9 (1 - 1e-9), scale 1 + 3 + 2
@@ -130,6 +133,62 @@ def test_root_sum_oracle_for_sin_and_exp():
             tv = trace_contour(f, sigma).value
             oracle = sum(np_f(z) for z in roots)
             assert abs(tv - oracle) <= 1e-8 * max(1.0, abs(oracle))
+
+
+def _numpy_contour(sigma):
+    """The row of P, the nodes and P on them, as numpy arrays: the contour
+    sums below take numpy's summation order and complex arithmetic."""
+    coeffs = np.array([1.0] + [(-1) ** h * s for h, s in enumerate(sigma, start=1)], complex)
+    z = contour_radius(sigma) * np.exp(2j * np.pi * np.arange(NODES) / NODES)
+    return coeffs, z, np.polyval(coeffs, z)
+
+
+def _numpy_trace(f: str, sigma):
+    """The log form and the residue form of trace_contour on numpy arrays."""
+    k = len(sigma)
+    coeffs, z, p = _numpy_contour(sigma)
+    if f.startswith("pow:"):
+        m = int(f[4:])
+        fz, dfz, f0 = z ** m, m * z ** (m - 1), 0.0 ** m
+    else:
+        fn, dfn = {"exp": (np.exp, np.exp), "sin": (np.sin, np.cos)}[f]
+        fz, dfz, f0 = fn(z), dfn(z), fn(0.0)
+    residue = np.mean(fz * np.polyval(np.polyder(coeffs), z) / p * z)
+    return -np.mean(dfz * np.log(p / z ** k) * z) + k * f0, residue
+
+
+def test_scalar_contour_sums_match_the_numpy_oracle_on_the_benchmark_draws(monkeypatch, capsys):
+    # the benchmark's numcheck inputs and its NUMCHECK_RTOL rule: agreement
+    # to 1e-12 times the largest |f| on the contour (e^R for exp and sin,
+    # R^m for pow:m); every draw exits 0, and the CLI's value passes the
+    # benchmark's root-sum oracle
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    from oracles import NUMCHECK_RTOL, numcheck_problems
+    from workloads import numcheck_sigma
+
+    draws = 0
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for k in range(2, 13):
+            sigma = [float(s) for s in numcheck_sigma(rng, k)]
+            _, z, p = _numpy_contour(sigma)
+            for m in range(-k + 1, 2 * k + 1):  # dn_contour's integrand, scaled by its largest value
+                v = z ** (m + k) / p
+                assert abs(dn_contour(m, sigma) - np.mean(v)) <= NUMCHECK_RTOL * max(1.0, np.max(np.abs(v)))
+            radius = contour_radius(sigma)
+            for f in ("exp", "sin", f"pow:{2 * k}"):
+                fn = power_function(2 * k) if f.startswith("pow:") else {"exp": EXP, "sin": SIN}[f]
+                scale = max(1.0, radius ** (2 * k) if f.startswith("pow:") else np.exp(radius))
+                log, residue = _numpy_trace(f, sigma)
+                tv = trace_contour(fn, sigma)
+                assert abs(tv.value - log) <= NUMCHECK_RTOL * scale, (seed, k, f)
+                assert abs(tv.residue_form - residue) <= NUMCHECK_RTOL * scale, (seed, k, f)
+                text = ",".join(map(repr, sigma))
+                assert dispatch(["numcheck", "--k", str(k), f"--sigma={text}", "--f", f]) == 0
+                doc = json.loads(capsys.readouterr().out)
+                assert numcheck_problems(doc, {"sigma": text, "f": f}) == [], (seed, k, f)
+                draws += 1
+    assert draws == 99
 
 
 def test_dn_contour_values():

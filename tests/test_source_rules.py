@@ -1,9 +1,17 @@
 """Rules on the library source that CI keeps."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import symtrace
+from symtrace.charvar import minors
+from symtrace.serialize import dumps, poly_to_dict
 
 SRC = Path(symtrace.__file__).parent
 
@@ -56,16 +64,22 @@ KERNEL_HELPER_EDGES = {  # function -> why it may build and wrap a term dict
 }
 
 
+def _enclosing_functions(tree) -> dict:
+    """node -> name of the innermost function around it (ast.walk goes outside in)."""
+    scope = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope.update(dict.fromkeys(ast.walk(fn), fn.name))
+    return scope
+
+
 def test_only_the_kernel_uses_the_term_dict_helpers():
     found = set()
     for path in sorted(SRC.rglob("*.py")):
         if path.name in KERNEL:
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        scope = {}  # node -> innermost enclosing function (ast.walk goes outside in)
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scope.update(dict.fromkeys(ast.walk(fn), fn.name))
+        scope = _enclosing_functions(tree)
         for node in ast.walk(tree):
             # each use is a name or an attribute; an import counts where it renames a helper
             if (isinstance(node, ast.Name) and node.id in KERNEL_HELPERS
@@ -180,3 +194,51 @@ def test_report_has_no_pass_flag_set_in_a_loop():
                     and any(isinstance(t, ast.Name) for t in node.targets)):
                 found.append(f"{fn.name}:{node.lineno}")
     assert sorted(set(found)) == []
+
+
+def test_numpy_is_imported_only_inside_poly_roots():
+    # only root finding needs numpy, and the import sits in its body, so
+    # importing the package, and with it every command, loads none
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scope = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{path.stem}.{scope.get(node, '<module>')}")
+    assert found == ["numerics.poly_roots"]
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from symtrace import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.dispatch(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "newton", "--k", "3", "--max-m", "6"],
+    ["xi", "--k", "3", "--op", "S2"],
+    ["verify", "--k", "3", "--suite", "system"],
+    ["charvar", "--k", "3", "--sample", "2"],
+    ["charvar", "--k", "3", "--check-symbols"],
+    ["charvar", "--k", "2", "--decompose", "MINOR"],
+    ["member", "--k", "2", "--op", "sigma2_k2.json"],
+    ["numcheck", "--k", "2", "--sigma", "3,2", "--f", "exp"],
+    ["golden"],
+], ids=" ".join)
+def test_no_command_loads_numpy(argv, tmp_path):
+    # each command in a fresh interpreter, so nothing this test process
+    # imported counts
+    minor = tmp_path / "minor.json"
+    minor.write_text(dumps(poly_to_dict(minors(2)[1, 2])), encoding="utf-8")
+    argv = [str(minor) if a == "MINOR" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "numpy": False}

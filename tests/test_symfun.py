@@ -45,7 +45,7 @@ def test_char_poly_row_has_the_roots_it_was_built_from(xs):
     for j, xj in enumerate(xs):
         assert horner(row, xj) == 0
         assert horner(drow, xj) == dpoly_at_root(xs, j)
-    assert _coefficients(sigma).tolist() == [complex(c) for c in row]
+    assert _coefficients(sigma) == [complex(c) for c in row]
 
 
 def test_elementary_symmetric_small_cases():
