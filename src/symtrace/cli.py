@@ -227,67 +227,69 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or given argv only of the one its first
+    word that is no option names; the top level names all seven either way."""
     ap = _Parser(prog="symtrace", description=__doc__)
     ap.add_argument("--version", action="version", version=f"symtrace {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    invoked = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
 
-    g = sub.add_parser("gen", help="emit a symmetric-function family table")
-    g.add_argument("--family", required=True, choices=list(FAMILIES))
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--max-m", type=int, required=True)
-    g.add_argument("--format", choices=["json", "text"], default="json")
-    g.set_defaults(fn=cmd_gen)
+    def command(name: str, summary: str, fn):  # its subparser where it is built, else None
+        built = invoked in (None, name)
+        p = sub.add_parser(name, help=summary, add_help=built)
+        p.set_defaults(fn=fn)
+        return p if built else None
 
-    x = sub.add_parser("xi", help="transport a symmetric x-operator to sigma-coordinates")
-    x.add_argument("--k", type=int, required=True)
-    x.add_argument("--op", required=True, help="S2..Sk or a JSON operator file")
-    x.add_argument("--format", choices=["json", "text"], default="json")
-    x.set_defaults(fn=cmd_xi)
+    if g := command("gen", "emit a symmetric-function family table", cmd_gen):
+        g.add_argument("--family", required=True, choices=list(FAMILIES))
+        g.add_argument("--k", type=int, required=True)
+        g.add_argument("--max-m", type=int, required=True)
+        g.add_argument("--format", choices=["json", "text"], default="json")
 
-    v = sub.add_parser("verify", help="run an exact verification suite")
-    v.add_argument("--k", type=int, required=True)
-    v.add_argument("--suite", required=True, choices=sorted(SUITES))
-    v.add_argument("--max-m", type=int, default=None)
-    v.add_argument("--format", choices=["json", "text"], default="json")
-    v.add_argument("--strict-paper", action="store_true",
-                   help="treat deviations from published displays as failures")
-    v.set_defaults(fn=cmd_verify)
+    if x := command("xi", "transport a symmetric x-operator to sigma-coordinates", cmd_xi):
+        x.add_argument("--k", type=int, required=True)
+        x.add_argument("--op", required=True, help="S2..Sk or a JSON operator file")
+        x.add_argument("--format", choices=["json", "text"], default="json")
 
-    c = sub.add_parser("charvar", help="characteristic-variety tools")
-    c.add_argument("--k", type=int, required=True)
-    mode = c.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--sample", type=int, default=None)
-    mode.add_argument("--check-symbols", action="store_true")
-    mode.add_argument("--decompose", default=None, help="JSON polynomial file over (sigma, eta)")
-    c.add_argument("--seed", type=int, default=None, help="with --sample; 0 by default")
-    c.add_argument("--format", choices=["json", "text"], default="json")
-    c.add_argument("--strict-paper", action="store_true")
-    c.set_defaults(fn=cmd_charvar)
+    if v := command("verify", "run an exact verification suite", cmd_verify):
+        v.add_argument("--k", type=int, required=True)
+        v.add_argument("--suite", required=True, choices=sorted(SUITES))
+        v.add_argument("--max-m", type=int, default=None)
+        v.add_argument("--format", choices=["json", "text"], default="json")
+        v.add_argument("--strict-paper", action="store_true",
+                       help="treat deviations from published displays as failures")
 
-    m = sub.add_parser("member", help="left-ideal membership with certificate")
-    m.add_argument("--k", type=int, required=True)
-    m.add_argument("--op", required=True, help="JSON operator file")
-    m.add_argument("--newton-bound", type=int, default=None)
-    m.set_defaults(fn=cmd_member)
+    if c := command("charvar", "characteristic-variety tools", cmd_charvar):
+        c.add_argument("--k", type=int, required=True)
+        mode = c.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--sample", type=int, default=None)
+        mode.add_argument("--check-symbols", action="store_true")
+        mode.add_argument("--decompose", default=None, help="JSON polynomial file over (sigma, eta)")
+        c.add_argument("--seed", type=int, default=None, help="with --sample; 0 by default")
+        c.add_argument("--format", choices=["json", "text"], default="json")
+        c.add_argument("--strict-paper", action="store_true")
 
-    n = sub.add_parser("numcheck", help="numeric contour evaluation of a trace")
-    n.add_argument("--k", type=int, required=True)
-    n.add_argument("--sigma", required=True, help="comma-separated values")
-    n.add_argument("--f", default="exp", help="exp, sin, or pow:m")
-    n.set_defaults(fn=cmd_numcheck)
+    if m := command("member", "left-ideal membership with certificate", cmd_member):
+        m.add_argument("--k", type=int, required=True)
+        m.add_argument("--op", required=True, help="JSON operator file")
+        m.add_argument("--newton-bound", type=int, default=None)
 
-    d = sub.add_parser("golden", help="re-derive and compare the stored published formulas")
-    d.add_argument("--dir", default=None)
-    d.add_argument("--format", choices=["json", "text"], default="json")
-    d.add_argument("--strict-paper", action="store_true")
-    d.set_defaults(fn=cmd_golden)
+    if n := command("numcheck", "numeric contour evaluation of a trace", cmd_numcheck):
+        n.add_argument("--k", type=int, required=True)
+        n.add_argument("--sigma", required=True, help="comma-separated values")
+        n.add_argument("--f", default="exp", help="exp, sin, or pow:m")
+
+    if d := command("golden", "re-derive and compare the stored published formulas", cmd_golden):
+        d.add_argument("--dir", default=None)
+        d.add_argument("--format", choices=["json", "text"], default="json")
+        d.add_argument("--strict-paper", action="store_true")
     return ap
 
 
 def dispatch(argv: list[str]) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:  # --help and --version
         return 1 if exc.code else 0

@@ -123,7 +123,7 @@ def trace_characterization_x(k: int, p: WeylOp) -> bool:
     term concentrates its partials on a single coordinate.
     """
     check_space(p, x_space(k))
-    for dexp in p.terms:
+    for dexp, _ in p.sorted_terms():
         if sum(1 for e in dexp if e) < 2:
             return False
     return True

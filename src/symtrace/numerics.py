@@ -187,7 +187,7 @@ def _stencil(dexp, sigma0: tuple[float, ...], h: float):
 
 def _stencil_points(op, sigma0: tuple[float, ...], h: float) -> list[tuple[float, ...]]:
     """Every distinct point of the stencils of op's terms, sigma0 first."""
-    return list(dict.fromkeys([sigma0, *(q for dexp in op.terms for q in _stencil(dexp, sigma0, h)[0])]))
+    return list(dict.fromkeys([sigma0, *(q for dexp, _ in op.sorted_terms() for q in _stencil(dexp, sigma0, h)[0])]))
 
 
 def _apply_fd(op, F: Callable, sigma0: tuple[float, ...], h: float) -> complex:
@@ -201,7 +201,7 @@ def _apply_fd(op, F: Callable, sigma0: tuple[float, ...], h: float) -> complex:
             cache[key] = complex(F(q))
         return cache[key]
 
-    for dexp, coeff in op.terms.items():
+    for dexp, coeff in op.sorted_terms():
         a = complex(coeff.evaluate({"sigma": sigma0}))
         if a == 0:
             continue

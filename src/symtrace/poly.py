@@ -1,52 +1,77 @@
 """Multivariate polynomials over exact rationals.
 
-Terms live in a dict mapping exponent tuples to nonzero coefficients; the
-exponent tuple runs over all variables of the carrying VarSpace in
-canonical order.  Every stored coefficient has one canonical form: a
-nonzero int, or a Fraction with denominator > 1.  Most coefficients in
-the kernel are integral, and int arithmetic pays no gcd; ``_canon``
-demotes an integral Fraction to its numerator wherever one can arise.
-Values are immutable by convention: no method mutates ``terms`` after
-construction, so polynomials can be shared freely.
+Terms live in a dict mapping packed exponent keys to nonzero
+coefficients.  A key is one int: the exponents of the n variables of
+the carrying VarSpace in canonical order, BITS bits each with the first
+highest, under the total degree:
+
+    key = deg << BITS*n | e_1 << BITS*(n-1) | ... | e_n
+
+A monomial product is one int addition, lowering an exponent one
+subtraction, and descending int order is the graded-lex order of
+``term_sort_key``.  The overflow guard: a stored key has degree at most
+MAX_DEGREE = 2^(BITS-1) - 1, so a sum of two keys carries out of no
+field, and the validated constructor, ``embed`` and ``sum_of_products``
+refuse a higher degree with a ValueError.  Only this module packs and
+decodes keys; exponent tuples stay at its edges: the validated
+constructor, ``coefficient``, ``sorted_terms`` (which serialization and
+display read), ``evaluate`` and ``max_exponents``.
+
+Every stored coefficient has one canonical form: a nonzero int, or a
+Fraction with denominator > 1.  Most coefficients in the kernel are
+integral, and int arithmetic pays no gcd; ``_canon`` demotes an
+integral Fraction to its numerator wherever one can arise.  No method
+mutates ``terms`` after construction, so polynomials can be shared.
 
 Polynomials are built and summed in one way each:
 
-- ``Poly(space, terms)`` is the validated public constructor.  It
-  converts coefficients to canonical form, drops zeros and rejects
-  exponents of the wrong length or with an entry that is not a
-  non-negative int (bools included).  Input from outside the kernel
-  (user JSON, tests, hand-built tables) goes through it.
-- ``Poly._trusted(space, terms)`` stores an already-clean dict as it is:
-  nonzero canonical coefficients keyed by exponents of length
-  ``space.nvars`` with no negative entry.  The ring operations build such
-  dicts by construction and wrap them with it; the dict must not be
-  mutated afterwards.
-- ``Poly.sum(space, pieces)`` is the one way to sum polynomials.  It
-  streams: the pieces are drawn one at a time and accumulate into one
-  running dict, which is wrapped once at the end, so a sum fed from a
-  generator holds that dict and one piece.  ``a + b`` is its two-piece
-  case.
-- ``Poly.sum_of_products(space, triples)`` is the one way to sum
-  products: c * a * b over triples (a, b, c), streamed the same way.
-  ``a * b`` is its one-triple case, and ``compose`` and the products and
-  actions of ``weyl`` are built on it.
-- ``_accumulate(out, key, c)`` adds ``c`` into ``out[key]``, stores the
-  sum in canonical form and drops the key when the sum cancels.
-
-Term dicts are built only here, and at one edge:
-``symfun.reduce_partitions`` accumulates the sigma-terms of its descent
-and wraps them, since their exponents are gaps of partitions and clean
-by construction.
+- ``Poly(space, terms)`` is the validated public constructor over
+  exponent tuples.  It converts coefficients to canonical form, drops
+  zeros and rejects exponents of the wrong length, with an entry that is
+  not a non-negative int (bools included), or above MAX_DEGREE in total.
+  Input from outside the kernel goes through it.
+- ``Poly._trusted(space, terms)`` stores an already-clean dict of keys
+  as it is: the ring operations build such dicts and wrap them with it.
+- ``Poly.sum(space, pieces)`` is the one way to sum polynomials, and
+  ``Poly.sum_of_products(space, triples)`` the one way to sum products
+  c * a * b.  Both stream: the pieces are drawn one at a time and
+  accumulate into one running dict, storing each sum in canonical form
+  and dropping a key whose sum cancels.  ``a + b`` and ``a * b`` are
+  their smallest cases, and ``compose`` and ``weyl`` are built on them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul, neg
+from functools import cache, reduce
+from operator import mul, neg
+from struct import Struct
 from typing import Iterable, Mapping
 
 from .spaces import VarSpace, check_space
+
+BITS = 16  # one big-endian struct word ("H") per field, see _codec
+MAX_DEGREE = (1 << BITS - 1) - 1
+_MASK = (1 << BITS) - 1
+
+
+@cache
+def _codec(n: int) -> Struct:
+    """n exponent fields as big-endian 16-bit words under one skipped word,
+    where a key holds its degree."""
+    return Struct(f">2x{n}H")
+
+
+def _key(exp: tuple[int, ...]) -> int:
+    """The packed key of a valid exponent tuple (of a block, under its degree)."""
+    return sum(exp) << BITS * len(exp) | int.from_bytes(_codec(len(exp)).pack(*exp), "big")
+
+
+def _fields(keys: Iterable[int], n: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of keys of n variables, or of blocks of n fields."""
+    codec = _codec(n)
+    unpack, size = codec.unpack, codec.size
+    return [unpack(key.to_bytes(size, "big")) for key in keys]
 
 
 def _canon(c):
@@ -68,19 +93,24 @@ def _as_coeff(c) -> int | Fraction:
 
 
 def _is_exponent(exp: tuple, n: int) -> bool:
-    """exp has n entries, each a non-negative int (bools refused)."""
-    return len(exp) == n and {*map(type, exp)} <= {int} and min(exp, default=0) >= 0
+    """exp has n entries, non-negative ints (bools refused) of total at most MAX_DEGREE."""
+    return len(exp) == n and {*map(type, exp)} <= {int} and min(exp, default=0) >= 0 and sum(exp) <= MAX_DEGREE
 
 
-def _accumulate(out: dict, key, c) -> None:
-    """out[key] += c for a rational c, dropping the key when the sum is zero."""
-    s = out.get(key)
-    if s is not None:
-        c = s + c
-    if c:
-        out[key] = _canon(c)
-    else:
-        out.pop(key, None)
+def _checked(space: VarSpace, out: dict) -> Poly:
+    """Wrap a clean dict of keys whose fields did not carry, refusing it
+    where its degree leaves no guard bit for the next product."""
+    if out and max(out) >> BITS * space.nvars > MAX_DEGREE:
+        raise ValueError(f"total degree {max(out) >> BITS * space.nvars} exceeds {MAX_DEGREE}, "
+                         "the most a packed exponent key holds")
+    return Poly._trusted(space, out)
+
+
+def _block(space: VarSpace, family: str) -> tuple[int, int, int]:
+    """For a family of space: its variable count, the bits of the fields
+    after it, and the bits of its own fields."""
+    count = space.family_count(family)
+    return count, BITS * (space.nvars - space.offset(family) - count), BITS * count
 
 
 def term_sort_key(exp: tuple[int, ...]):
@@ -93,21 +123,22 @@ class Poly:
 
     def __init__(self, space: VarSpace, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         object.__setattr__(self, "space", space)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         n = space.nvars
+        pack, top = _codec(n).pack, BITS * n
         for exp, coeff in (terms or {}).items():
             c = _as_coeff(coeff)
             if c == 0:
                 continue
             exp = tuple(exp)
             if not _is_exponent(exp, n):
-                raise ValueError(f"bad exponent {exp} for space {space}")
-            clean[exp] = c
+                raise ValueError(f"bad exponent {exp} for space {space} (total at most {MAX_DEGREE})")
+            clean[sum(exp) << top | int.from_bytes(pack(*exp), "big")] = c  # _key, inlined
         object.__setattr__(self, "terms", clean)
 
     @staticmethod
-    def _trusted(space: VarSpace, terms: dict[tuple[int, ...], Fraction]) -> Poly:
-        """Wrap a clean term dict as it is, without copying or checking it."""
+    def _trusted(space: VarSpace, terms: dict[int, int | Fraction]) -> Poly:
+        """Wrap a clean dict of packed keys as it is, without copying or checking it."""
         obj = object.__new__(Poly)
         object.__setattr__(obj, "space", space)
         object.__setattr__(obj, "terms", terms)
@@ -151,15 +182,22 @@ class Poly:
         dict accumulates into the copy, so the smaller side is the one
         walked.  Pieces are drawn one at a time and none is kept.
         """
-        out: dict[tuple[int, ...], int | Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for p in pieces:
             if p.space is not space:
                 check_space(p, space)
             terms = p.terms
             if len(terms) > len(out):
                 out, terms = dict(terms), out
-            for exp, c in terms.items():
-                _accumulate(out, exp, c)
+            get = out.get
+            for key, c in terms.items():
+                s = get(key)
+                if s is None:
+                    out[key] = c
+                elif s := s + c:
+                    out[key] = s if type(s) is int else _canon(s)
+                else:
+                    del out[key]
         return Poly._trusted(space, out)
 
     @staticmethod
@@ -170,9 +208,10 @@ class Poly:
         Each product accumulates into one running dict, with the factor
         of fewer terms walked in the outer loop; a unit coefficient there
         skips its multiplication.  Triples are drawn one at a time and
-        none is kept.
+        none is kept.  A monomial product is the sum of the two keys.
         """
-        out: dict[tuple[int, ...], int | Fraction] = {}
+        out: dict[int, int | Fraction] = {}
+        get = out.get
         for a, b, c in triples:
             if not a.space is space is b.space:
                 check_space(a, space)
@@ -181,13 +220,22 @@ class Poly:
             if c:
                 small, big = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
                 big = big.terms.items()
-                for e1, c1 in small.terms.items():
+                for k1, c1 in small.terms.items():
                     if c != 1:
                         c1 = c1 * c
                     unit = c1 == 1
-                    for e2, c2 in big:
-                        _accumulate(out, tuple(map(add, e1, e2)), c2 if unit else c1 * c2)
-        return Poly._trusted(space, out)
+                    for k2, c2 in big:
+                        key = k1 + k2
+                        if not unit:
+                            c2 = c1 * c2
+                        s = get(key)
+                        if s is None:
+                            out[key] = c2 if type(c2) is int else _canon(c2)
+                        elif s := s + c2:
+                            out[key] = s if type(s) is int else _canon(s)
+                        else:
+                            del out[key]
+        return _checked(space, out)
 
     def __add__(self, other: Poly) -> Poly:
         if not isinstance(other, Poly):
@@ -246,15 +294,20 @@ class Poly:
         return not self.terms
 
     def degree_in(self, family: str) -> int:
-        off = self.space.offset(family)
-        count = self.space.family_count(family)
-        return max((sum(e[off:off + count]) for e in self.terms), default=-1)
+        count, low, width = _block(self.space, family)
+        return max(map(sum, _fields({key >> low & ((1 << width) - 1) for key in self.terms}, count)), default=-1)
+
+    def max_exponents(self) -> tuple[int, ...]:
+        """The largest exponent of each variable over the terms; zeros for zero."""
+        return tuple(map(max, zip((0,) * self.space.nvars, *_fields(self.terms, self.space.nvars))))
 
     def coefficient(self, exp: Iterable[int]) -> int | Fraction:
-        return self.terms.get(tuple(exp), 0)
+        exp = tuple(exp)
+        return self.terms.get(_key(exp), 0) if _is_exponent(exp, self.space.nvars) else 0
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
+        keys = sorted(self.terms, reverse=True)
+        return list(zip(_fields(keys, self.space.nvars), map(self.terms.__getitem__, keys)))
 
     def partial(self, family: str, index: int) -> Poly:
         """Exact partial derivative with respect to one variable."""
@@ -262,27 +315,23 @@ class Poly:
 
     def partial_pos(self, pos: int) -> Poly:
         # lowering one exponent is injective, so no two terms collide
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            e = exp[pos]
+        shift = BITS * (self.space.nvars - 1 - pos)
+        unit = (1 << BITS * self.space.nvars) + (1 << shift)
+        out: dict[int, int | Fraction] = {}
+        for key, c in self.terms.items():
+            e = key >> shift & _MASK
             if e:
-                new = list(exp)
-                new[pos] = e - 1
-                out[tuple(new)] = c if e == 1 else _canon(c * e)
+                out[key - unit] = c if e == 1 else _canon(c * e)
         return Poly._trusted(self.space, out)
 
     def weight(self) -> int | None:
         """The quasi-homogeneous weight shared by all terms (0 for zero), or
         None where the terms differ (non-pure)."""
         ws = self.space.weights()
-        seen: int | None = None
-        for exp in self.terms:
-            w = sum(e * wt for e, wt in zip(exp, ws))
-            if seen is None:
-                seen = w
-            elif seen != w:
-                return None
-        return 0 if seen is None else seen
+        seen = {sum(map(mul, exp, ws)) for exp in _fields(self.terms, self.space.nvars)}
+        if len(seen) > 1:
+            return None
+        return seen.pop() if seen else 0
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -299,7 +348,7 @@ class Poly:
                 raise ValueError(f"family {fam!r} expects {count} values")
             point.extend(vals)
         acc = None
-        for exp, c in self.terms.items():
+        for exp, c in zip(_fields(self.terms, self.space.nvars), self.terms.values()):
             term = c
             for v, e in zip(point, exp):
                 if e:
@@ -330,7 +379,7 @@ class Poly:
 
         def triples():
             # c times the image powers of exp, the last power as the second factor
-            for exp, c in self.terms.items():
+            for exp, c in zip(_fields(self.terms, self.space.nvars), self.terms.values()):
                 *head, last = [img_pow(pos, e) for pos, e in enumerate(exp) if e] or [one]
                 yield (reduce(mul, head) if head else one), last, c
 
@@ -338,43 +387,46 @@ class Poly:
 
     def swap(self, family: str, i: int, j: int) -> Poly:
         """Apply the transposition of variables i and j inside a family."""
-        a = self.space.position(family, i)
-        b = self.space.position(family, j)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            new = list(exp)
-            new[a], new[b] = new[b], new[a]
-            out[tuple(new)] = c
+        n = self.space.nvars
+        sa = BITS * (n - 1 - self.space.position(family, i))
+        sb = BITS * (n - 1 - self.space.position(family, j))
+        out: dict[int, int | Fraction] = {}
+        for key, c in self.terms.items():
+            d = (key >> sa & _MASK) - (key >> sb & _MASK)
+            out[key - (d << sa) + (d << sb)] = c
         return Poly._trusted(self.space, out)
 
     def collect(self, family: str) -> dict[tuple[int, ...], Poly]:
         """Group terms by their exponents in one family.
 
         Returns {family-exponent: coefficient polynomial over the space
-        with that family removed}.
+        with that family removed}.  A key over that space keeps the
+        fields below the block, takes those above it one block width
+        lower, and the block's degree comes off its top field.
         """
-        off = self.space.offset(family)
-        count = self.space.family_count(family)
+        count, low, width = _block(self.space, family)
+        below, block_mask = (1 << low) - 1, (1 << width) - 1
         rest_space = self.space.drop(family)
-        grouped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        for exp, c in self.terms.items():
-            fam_exp = exp[off:off + count]
-            rest_exp = exp[:off] + exp[off + count:]
-            grouped.setdefault(fam_exp, {})[rest_exp] = c
-        return {fe: Poly._trusted(rest_space, ts) for fe, ts in grouped.items()}
+        grouped: dict[int, tuple[dict, int]] = {}  # block -> (rest terms, the block's degree in place)
+        for key, c in self.terms.items():
+            block = key >> low & block_mask
+            group = grouped.get(block)
+            if group is None:
+                group = grouped[block] = ({}, sum(_fields([block], count)[0]) << BITS * rest_space.nvars)
+            group[0][(key >> low + width << low) + (key & below) - group[1]] = c
+        return dict(zip(_fields(grouped, count), (Poly._trusted(rest_space, ts) for ts, _ in grouped.values())))
 
     def embed(self, space: VarSpace, family: str, fam_exp: tuple[int, ...]) -> Poly:
         """Inverse of collect: re-insert a family exponent block."""
-        off = space.offset(family)
-        count = space.family_count(family)
+        count, low, width = _block(space, family)
         fam_exp = tuple(fam_exp)
         if not _is_exponent(fam_exp, count):
             raise ValueError(f"bad {family} exponent block {fam_exp}")
         check_space(self, space.drop(family))
-        out = {}
-        for exp, c in self.terms.items():
-            out[exp[:off] + fam_exp + exp[off:]] = c
-        return Poly._trusted(space, out)
+        below = (1 << low) - 1
+        block = ((_key(fam_exp) & (1 << width) - 1) << low) + (sum(fam_exp) << BITS * space.nvars)
+        return _checked(space, {(key >> low << low + width) + (key & below) + block: c
+                                for key, c in self.terms.items()})
 
     # -- display -------------------------------------------------------------
 

@@ -400,7 +400,7 @@ def golden_dir() -> Path:
 
 
 def _diff_weyl(computed: WeylOp, stored: WeylOp) -> str:
-    ours, theirs, zero = computed.terms, stored.terms, Poly.zero(computed.space)
+    ours, theirs, zero = dict(computed.sorted_terms()), dict(stored.sorted_terms()), Poly.zero(computed.space)
     lines = []
     for dexp in sorted(ours.keys() | theirs.keys()):
         a, b = ours.get(dexp, zero), theirs.get(dexp, zero)

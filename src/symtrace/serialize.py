@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from .poly import Poly
 from .spaces import VarSpace
@@ -96,4 +97,42 @@ def weyl_from_dict(d: dict) -> WeylOp:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, written without json's pure-Python
+    indenting encoder: strings go through its C string encoder, a list of
+    ints is joined in one step, and other scalars are json's own.  A
+    document with a key that is not a string goes to json.dumps whole."""
+    out: list[str] = []
+    try:
+        _write(obj, "\n", out)
+    except TypeError:
+        return json.dumps(obj, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o, nl: str, out: list) -> None:
+    """Append the JSON of o to out, where nl is the newline and indent of its line."""
+    inner = nl + "  "
+    if isinstance(o, str):
+        out.append(_string(o))
+    elif not isinstance(o, (list, tuple, dict)) or not o:
+        out.append(json.dumps(o))
+    elif isinstance(o, dict):
+        sep = "{" + inner
+        for key, v in o.items():
+            if type(v) is str:
+                out.append(sep + _string(key) + ": " + _string(v))
+            else:
+                out.append(sep + _string(key) + ": ")
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif all(type(v) is int for v in o):
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+    else:
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")

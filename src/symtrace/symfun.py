@@ -25,9 +25,8 @@ alone (Macdonald, *Symmetric Functions and Hall Polynomials*, ch. I):
 
 The transport applies operators to partition coefficients by a third
 rule (see the `transport` docstring).  `reduce_partitions` is the edge
-where partition coefficients become sigma-terms: it wraps its term dict
-with `Poly._trusted`, the one place outside the kernel that does, since
-its exponents are gaps of partitions and its values canonical sums.
+where partition coefficients become sigma-terms, through the validated
+`Poly` constructor.
 """
 
 from __future__ import annotations
@@ -35,11 +34,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations
 from operator import add, ge, sub
 
-from .poly import Poly, _accumulate, _canon, term_sort_key
+from .poly import Poly, _canon, term_sort_key
 from .spaces import check_space, sigma_aux_space, sigma_space, x_space
 
 
@@ -129,9 +127,12 @@ def reduce_partitions(f: dict, k: int, memo: dict) -> Poly:
                 continue
             if nu not in work:
                 heappush(heap, (term_sort_key(nu), nu))
-            _accumulate(work, nu, -c * v)
+            if rest := work.get(nu, 0) - c * v:
+                work[nu] = _canon(rest)
+            else:
+                del work[nu]
         out[mu] = c
-    return Poly._trusted(sigma_space(k), out)
+    return Poly(sigma_space(k), out)
 
 
 def reduce_to_sigma(p: Poly, k: int) -> Poly:
@@ -143,7 +144,7 @@ def reduce_to_sigma(p: Poly, k: int) -> Poly:
     """
     check_space(p, x_space(k))
     assert_symmetric(p, k)
-    return reduce_partitions({e: c for e, c in p.terms.items() if all(map(ge, e, e[1:]))}, k, {})
+    return reduce_partitions({e: c for e, c in p.sorted_terms() if all(map(ge, e, e[1:]))}, k, {})
 
 
 def sigma_to_x(p: Poly, k: int) -> Poly:
@@ -238,48 +239,6 @@ _families = cache(NewtonFamily)
 def family(k: int) -> NewtonFamily:
     """The one NewtonFamily of degree k."""
     return _families(k)
-
-
-def newton_varouchas(k: int, m: int) -> Poly:
-    """Power sum N_m from the closed multinomial-style sum over weighted
-    exponents: sum over alpha with sum_j j*alpha_j = m of
-    (-1)^(m+|alpha|) m (|alpha|-1)!/alpha! sigma^alpha."""
-    if m < 1:
-        raise ValueError("index must be >= 1")
-    space = sigma_space(k)
-    terms: dict[tuple[int, ...], Fraction] = {}
-
-    def fill(j: int, remaining: int, alpha: list[int]):
-        if j > k:
-            if remaining:
-                return
-            size = sum(alpha)
-            denom = 1
-            for a in alpha:
-                denom *= factorial(a)
-            c = Fraction((-1) ** (m + size) * m * factorial(size - 1), denom)
-            terms[tuple(alpha)] = terms.get(tuple(alpha), Fraction(0)) + c
-            return
-        for a in range(remaining // j + 1):
-            alpha[j - 1] = a
-            fill(j + 1, remaining - j * a, alpha)
-        alpha[j - 1] = 0
-
-    fill(1, m, [0] * k)
-    return Poly(space, terms)
-
-
-def symmetrize(p: Poly, h: int, k: int) -> Poly:
-    """Average of p(x_{i_1}..x_{i_h}) over injections of [1,h] into [1,k],
-    with the (k-h)!/k! prefactor; the result is symmetric in x_1..x_k."""
-    if not 1 <= h <= k:
-        raise ValueError(f"need 1 <= h <= k, got h={h}, k={k}")
-    check_space(p, x_space(h))
-    space = x_space(k)
-    xs = [Poly.variable(space, "x", i) for i in range(1, k + 1)]
-    orbit = Poly.sum(space, (p.compose(space, {("x", slot): xs[i] for slot, i in enumerate(image, start=1)})
-                             for image in permutations(range(k), h)))
-    return orbit.scale(Fraction(factorial(k - h), factorial(k)))
 
 
 def _determinant(rows: list[list[Poly]], space) -> Poly:

@@ -117,7 +117,7 @@ def _multi_indices(k: int, max_total: int):
 def apply_partitions(p: SymmetricOperator, f: dict) -> dict:
     """P[f] on partition coefficients, by the apply rule of the module docstring."""
     k = p.k
-    terms = [(exp[:k], exp[k:], c) for exp, c in p.op.poly.terms.items()]
+    terms = [(exp[:k], exp[k:], c) for exp, c in p.op.poly.sorted_terms()]
     candidates = {_partition(map(add, map(sub, nu, beta), alpha))
                   for alpha, beta, _ in terms for nu in f if all(map(ge, nu, beta))}
     out = {}
@@ -168,17 +168,17 @@ def decompose_derivation(d: SymmetricOperator) -> list[tuple[int, Poly]]:
     op = d.op
     if op.is_zero():
         return []
-    if op.order() != 1 or any(sum(b) == 0 for b in op.terms):
+    if op.order() != 1 or any(sum(b) == 0 for b, _ in op.sorted_terms()):
         raise ValueError("input must be a derivation: order 1 with no order-0 part")
     space = sigma_aux_space(k)  # t plays x_1
     t = Poly.variable(space, "t")
 
     a1 = op.coefficient(tuple([1] + [0] * (k - 1)))
     if k == 1:
-        acc = Poly.sum(space, (t ** exp[0] * c for exp, c in a1.terms.items()))
+        acc = Poly.sum(space, (t ** exp[0] * c for exp, c in a1.sorted_terms()))
     else:
         buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for exp, c in a1.terms.items():
+        for exp, c in a1.sorted_terms():
             buckets.setdefault(exp[0], {})[exp[1:]] = c
         # e_h(x_2..x_k) = Theta_(h+1)(x_1, s), with t playing x_1
         images = {("sigma", h): theta(k, h + 1) for h in range(1, k)}

@@ -55,7 +55,7 @@ def _derivative(derivs: dict, beta: tuple[int, ...]) -> Poly:
     if g is None:
         f = derivs[(0,) * len(beta)]
         if None not in derivs:
-            derivs[None] = tuple(map(max, zip(*f.terms)))
+            derivs[None] = f.max_exponents()
         if any(map(gt, beta, derivs[None])):
             derivs[beta] = Poly.zero(f.space)
             return derivs[beta]
@@ -73,7 +73,7 @@ def _derivative(derivs: dict, beta: tuple[int, ...]) -> Poly:
 
 
 class WeylOp:
-    __slots__ = ("space", "family", "poly")
+    __slots__ = ("space", "family", "poly", "_blocks")
 
     def __init__(self, space: VarSpace, terms: Mapping[tuple[int, ...], Poly] | None = None):
         family = _carrier_family(space)
@@ -203,14 +203,19 @@ class WeylOp:
         """Act on a polynomial: sum_beta a_beta * d^beta f.
 
         Pass the same `derivs` dict (empty at first) to every operator
-        applied to one f and they share the derivative memo.
+        applied to one f and they share the derivative memo.  The first
+        call groups the symbol by beta and keeps the grouping, since an
+        operator is applied to a whole family of f; an operator that is
+        never applied keeps none.
         """
         check_space(f, self.space)
         derivs = {} if derivs is None else derivs
         if derivs.setdefault((0,) * self.space.nvars, f) is not f:
             raise ValueError("the derivative memo belongs to another polynomial")
+        if not hasattr(self, "_blocks"):
+            object.__setattr__(self, "_blocks", self.terms)
         return Poly.sum_of_products(self.space, (
-            (a, d, 1) for beta, a in self.terms.items() if (d := _derivative(derivs, beta))))
+            (a, d, 1) for beta, a in self._blocks.items() if (d := _derivative(derivs, beta))))
 
     # -- structure ----------------------------------------------------------------
 

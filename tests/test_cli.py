@@ -309,6 +309,28 @@ def test_usage_error_is_one_error_line(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--version"], ["-h"], ["gen", "-h"], ["charvar", "--k", "3"], ["verify", "--k", "3"],
+    ["gen", "--family", "sigma", "--k", "3", "--max-m", "2"], ["verify", "--k", "x", "--suite", "system"],
+    ["--k", "3", "gen"], ["xi", "--k", "3", "--op", "S3", "--bogus"], ["member", "--k", "2", "--op", "a.json"],
+    ["numcheck", "--k", "2", "--sigma", "3,2"], ["golden", "--format", "text"], ["--", "xi"],
+    ["charvar", "--k", "3", "--sample", "1", "--check-symbols"],
+], ids=lambda argv: " ".join(argv) or "(none)")
+def test_the_parser_built_for_one_command_parses_as_the_full_one(argv, capsys):
+    # dispatch builds only the invoked subcommand; errors, help and exits stay those of the full tree
+    from symtrace.cli import build_parser
+
+    def outcome(parser):
+        try:
+            return "parsed", vars(parser.parse_args(argv))
+        except ValueError as exc:
+            return "error", str(exc)
+        except SystemExit as exc:
+            return "exit", exc.code, capsys.readouterr()
+
+    assert outcome(build_parser(argv)) == outcome(build_parser())
+
+
 def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
     import symtrace.cli
 

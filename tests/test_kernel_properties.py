@@ -1,24 +1,28 @@
 """Property tests for the trusted construction path of the exact kernel.
 
-The ring operations wrap their term dicts without re-validating them, so
-every result is checked against a reference built through the validated
-constructor from plain dict arithmetic, and for the storage invariants
-the constructor would enforce: every coefficient in canonical form (a
-nonzero int, or a Fraction with denominator > 1), exponents of length
-space.nvars with no negative entry.  Coefficients are drawn with
+The ring operations wrap their term dicts of packed exponent keys without
+re-validating them, so every result is checked against a reference built
+through the validated constructor from plain dict arithmetic on exponent
+tuples, read back through ``sorted_terms``, and for the storage
+invariants the constructor would enforce: every coefficient in canonical
+form (a nonzero int, or a Fraction with denominator > 1), exponents of
+length space.nvars with no negative entry.  Coefficients are drawn with
 denominators up to 3, so sums and products that become integral
-(1/2 * 2, 1/3 + 2/3) exercise the demotion to int.
+(1/2 * 2, 1/3 + 2/3) exercise the demotion to int.  The packing itself
+is checked to round-trip, to sort as ``term_sort_key`` does, and to
+refuse a degree it cannot hold rather than carry into the next field.
 """
 
 from collections import defaultdict
 from fractions import Fraction
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symtrace.poly import Poly
-from symtrace.spaces import SpaceMismatchError, sigma_eta_space, sigma_space, x_space
+from symtrace.poly import BITS, MAX_DEGREE, Poly, term_sort_key
+from symtrace.spaces import SpaceMismatchError, VarSpace, sigma_eta_space, sigma_space, x_space
 from symtrace.weyl import WeylOp
 
 BOUNDED = settings(max_examples=40, deadline=None)
@@ -54,12 +58,19 @@ def weyl_triples(draw):
     return draw(weylops(space)), draw(weylops(space)), draw(weylops(space)), draw(polys(space, 4, 3))
 
 
+def terms_of(p: Poly) -> dict:
+    """{exponent tuple: coefficient} of p, read through its accessor."""
+    return dict(p.sorted_terms())
+
+
 def assert_clean(p: Poly) -> None:
     n = p.space.nvars
-    for exp, c in p.terms.items():
+    for exp, c in p.sorted_terms():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
         assert c != 0
         assert isinstance(exp, tuple) and len(exp) == n and min(exp, default=0) >= 0
+    # each stored key is the one the validated constructor packs for its exponent
+    assert len(p.terms) == len(p.sorted_terms()) and Poly(p.space, terms_of(p)) == p
 
 
 def assert_matches(p: Poly, space, reference: dict) -> None:
@@ -82,10 +93,10 @@ def dict_sum(*term_dicts, signs=None):
 @given(poly_pairs())
 def test_add_sub_neg_match_reference(pair):
     a, b = pair
-    assert_matches(a + b, a.space, dict_sum(a.terms, b.terms))
-    assert_matches(a - b, a.space, dict_sum(a.terms, b.terms, signs=(1, -1)))
-    assert_matches(-a, a.space, dict_sum(a.terms, signs=(-1,)))
-    assert (a - a).terms == {}
+    assert_matches(a + b, a.space, dict_sum(terms_of(a), terms_of(b)))
+    assert_matches(a - b, a.space, dict_sum(terms_of(a), terms_of(b), signs=(1, -1)))
+    assert_matches(-a, a.space, dict_sum(terms_of(a), signs=(-1,)))
+    assert (a - a).is_zero()
 
 
 @st.composite
@@ -110,7 +121,7 @@ def test_sum_matches_reference(k, data):
     seen: list = []
     total = Poly.sum(space, consumed_once(pieces, seen))
     assert seen == pieces
-    assert_matches(total, space, dict_sum(*(p.terms for p in pieces)))
+    assert_matches(total, space, dict_sum(*map(terms_of, pieces)))
 
 
 @BOUNDED
@@ -122,7 +133,7 @@ def test_weyl_sum_matches_reference(k, data):
     total = WeylOp.sum(space, consumed_once(ops, seen))
     assert seen == ops
     assert total.space == space
-    assert_matches(total.poly, sigma_eta_space(k), dict_sum(*(op.poly.terms for op in ops)))
+    assert_matches(total.poly, sigma_eta_space(k), dict_sum(*(terms_of(op.poly) for op in ops)))
 
 
 def test_sum_of_nothing_is_zero_and_pieces_share_one_space():
@@ -140,11 +151,11 @@ def test_sum_of_nothing_is_zero_and_pieces_share_one_space():
 def test_mul_and_scale_match_reference(pair, c):
     a, b = pair
     product = defaultdict(Fraction)
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
+    for e1, c1 in a.sorted_terms():
+        for e2, c2 in b.sorted_terms():
             product[tuple(x + y for x, y in zip(e1, e2))] += c1 * c2
     assert_matches(a * b, a.space, product)
-    assert_matches(a.scale(c), a.space, {e: c * v for e, v in a.terms.items()})
+    assert_matches(a.scale(c), a.space, {e: c * v for e, v in a.sorted_terms()})
     assert_matches(a * 0, a.space, {})
 
 
@@ -155,13 +166,13 @@ def test_partial_and_swap_match_reference(pair, data):
     n = a.space.nvars
     pos = data.draw(st.integers(0, n - 1))
     derivative = defaultdict(Fraction)
-    for e, c in a.terms.items():
+    for e, c in a.sorted_terms():
         if e[pos]:
             derivative[e[:pos] + (e[pos] - 1,) + e[pos + 1:]] += c * e[pos]
     assert_matches(a.partial_pos(pos), a.space, derivative)
     i, j = sorted(data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2)))
     swapped = {}
-    for e, c in a.terms.items():
+    for e, c in a.sorted_terms():
         f = list(e)
         f[i - 1], f[j - 1] = f[j - 1], f[i - 1]
         swapped[tuple(f)] = c
@@ -176,10 +187,10 @@ def test_collect_embed_match_reference(k, data):
     parts = p.collect("eta")
     rebuilt = defaultdict(Fraction)
     for fam_exp, coeff in parts.items():
-        assert_matches(coeff, sigma_space(k), {e[:k]: c for e, c in p.terms.items() if e[k:] == fam_exp})
+        assert_matches(coeff, sigma_space(k), {e[:k]: c for e, c in p.sorted_terms() if e[k:] == fam_exp})
         embedded = coeff.embed(se, "eta", fam_exp)
         assert_clean(embedded)
-        for e, c in embedded.terms.items():
+        for e, c in embedded.sorted_terms():
             rebuilt[e] += c
     assert Poly(se, rebuilt) == p
 
@@ -193,7 +204,7 @@ def test_compose_matches_pointwise_evaluation(k, data):
     images = {("sigma", h): data.draw(polys(target, 3, 2)) for h in range(1, k + 1)}
     composed = p.compose(target, images)
     assert_clean(composed)
-    assert composed == Poly(target, composed.terms)
+    assert composed == Poly(target, terms_of(composed))
     point = data.draw(st.lists(coeffs, min_size=2, max_size=2))
     values = [images[("sigma", h)].evaluate({"sigma": point}) for h in range(1, k + 1)]
     assert composed.evaluate({"sigma": point}) == p.evaluate({"sigma": values})
@@ -205,10 +216,121 @@ def test_weyl_product_is_associative_and_acts_by_composition(triple):
     a, b, c, f = triple
     ab = a * b
     for op in (ab, a + b, a - b):
-        for coeff in op.terms.values():
+        for _, coeff in op.sorted_terms():
             assert_clean(coeff)
             assert coeff.space == a.space and not coeff.is_zero()
     assert ab * c == a * (b * c)
     image = ab.apply(f)
     assert_clean(image)
     assert image == a.apply(b.apply(f))
+
+
+# -- the packed keys ------------------------------------------------------------
+
+THREE_FAMILIES = VarSpace((("sigma", 2), ("eta", 2), ("t", 1)))
+WIDE_SPACES = [sigma_space(1), sigma_space(3), sigma_eta_space(2), THREE_FAMILIES]
+
+
+@st.composite
+def wide_terms(draw):
+    """A space and a term dict over it whose exponents reach far into a
+    field, up to one variable at MAX_DEGREE."""
+    space = draw(st.sampled_from(WIDE_SPACES))
+    n = space.nvars
+    spread = st.tuples(*[st.integers(0, MAX_DEGREE // n)] * n)
+    top = st.integers(0, n - 1).map(lambda i: (0,) * i + (MAX_DEGREE,) + (0,) * (n - 1 - i))
+    return space, draw(st.dictionaries(spread | top | exponents(n, 2), coeffs, max_size=6))
+
+
+@BOUNDED
+@given(wide_terms())
+def test_packed_keys_round_trip_and_sort_graded_lex(case):
+    space, terms = case
+    p = Poly(space, terms)
+    nonzero = {e: c for e, c in terms.items() if c}
+    assert terms_of(p) == nonzero
+    assert all(p.coefficient(e) == c for e, c in terms.items())
+    # descending key order is term_sort_key order
+    assert [e for e, _ in p.sorted_terms()] == sorted(nonzero, key=term_sort_key)
+
+
+@BOUNDED
+@given(st.integers(1, 3), st.data())
+def test_sum_of_products_matches_reference(k, data):
+    space = sigma_eta_space(k)
+    triples = data.draw(st.lists(st.tuples(polys(space, 3, 3), polys(space, 3, 3), coeffs), max_size=4))
+    reference = defaultdict(Fraction)
+    for a, b, c in triples:
+        for e1, c1 in a.sorted_terms():
+            for e2, c2 in b.sorted_terms():
+                reference[tuple(x + y for x, y in zip(e1, e2))] += c * c1 * c2
+    assert_matches(Poly.sum_of_products(space, iter(triples)), space, reference)
+
+
+@BOUNDED
+@given(polys(THREE_FAMILIES, 6, 3))
+def test_every_family_of_a_three_family_space_matches_reference(p):
+    # a family with fields on both sides of it, as well as at either end
+    space = THREE_FAMILIES
+    for family, count in space.families:
+        off = space.offset(family)
+        reference = defaultdict(dict)
+        for e, c in p.sorted_terms():
+            reference[e[off:off + count]][e[:off] + e[off + count:]] = c
+        parts = p.collect(family)
+        assert parts.keys() == reference.keys()
+        for block, coeff in parts.items():
+            assert_matches(coeff, space.drop(family), reference[block])
+        assert Poly.sum(space, (c.embed(space, family, b) for b, c in parts.items())) == p
+        assert p.degree_in(family) == max(map(sum, reference), default=-1)
+    for pos in range(space.nvars):
+        derivative = {e[:pos] + (e[pos] - 1,) + e[pos + 1:]: c * e[pos] for e, c in p.sorted_terms() if e[pos]}
+        assert_matches(p.partial_pos(pos), space, derivative)
+    assert_matches(p.swap("eta", 1, 2), space, {e[:2] + (e[3], e[2]) + e[4:]: c for e, c in p.sorted_terms()})
+    assert p.max_exponents() == tuple(map(max, zip((0,) * space.nvars, *terms_of(p))))
+
+
+HALF = 1 << BITS - 1
+
+
+@pytest.mark.parametrize("space, pos", [(sigma_space(1), 0), (sigma_eta_space(2), 1), (sigma_eta_space(2), 3)])
+@pytest.mark.parametrize("d1, d2", [(MAX_DEGREE, 0), (MAX_DEGREE - 1, 1), (MAX_DEGREE, 1),
+                                    (HALF, HALF - 1), (HALF, HALF), (2 ** BITS - 1, 1)])
+def test_a_product_at_the_field_edge_is_exact_or_refused(space, pos, d1, d2):
+    # degrees summing to 2^BITS - 1 and to 2^BITS fill or pass the field:
+    # the product is exact or a ValueError, never a carry into the next field
+    def power(d):
+        exp = [0] * space.nvars
+        exp[pos] = d
+        return tuple(exp)
+
+    if d1 + d2 <= MAX_DEGREE:
+        product = Poly.monomial(space, power(d1)) * Poly.monomial(space, power(d2))
+        assert product.sorted_terms() == [(power(d1 + d2), 1)]
+    else:
+        with pytest.raises(ValueError):
+            Poly.monomial(space, power(d1)) * Poly.monomial(space, power(d2))
+
+
+def test_the_degree_guard_holds_on_every_path_that_raises_a_degree():
+    s1 = Poly.variable(sigma_space(1), "sigma", 1)
+    top = s1 ** MAX_DEGREE
+    assert top.sorted_terms() == [((MAX_DEGREE,), 1)]
+    for grow in (lambda: s1 ** (2 ** BITS - 1) * s1, lambda: top * s1,
+                 lambda: top.embed(sigma_eta_space(1), "eta", (1,)),
+                 lambda: Poly.monomial(sigma_eta_space(1), (HALF, 0)),
+                 lambda: WeylOp.partial(sigma_space(1), 1, HALF)):
+        with pytest.raises(ValueError):
+            grow()
+
+
+def test_a_high_order_partial_multiplies_and_acts_exactly():
+    S = sigma_space(2)
+    d = WeylOp.partial(S, 2, 1200)
+    s2 = Poly.variable(S, "sigma", 2)
+    assert d.order() == 1200
+    assert d.apply(s2 ** 1200) == Poly.constant(S, factorial(1200))
+    # Leibniz: d^n s^n = sum_j C(n, j) n!/(n-j)! s^(n-j) d^(n-j)
+    expected = {(0, 1200 - j): Poly.monomial(S, (0, 1200 - j), comb(1200, j) * perm(1200, j))
+                for j in range(1201)}
+    assert d * WeylOp.from_poly(s2 ** 1200) == WeylOp(S, expected)

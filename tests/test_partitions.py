@@ -35,7 +35,7 @@ coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
 
 
 def partition_coefficients(p: Poly) -> dict:
-    return {e: c for e, c in p.terms.items() if list(e) == sorted(e, reverse=True)}
+    return {e: c for e, c in p.sorted_terms() if list(e) == sorted(e, reverse=True)}
 
 
 def full_e_product(k: int, beta) -> Poly:

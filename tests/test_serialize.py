@@ -61,7 +61,7 @@ def test_serialization_deterministic_bytes():
     space = sigma_space(2)
     p = Poly(space, {(1, 0): Fraction(1, 2), (0, 1): -2})
     doc1 = dumps({"poly": poly_to_dict(p)})
-    doc2 = dumps({"poly": poly_to_dict(Poly(space, dict(reversed(list(p.terms.items())))))})
+    doc2 = dumps({"poly": poly_to_dict(Poly(space, dict(reversed(p.sorted_terms()))))})
     assert doc1 == doc2
     json.loads(doc1)
 
@@ -89,7 +89,7 @@ def weylops(draw):
 
 
 def assert_canonical(p: Poly) -> None:
-    for c in p.terms.values():
+    for _, c in p.sorted_terms():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
@@ -109,7 +109,7 @@ def test_weylop_roundtrip_property(op):
     doc = weyl_to_dict(op)
     back = weyl_from_dict(doc)
     assert back == op
-    for coeff in back.terms.values():
+    for _, coeff in back.sorted_terms():
         assert_canonical(coeff)
     assert dumps(weyl_to_dict(back)) == dumps(doc)
 
@@ -121,7 +121,57 @@ def test_parsed_integral_coefficients_are_ints():
         {"coeff": "-8/4", "exp": [0, 0]},
     ]}
     p = poly_from_dict(doc)
-    assert p.terms == {(1, 0): 3, (0, 1): Fraction(3, 2), (0, 0): -2}
+    assert dict(p.sorted_terms()) == {(1, 0): 3, (0, 1): Fraction(3, 2), (0, 0): -2}
     assert_canonical(p)
-    assert type(p.terms[(1, 0)]) is int and type(p.terms[(0, 0)]) is int
+    assert type(p.coefficient((1, 0))) is int and type(p.coefficient((0, 0))) is int
     assert [t["coeff"] for t in poly_to_dict(p)["terms"]] == ["3/1", "3/2", "-2/1"]
+
+
+# -- the indented writer -----------------------------------------------------------
+
+
+def json_reference(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+           | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308])
+           | st.text() | st.text(st.characters(max_codepoint=0x1f) | st.sampled_from('"\\é \U0001f600')))
+documents = st.recursive(scalars, lambda inner: st.lists(inner, max_size=4) | st.lists(st.integers(), max_size=4)
+                         | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(documents)
+def test_dumps_writes_what_json_writes(doc):
+    assert dumps(doc) == json_reference(doc)
+
+
+def test_dumps_matches_json_on_every_golden_file():
+    from symtrace.report import golden_dir
+
+    paths = sorted(golden_dir().glob("*.json"))
+    assert paths
+    for path in paths:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert dumps(doc) == json_reference(doc), path.name
+
+
+def test_dumps_matches_json_on_one_output_of_each_subcommand(tmp_path):
+    import contextlib
+    import io
+
+    from symtrace.charvar import minors
+    from symtrace.cli import dispatch
+
+    minor = tmp_path / "minor.json"
+    minor.write_text(dumps(poly_to_dict(minors(2)[1, 2])), encoding="utf-8")
+    commands = [["gen", "--family", "pnewton", "--k", "3", "--max-m", "4"], ["xi", "--k", "3", "--op", "S3"],
+                ["verify", "--k", "3", "--suite", "system"], ["charvar", "--k", "3", "--sample", "2"],
+                ["charvar", "--k", "2", "--decompose", str(minor)], ["member", "--k", "2", "--op", "sigma2_k2.json"],
+                ["numcheck", "--k", "2", "--sigma", "3,2", "--f", "exp"], ["golden"]]
+    for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert dispatch(argv) == 0, argv
+        assert out.getvalue() == json_reference(json.loads(out.getvalue())), argv

@@ -52,16 +52,13 @@ def test_no_running_sum_in_a_loop():
     assert sorted(set(found)) == []
 
 
-# poly.py is the kernel: only it builds term dicts with the private
-# helpers; everything above it, weyl.py included, goes through Poly.sum,
-# Poly.sum_of_products, collect/embed, scale or the validated constructor
+# poly.py is the kernel: only it wraps term dicts; everything above it,
+# weyl.py and the partition descent of symfun included, goes through
+# Poly.sum, Poly.sum_of_products, collect/embed, scale or the validated
+# constructor
 KERNEL = {"poly.py"}
-KERNEL_HELPERS = {"_accumulate", "_trusted"}
-KERNEL_HELPER_EDGES = {  # function -> why it may build and wrap a term dict
-    "symfun.reduce_partitions": "partition coefficients become sigma-terms here; the exponents are "
-                                "gaps of partitions, clean by construction, and validating them "
-                                "cost about 5% more calls on xi S6",
-}
+KERNEL_HELPERS = {"_trusted"}
+KERNEL_HELPER_EDGES: dict[str, str] = {}  # function -> why it may build and wrap a term dict
 
 
 def _enclosing_functions(tree) -> dict:
@@ -89,10 +86,31 @@ def test_only_the_kernel_uses_the_term_dict_helpers():
     assert sorted(found) == sorted(KERNEL_HELPER_EDGES)
 
 
+def test_only_the_kernel_reads_the_keys_of_a_term_dict():
+    # a Poly's term dict is keyed by packed ints that only poly.py packs and
+    # decodes; everything else reads terms through sorted_terms, coefficient
+    # and the other accessors, WeylOp's as well, and may count them with
+    # len().  weyl.py reads its own nested view as self.terms.
+    root = Path(__file__).parent.parent
+    found = []
+    for path in sorted(SRC.rglob("*.py")) + sorted((root / "demos").glob("*.py")) + sorted((root / "tests").glob("*.py")):
+        if path.name in KERNEL:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}  # a .terms() method
+        allowed.update(id(arg) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "len" for arg in node.args)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or node.attr != "terms" or id(node) in allowed:
+                continue
+            if path.name == "weyl.py" and getattr(node.value, "id", None) == "self":
+                continue
+            found.append(f"{path.parent.name}/{path.name}:{node.lineno}")
+    assert found == []
+
+
 UNCALLED_OUTSIDE_TESTS = {  # public function -> why it stays with no caller in src/ or demos/
     "symfun.discriminant": "bench/tracer.py wraps it; ROADMAP items 1 and 9 retire it",
-    "symfun.newton_varouchas": "the independent oracle of NewtonFamily.newton",
-    "symfun.symmetrize": "the input strategy of the sympy oracle",
 }
 
 

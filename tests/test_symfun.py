@@ -13,6 +13,7 @@ from conftest import (
     rational_point,
     shallow_stack,
 )
+from exact_oracles import newton_varouchas, symmetrize
 from symtrace.numerics import _coefficients
 from symtrace.poly import Poly
 from symtrace.spaces import sigma_space, x_space
@@ -24,10 +25,8 @@ from symtrace.symfun import (
     elementary_symmetric,
     family,
     horner,
-    newton_varouchas,
     reduce_to_sigma,
     sigma_to_x,
-    symmetrize,
 )
 
 
@@ -90,7 +89,7 @@ def test_reduce_recomposes_exactly_randomized():
         perms = list(permutations(range(k)))
         for perm in perms:
             q_terms = {}
-            for exp, c in p.terms.items():
+            for exp, c in p.sorted_terms():
                 new = [0] * k
                 for i, e in enumerate(exp):
                     new[perm[i]] = e
