@@ -97,15 +97,12 @@ def weyl_from_dict(d: dict) -> WeylOp:
 
 
 def dumps(obj: dict) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"``, written without json's pure-Python
-    indenting encoder: strings go through its C string encoder, a list of
-    ints is joined in one step, and other scalars are json's own.  A
-    document with a key that is not a string goes to json.dumps whole."""
+    """``json.dumps(obj, indent=2) + "\\n"`` for a document whose keys are all
+    strings, written without json's pure-Python indenting encoder: strings
+    go through its C string encoder, a list of ints is joined in one step,
+    and other scalars are json's own."""
     out: list[str] = []
-    try:
-        _write(obj, "\n", out)
-    except TypeError:
-        return json.dumps(obj, indent=2) + "\n"
+    _write(obj, "\n", out)
     out.append("\n")
     return "".join(out)
 

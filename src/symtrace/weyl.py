@@ -28,7 +28,7 @@ from math import factorial, prod
 from operator import gt
 from typing import Iterable, Mapping
 
-from .poly import Poly, term_sort_key
+from .poly import Poly, _is_exponent, term_sort_key
 from .spaces import VarSpace, check_space, sigma_eta_space, sigma_space, x_space, x_xi_space
 
 _DUAL = {"x": "xi", "sigma": "eta"}
@@ -83,11 +83,9 @@ class WeylOp:
         def blocks():  # a_beta eta^beta, embedded one at a time
             for dexp, coeff in (terms or {}).items():
                 check_space(coeff, space)
-                try:
-                    block = coeff.embed(dual, _DUAL[family], dexp)
-                except ValueError:
-                    raise ValueError(f"bad partial multi-index {tuple(dexp)}") from None
-                yield block
+                if not _is_exponent(dexp := tuple(dexp), k):
+                    raise ValueError(f"bad partial multi-index {dexp}")
+                yield coeff.embed(dual, _DUAL[family], dexp)
 
         WeylOp._init(self, space, family, Poly.sum(dual, blocks()))
 

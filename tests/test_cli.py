@@ -129,12 +129,20 @@ BAD_DOCUMENTS = {
     "partial index half": ("member", _d1_doc(term={"dexp": [0.5, 0]})),
     "partial index negative": ("member", _d1_doc(term={"dexp": [-1, 0]})),
     "partial index too short": ("member", _d1_doc(term={"dexp": [1]})),
+    "coefficient degree past the key under a valid partial index":
+        ("member", _d1_doc(term={"dexp": [0, 1]}, inner_term={"exp": [0, 32767]})),
     "repeated exponent": ("member", _d1_doc(term={"coeff": {"space": "sigma:2", "terms": 2 * [{"coeff": "1/1", "exp": [0, 0]}]}})),
     "repeated partial index": ("member", _d1_doc(outer={"terms": 2 * _d1_doc()["terms"]})),
     "decompose top-level array": ("charvar", []),
     "decompose space not a string": ("charvar", {**_poly_doc(), "space": 5}),
     "decompose coefficient float": ("charvar", _poly_doc(coeff=0.1)),
     "decompose exponent half": ("charvar", _poly_doc(exp=[0, 0, 0.5, 1])),
+}
+# the error line of these cases names the actual fault
+BAD_DOCUMENT_ERRORS = {
+    "partial index negative": "error: bad partial multi-index (-1, 0)\n",
+    "coefficient degree past the key under a valid partial index":
+        "error: total degree 32768 exceeds 32767, the most a packed exponent key holds\n",
 }
 # space codes are canonical: each spelling below names sigma:2 to int()
 # but differs from its code(), and is refused
@@ -158,6 +166,7 @@ def test_malformed_json_input_is_one_line_error(case, capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == BAD_DOCUMENT_ERRORS.get(case, err)
 
 
 def test_xi_on_an_operator_over_the_wrong_space_is_one_line_error(capsys, tmp_path):
