@@ -4,8 +4,7 @@ Roots of the defining polynomial P_s (its coefficient row is
 `symfun.char_poly`) as the eigenvalues of its companion matrix
 (`np.roots`), the two contour formulas for traces (residue form and
 integrated-by-parts log form), the contour form of the derived family,
-and finite-difference verification that the annihilators kill analytic
-trace functions.
+and the check that an operator kills an analytic trace by one contour sum.
 
 Only `poly_roots` uses numpy, imported in its own body, so no CLI command
 loads it.  The contour sums are scalar `cmath` loops, P and P' by
@@ -20,9 +19,7 @@ No caller sets a tuning value.  The contour is the circle of radius
 circle |P(z)/z^k - 1| <= sum_h (|s_h|^(1/h) / R)^h <= B/R <= 1/2, so the
 contour encloses every root and log(P(z)/z^k) stays on the principal
 branch.  Every computed root x must have componentwise backward error
-|P(x)| / sum_h |c_h| |x|^(k-h) at most k `ROOT_BACKWARD_ERROR`; the finite
-differences start at step `FD_STEP` and refuse stencils where the exact
-discriminant falls below `FD_SAFETY`.
+|P(x)| / sum_h |c_h| |x|^(k-h) at most k `ROOT_BACKWARD_ERROR`.
 """
 
 from __future__ import annotations
@@ -30,25 +27,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from .symfun import char_poly, discriminant_at, horner
+from .spaces import check_space, sigma_space
+from .symfun import char_poly, horner
 
 NODES = 256             # quadrature nodes on the contour
 ROOT_BACKWARD_ERROR = 2.0 ** -43  # per degree: 1024 unit roundoffs
-FD_STEP = 0.08          # the coarsest finite-difference step
-FD_SAFETY = 1e-6        # least |discriminant| at a stencil point
 
 
 class RootConvergenceError(RuntimeError):
     def __init__(self, backward_error: float):
         self.backward_error = backward_error
         super().__init__(f"a root misses the backward-error bound; worst {backward_error:.3e}")
-
-
-class UnsafeStencilError(ValueError):
-    """Finite-difference stencil too close to the discriminant locus."""
 
 
 def _coefficients(sigma: Sequence[complex]) -> list[complex]:
@@ -153,97 +144,56 @@ def dn_contour(m: int, sigma: Sequence[complex]) -> complex:
 
 
 @dataclass(frozen=True)
-class FDResult:
-    residual: float
-    convergence_order: float
-    scale: float
+class ContourCheck:
+    value: complex      # op[T(f)] at sigma
+    tolerance: float    # the rounding bound of `contour_annihilation_check`
+
+    @property
+    def residual(self) -> float:
+        return abs(self.value)
 
 
-# Central second-order stencils, keyed by the nonzero entries of a partial
-# multi-index of order <= 2: the sign offsets of the points along the
-# active coordinates, and the difference quotient that combines F at them.
-_STENCILS = {
-    (): ([()], lambda v, h: v[0]),
-    (1,): ([(1,), (-1,)], lambda v, h: (v[0] - v[1]) / (2 * h)),
-    (2,): ([(1,), (0,), (-1,)], lambda v, h: (v[0] - 2 * v[1] + v[2]) / (h * h)),
-    (1, 1): ([(1, 1), (1, -1), (-1, 1), (-1, -1)],
-             lambda v, h: (v[0] - v[1] - v[2] + v[3]) / (4 * h * h)),
-}
+def contour_annihilation_check(op, f: AnalyticFunction, sigma: Sequence) -> ContourCheck:
+    """op[T(f)] at sigma, T(f) = sum_j f(x_j), by one contour sum.
 
+    P_s is linear in s with d P_s / d s_h = (-1)^h z^(k-h), so the log form
+    of `trace_contour` differentiates under the integral: for |beta| = n >= 1,
+    d^beta T(f) = -mean_z[f'(z) z (-1)^(n-1+wt) (n-1)! z^(kn-wt) / P_s(z)^n],
+    wt = sum_h h beta_h.  The terms of op are gathered by (kn - wt, n), their
+    coefficients summed at sigma (exactly for int and Fraction entries); the
+    order-0 group keeps the log form.  No step, no extrapolation, no guard at
+    the discriminant locus (T(f) is entire in s), any order (Lyness & Moler
+    1967; Bornemann 2011).
 
-def _stencil(dexp, sigma0: tuple[float, ...], h: float):
-    """The stencil points of d^dexp at sigma0 with step h, and its quotient."""
-    active = [i for i, e in enumerate(dexp) if e]
-    offsets, quotient = _STENCILS[tuple(dexp[i] for i in active)]
-    points = []
-    for signs in offsets:
-        q = list(sigma0)
-        for i, s in zip(active, signs):
-            if s:
-                q[i] += s * h
-        points.append(tuple(q))
-    return points, quotient
-
-
-def _stencil_points(op, sigma0: tuple[float, ...], h: float) -> list[tuple[float, ...]]:
-    """Every distinct point of the stencils of op's terms, sigma0 first."""
-    return list(dict.fromkeys([sigma0, *(q for dexp, _ in op.sorted_terms() for q in _stencil(dexp, sigma0, h)[0])]))
-
-
-def _apply_fd(op, F: Callable, sigma0: tuple[float, ...], h: float) -> complex:
-    """One central-difference evaluation of op[F] at sigma0 with step h."""
-    total = 0.0 + 0.0j
-    cache: dict[tuple, complex] = {}
-
-    def feval(q: tuple[float, ...]) -> complex:
-        key = tuple(round(v, 12) for v in q)
-        if key not in cache:
-            cache[key] = complex(F(q))
-        return cache[key]
-
-    for dexp, coeff in op.sorted_terms():
-        a = complex(coeff.evaluate({"sigma": sigma0}))
-        if a == 0:
-            continue
-        points, quotient = _stencil(dexp, sigma0, h)
-        total += a * quotient([feval(q) for q in points], h)
-    return total
-
-
-def fd_annihilation_check(op, F: Callable, sigma0: Sequence[float]) -> FDResult:
-    """Numerically apply a (order <= 2) operator to a function of sigma.
-
-    Uses second-order central stencils at steps h = FD_STEP, h/2, h/4 and two
-    Richardson extrapolations; returns the extrapolated |op[F]| together
-    with the observed convergence order and the scale max(1, |F(s0)|).
-    Rejects stencils that approach the discriminant locus, where the
-    exact discriminant of some stencil point (its floats read as
-    fractions) is below FD_SAFETY in absolute value.
+    The tolerance is 4 u scale, u = 2^-53, with scale = mean_z sum |term| +
+    |a_0 k f(0)| the condition of the sum (Bornemann 2011).  An annihilator
+    has a_0 = 0 (it kills T(1) = k) and its terms cancel at every node, so
+    its value is rounding alone.  The sum over all terms and nodes is one
+    `math.fsum` and adds none; a term rounds its coefficient, z^d, P, P^n, a
+    quotient and two products, the error of f'(z) z being common to a node.
+    Those errors vary in sign over terms and nodes, so their mean stays near
+    one unit of u scale (at most 1.15 over 6,283 generator checks at repeated
+    roots in [-3, 3], k <= 12); four units cover it.  A non-annihilator
+    reads its true value, clear of the bound unless e^R on the contour
+    swamps it.
     """
-    if op.order() > 2:
-        raise ValueError("operator order must be <= 2")
-    sigma0 = tuple(map(float, sigma0))
-    if len(sigma0) > 1:  # k = 1 has no discriminant locus
-        for pt in _stencil_points(op, sigma0, FD_STEP):
-            if abs(discriminant_at([Fraction(v) for v in pt])) < FD_SAFETY:
-                raise UnsafeStencilError(f"stencil point {pt} too close to the discriminant locus")
-    d1 = _apply_fd(op, F, sigma0, FD_STEP)
-    d2 = _apply_fd(op, F, sigma0, FD_STEP / 2)
-    d4 = _apply_fd(op, F, sigma0, FD_STEP / 4)
-    r1 = (4 * d2 - d1) / 3
-    r2 = (4 * d4 - d2) / 3
-    extrapolated = (16 * r2 - r1) / 15
-    num = abs(d1 - d2)
-    den = abs(d2 - d4)
-    order = math.log2(num / den) if num > 0 and den > 0 else float("inf")
-    scale = max(1.0, abs(complex(F(sigma0))))
-    return FDResult(residual=abs(extrapolated), convergence_order=order, scale=scale)
-
-
-def trace_function_handle(f: AnalyticFunction) -> Callable:
-    """A numeric sigma -> trace value closure built on the log-form contour."""
-
-    def F(sigma):
-        return trace_contour(f, list(sigma)).value
-
-    return F
+    k = len(sigma)
+    check_space(op, sigma_space(k))
+    groups = {}  # (k n - weight, n) -> the summed coefficient at sigma
+    for beta, coeff in op.sorted_terms():
+        n = sum(beta)
+        weight = sum(h * b for h, b in enumerate(beta, start=1))
+        factor = (-1) ** (n - 1 + weight) * math.factorial(n - 1) if n else 1
+        key = (k * n - weight, n)
+        groups[key] = groups.get(key, 0) + factor * coeff.evaluate({"sigma": sigma})
+    terms = [(complex(c), d, n) for (d, n), c in groups.items() if c]
+    coeffs = _coefficients(sigma)
+    values = []
+    for z in _nodes(sigma):
+        w = -f.df(z) * z
+        p = horner(coeffs, z)
+        values += [c * w * (z ** d / p ** n if n else cmath.log(p / z ** k)) for c, d, n in terms]
+    const = complex(groups.get((0, 0), 0)) * k * complex(f.f(0.0))
+    value = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values)) / NODES
+    scale = math.fsum(map(abs, values)) / NODES + abs(const)
+    return ContourCheck(value=value + const, tolerance=4 * 2.0 ** -53 * scale)

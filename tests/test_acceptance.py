@@ -24,12 +24,11 @@ from symtrace.charvar import (
 from symtrace.membership import reduce_modulo_system, verify_certificate
 from symtrace.numerics import (
     EXP,
+    contour_annihilation_check,
     dn_contour,
-    fd_annihilation_check,
     poly_roots,
     power_function,
     trace_contour,
-    trace_function_handle,
 )
 from symtrace.poly import Poly
 from symtrace.report import golden_check
@@ -272,22 +271,19 @@ def test_criterion_numeric_cross_validation():
             dn_exact = float(family(k).derived(md).evaluate({"sigma": sigma}))
             assert abs(dn_contour(md, sigma) - dn_exact) <= 1e-8 * max(1.0, abs(dn_exact))
 
-    # finite differences: the system annihilates the analytic trace of exp
+    # one contour sum: the system annihilates the analytic trace of exp
     cases = {
         2: [3.0, 2.0],
         3: [1.0, 0.25, 2.0],
         4: [0.0, -1.25, 0.0, 0.25],
     }
     for k, sigma0 in cases.items():
-        F = trace_function_handle(EXP)
         for op in generator_system(k, "newton").values():
-            res = fd_annihilation_check(op, F, sigma0)
-            assert res.residual <= 1e-6 * res.scale, (k, res)
+            res = contour_annihilation_check(op, EXP, sigma0)
+            assert res.residual <= res.tolerance, (k, res)
         for mu in range(0, k - 1):
-            res = fd_annihilation_check(op_T0(k, mu), F, sigma0)
-            assert res.residual <= 1e-6 * res.scale
-    control = fd_annihilation_check(
-        WeylOp.partial(sigma_space(2), 1), trace_function_handle(EXP), [3.0, 2.0]
-    )
-    assert control.residual > 1e-6 * control.scale
+            res = contour_annihilation_check(op_T0(k, mu), EXP, sigma0)
+            assert res.residual <= res.tolerance
+    control = contour_annihilation_check(WeylOp.partial(sigma_space(2), 1), EXP, [3.0, 2.0])
+    assert control.residual > 1e8 * control.tolerance
     _stamp("numeric-cross-validation", t0, 30.0)

@@ -1,12 +1,18 @@
+import itertools
 import json
 import random
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtrace import numerics
-from symtrace.annihilators import op_A, op_T
+from symtrace.annihilators import generator_system, op_A, op_T, op_T0
 from symtrace.cli import dispatch
 from symtrace.numerics import (
     EXP,
@@ -14,18 +20,19 @@ from symtrace.numerics import (
     SIN,
     NODES,
     RootConvergenceError,
-    UnsafeStencilError,
+    contour_annihilation_check,
     contour_radius,
     dn_contour,
-    fd_annihilation_check,
     poly_roots,
     power_function,
     trace_contour,
-    trace_function_handle,
 )
-from symtrace.spaces import sigma_space
+from symtrace.poly import Poly
+from symtrace.spaces import SpaceMismatchError, sigma_space, x_space
 from symtrace.symfun import family
 from symtrace.weyl import WeylOp
+
+from conftest import elementary_values, rational_point
 
 
 def test_roots_simple_factorization():
@@ -227,44 +234,114 @@ def test_quadrature_geometric_convergence(monkeypatch):
     assert asserted >= 1
 
 
-def test_fd_annihilation_of_system_on_trace_exp():
-    F2 = trace_function_handle(EXP)
-    res = fd_annihilation_check(op_T(2, 2), F2, [3.0, 2.0])
-    assert res.residual <= 1e-6 * res.scale
-    assert 1.5 < res.convergence_order < 2.5
-
-    res = fd_annihilation_check(op_A(3, 1, 3, 1), trace_function_handle(EXP), [1.0, 0.25, 2.0])
-    assert res.residual <= 1e-6 * res.scale
+def test_contour_check_annihilation_of_system_on_trace_exp():
+    res = contour_annihilation_check(op_T(2, 2), EXP, [3, 2])
+    assert res.residual <= res.tolerance
+    res = contour_annihilation_check(op_A(3, 1, 3, 1), EXP, [1, Fraction(1, 4), 2])
+    assert res.residual <= res.tolerance
 
 
-def test_fd_control_case_detects_non_annihilator():
-    F = trace_function_handle(EXP)
-    res = fd_annihilation_check(WeylOp.partial(sigma_space(2), 1), F, [3.0, 2.0])
-    assert res.residual > 1e-6 * res.scale * 100
+def _generators_and_t0(k):
+    return [*generator_system(k, "newton").values(), *(op_T0(k, mu) for mu in range(k - 1))]
 
 
-def test_fd_rejects_stencil_near_discriminant():
-    F = trace_function_handle(EXP)
-    with pytest.raises(UnsafeStencilError):
-        fd_annihilation_check(op_T(2, 2), F, [2.0, 1.0])  # double root locus
-    # roots -3, -2, 0, 2, 3, 3: the other roots spread, the discriminant is still 0
-    with pytest.raises(UnsafeStencilError):
-        fd_annihilation_check(op_T(6, 2), F, [3.0, -13.0, -39.0, 36.0, 108.0, 0.0])
+def test_contour_check_detects_non_annihilator():
+    res = contour_annihilation_check(WeylOp.partial(sigma_space(2), 1), EXP, [3, 2])
+    assert res.residual > 1e8 * res.tolerance
+    # off the locus at a large contour radius, where finite differences of
+    # the contour value failed: every generator and T0(mu) passes, and d_1
+    # stands clear of the rounding bound
+    for roots, radius, margin in (((-3, -2, 0, 2, 3, 4), 33.0, 1e4), ((-2, -1, 0, 1, 2, 3), 21.5, 1e8)):
+        sigma = list(elementary_values(roots))
+        assert contour_radius(sigma) == pytest.approx(radius, abs=0.05)
+        for op in _generators_and_t0(6):
+            res = contour_annihilation_check(op, EXP, sigma)
+            assert res.residual <= res.tolerance, (roots, op)
+        res = contour_annihilation_check(WeylOp.partial(sigma_space(6), 1), EXP, sigma)
+        assert res.residual > margin * res.tolerance, roots
+
+
+def test_contour_check_passes_on_the_discriminant_locus():
+    # T(f) is entire in s, so a repeated root needs no guard
+    points = [[2, 1], [3, -13, -39, 36, 108, 0]]  # roots 1, 1 and -3, -2, 0, 2, 3, 3
+    for sigma in points:
+        for op in _generators_and_t0(len(sigma)):
+            res = contour_annihilation_check(op, EXP, sigma)
+            assert res.residual <= res.tolerance, (sigma, op)
     rng = random.Random(31)
     for _ in range(60):
         k = rng.randint(2, 12)
         roots = [rng.randint(-3, 3) for _ in range(k - 1)]
         roots.append(rng.choice(roots))
-        with pytest.raises(UnsafeStencilError):
-            fd_annihilation_check(op_T(k, 2), F, sigma_of(roots))
-    # k = 1 has no locus: d_1 of T(exp) = exp(s_1)
-    res = fd_annihilation_check(WeylOp.partial(sigma_space(1), 1), F, [0.5])
-    assert res.residual == pytest.approx(np.exp(0.5), rel=1e-8)
+        res = contour_annihilation_check(op_T(k, 2), EXP, list(elementary_values(roots)))
+        assert res.residual <= res.tolerance, roots
+    # k = 1: d_1 of T(exp) = exp(s_1)
+    res = contour_annihilation_check(WeylOp.partial(sigma_space(1), 1), EXP, [Fraction(1, 2)])
+    assert abs(res.value - np.exp(0.5)) <= res.tolerance
 
 
-def test_fd_rejects_high_order():
-    F = trace_function_handle(EXP)
+def test_contour_check_works_at_any_order():
     S = sigma_space(2)
-    cubic = WeylOp.partial(S, 1, 3)
-    with pytest.raises(ValueError):
-        fd_annihilation_check(cubic, F, [3.0, 2.0])
+    member = WeylOp.partial(S, 1) * op_T(2, 2)  # order 3, in the left ideal
+    assert member.order() == 3
+    res = contour_annihilation_check(member, EXP, [3, 2])
+    assert res.residual <= res.tolerance
+    res = contour_annihilation_check(WeylOp.partial(S, 1, 3), EXP, [3, 2])
+    assert res.residual > res.tolerance
+
+
+def test_contour_check_rejects_a_mismatched_space():
+    with pytest.raises(SpaceMismatchError):
+        contour_annihilation_check(op_T(3, 2), EXP, [3, 2])
+    with pytest.raises(SpaceMismatchError):
+        contour_annihilation_check(WeylOp.partial(x_space(2), 1), EXP, [3, 2])
+
+
+def test_contour_derivatives_of_power_traces_match_exact_values():
+    # d^beta N_m at a rational point, |beta| <= 3 (beta = 0 included), to the stated bound
+    rng = random.Random(101)
+    for k in (2, 3, 4):
+        S = sigma_space(k)
+        sigma = rational_point(rng, k, -3, 3, 2)
+        for beta in itertools.product(range(4), repeat=k):
+            if sum(beta) > 3:
+                continue
+            D = reduce(mul, [WeylOp.partial(S, h, b) for h, b in enumerate(beta, start=1)])
+            for m in range(9):
+                exact = D.apply(family(k).newton(m)).evaluate({"sigma": sigma})
+                res = contour_annihilation_check(D, power_function(m), sigma)
+                assert abs(res.value - complex(exact)) <= res.tolerance, (k, beta, m)
+
+
+_HALVES = st.integers(-2, 2).map(lambda n: Fraction(n, 2))
+
+
+@st.composite
+def left_combinations(draw):
+    """(k, sum_i c_i gen_i, roots): each c_i a polynomial times a partial of
+    order <= 2, so the combination has order <= 4; roots in [-1, 1] by
+    halves, so repeated roots are frequent and the contour radius <= 18.1."""
+    k = draw(st.integers(2, 4))
+    S = sigma_space(k)
+    gens = list(generator_system(k, "newton").values())
+    exps = st.tuples(*[st.integers(0, 1)] * k)
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        cofactor = Poly(S, draw(st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=3)))
+        h = draw(st.integers(1, k))
+        partial = WeylOp.partial(S, h, draw(st.integers(0, 2)))
+        pieces.append(WeylOp.from_poly(cofactor) * partial * draw(st.sampled_from(gens)))
+    return k, WeylOp.sum(S, pieces), draw(st.lists(_HALVES, min_size=k, max_size=k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(left_combinations())
+def test_left_combinations_of_generators_pass_and_a_partial_fails(case):
+    k, G, roots = case
+    sigma = list(elementary_values(roots))
+    res = contour_annihilation_check(G, EXP, sigma)
+    assert res.residual <= res.tolerance
+    # d_k T(exp) = (-1)^(k+1) [x_1, .., x_k] exp, the mean of e^(t.x) over the
+    # simplex: at least e^-1 / (k-1)! for real roots in [-1, 1]
+    res = contour_annihilation_check(G + WeylOp.partial(sigma_space(k), k), EXP, sigma)
+    assert res.residual > res.tolerance
