@@ -128,6 +128,12 @@ def generator_system(k: int, family: str) -> dict[str, WeylOp]:
     return gens
 
 
+def default_max_m(k: int, order: int = 2) -> int:
+    """The last family index a check of an operator of the given order
+    draws by default; the generators are second order."""
+    return order + 2 * k + 4
+
+
 def family_members(k: int, family: str, max_m: int) -> Iterator[tuple[int, Poly]]:
     """Yield (m, member) lazily from the family's first index up to max_m."""
     fam = _family(family)

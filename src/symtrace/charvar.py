@@ -29,7 +29,7 @@ from typing import Mapping
 
 from .annihilators import A_ID, FAMILIES
 from .poly import Poly
-from .spaces import VarSpace, check_space, sigma_eta_space, sigma_space
+from .spaces import VarSpace, check_space, sigma_eta_space
 from .symfun import char_poly, horner, theta
 
 
@@ -83,7 +83,7 @@ def rewrite_eta_product(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Po
         eta_1 eta_j = m_(1,j+1) - sum_p s_p eta_p eta_{j+1}   (j < k)
         eta_i eta_k = eta_k * eta_i                           (base)
 
-    Returns (u as {minor-id: Poly over sigma}, v over (sigma, eta)).
+    Returns (u as {minor-id: eta-free Poly}, v), both over (sigma, eta).
     """
     if not (1 <= i <= k and 1 <= j <= k):
         raise ValueError("indices out of range")
@@ -93,33 +93,24 @@ def rewrite_eta_product(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Po
 @cache  # keyed by i <= j; rewrite_eta_product stays plain, as `symfun.family` does
 def _rewrite(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Poly]:
     se = sigma_eta_space(k)
-    ss = sigma_space(k)
     if j == k:
         return {}, _eta(k, i)
     # every minor in a rewrite of eta_p eta_(j+1) has second index >= j + 2,
     # so m_(i,j+1) is not among them
     if i == 1:
-        rows = [(Poly.variable(ss, "sigma", p), Poly.variable(se, "sigma", p), *rewrite_eta_product(k, p, j + 1))
-                for p in range(1, k + 1)]
-        u = {mid: Poly.sum_of_products(ss, ((s, up[mid], -1) for s, _, up, _ in rows if mid in up))
-             for mid in dict.fromkeys(mid for *_, up, _ in rows for mid in up)}
-        v = Poly.sum_of_products(se, ((s, vp, -1) for _, s, _, vp in rows))
-        return {(1, j + 1): Poly.one(ss), **{mid: c for mid, c in u.items() if c}}, v
+        rows = [(Poly.variable(se, "sigma", p), *rewrite_eta_product(k, p, j + 1)) for p in range(1, k + 1)]
+        u = {mid: Poly.sum_of_products(se, ((s, up[mid], -1) for s, up, _ in rows if mid in up))
+             for mid in dict.fromkeys(mid for _, up, _ in rows for mid in up)}
+        v = Poly.sum_of_products(se, ((s, vp, -1) for s, _, vp in rows))
+        return {(1, j + 1): Poly.one(se), **{mid: c for mid, c in u.items() if c}}, v
     up, vp = rewrite_eta_product(k, i - 1, j + 1)
-    return {**up, (i, j + 1): Poly.one(ss)}, vp
-
-
-def embed_sigma(p: Poly, k: int) -> Poly:
-    """View a sigma-polynomial inside the (sigma, eta) space."""
-    if p.space is sigma_eta_space(k):
-        return p
-    return p.embed(sigma_eta_space(k), "eta", (0,) * k)
+    return {**up, (i, j + 1): Poly.one(se)}, vp
 
 
 def recombine(k: int, coeffs: dict[MinorId, Poly]) -> Poly:
-    """sum_a c_a m_a with coefficients over sigma or (sigma, eta)."""
+    """sum_a c_a m_a with coefficients over (sigma, eta)."""
     ms = minors(k)
-    return Poly.sum(sigma_eta_space(k), (embed_sigma(c, k) * ms[mid] for mid, c in coeffs.items()))
+    return Poly.sum_of_products(sigma_eta_space(k), ((c, ms[mid], 1) for mid, c in coeffs.items()))
 
 
 def _eta_homogeneous_parts(f: Poly) -> dict[int, Poly]:
@@ -217,13 +208,13 @@ def _descend(blocks: dict[tuple[int, ...], Poly], k: int) -> dict[MinorId, Poly]
             j = next(h for h in range(k) if low[h])
             low[j] -= 1
             groups.setdefault((i + 1, j + 1), []).append(c.embed(se, "eta", low))
-        lift = (0,) * (k - 1) + (level,)
+        lift = _eta(k, k) ** level
         vw = []
         for (i, j), ws in groups.items():
             w = Poly.sum(se, ws)
             u, v = rewrite_eta_product(k, i, j)
             for mid, uc in u.items():
-                factors.setdefault(mid, []).append((uc.embed(se, "eta", lift), w, 1))
+                factors.setdefault(mid, []).append((uc * lift, w, 1))
             vw.append((v, w, 1))
         # eta_i eta_j w = sum_a u_a m_a w + eta_k v w, so the next g is rest + sum v w
         g = Poly.sum(se, [*rest, Poly.sum_of_products(se, vw)])

@@ -9,6 +9,7 @@ check), 1 a usage or internal error, reported on one `error:` line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -160,21 +161,18 @@ def cmd_member(args) -> int:
             {"generator": gid, "cofactor": weyl_to_dict(cof)} for gid, cof in cert.entries
         ],
         "remainder": weyl_to_dict(cert.remainder),
-        "verified": verify_certificate(op, cert, args.k),
+        "verified": verify_certificate(op, cert),
     }
     _print(doc)
     return 0 if cert.is_member else 2
 
 
-def _parse_sigma(text: str) -> list[complex]:
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        try:
-            out.append(float(chunk))
-        except ValueError:
-            out.append(complex(chunk))
-    return out
+def _sigma_entry(n: int, text: str) -> complex:
+    """Sigma entry n, a float where it reads as one, else complex."""
+    for parse in (float, complex):
+        with contextlib.suppress(ValueError):
+            return parse(text)
+    raise ValueError(f"sigma entry {n} is not a number: {text.strip()!r}")
 
 
 def _finite(v: complex) -> bool:
@@ -182,7 +180,7 @@ def _finite(v: complex) -> bool:
 
 
 def cmd_numcheck(args) -> int:
-    sigma = _parse_sigma(args.sigma)
+    sigma = [_sigma_entry(n, text) for n, text in enumerate(args.sigma.split(","), 1)]
     if len(sigma) != args.k:
         raise ValueError(f"expected {args.k} sigma entries")
     if not all(_finite(v) for v in sigma):
@@ -191,8 +189,8 @@ def cmd_numcheck(args) -> int:
         f = EXP
     elif args.f == "sin":
         f = SIN
-    elif args.f.startswith("pow:"):
-        f = power_function(int(args.f.split(":", 1)[1]))
+    elif args.f.startswith("pow:") and args.f[4:].strip().removeprefix("-").isdecimal():
+        f = power_function(int(args.f[4:]))
     else:
         raise ValueError(f"unknown function {args.f!r}")
     not_finite = "the contour trace is not finite (overflow or a degenerate contour)"

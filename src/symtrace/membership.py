@@ -11,10 +11,9 @@ constant nonzero diagonal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
-from .annihilators import check_images, family_members, generator_system
+from .annihilators import check_images, default_max_m, family_members, generator_system
 from .charvar import NotOnVarietyError, decompose_in_minors, minor_generator
 from .poly import Poly
 from .spaces import check_space, sigma_space, x_space
@@ -37,23 +36,19 @@ class SymbolDescentError(RuntimeError):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MembershipCertificate:
     """p = sum_i cofactor_i . generator_i + remainder, exactly."""
 
     k: int
-    entries: list[tuple[str, WeylOp]] = field(default_factory=list)
-    remainder: WeylOp | None = None
-    newton_bound: int = 0
+    entries: tuple[tuple[str, WeylOp], ...]
+    remainder: WeylOp
+    newton_bound: int
     failing_newton_index: int | None = None
 
     @property
     def is_member(self) -> bool:
-        return self.remainder is not None and self.remainder.is_zero()
-
-
-def default_newton_bound(p: WeylOp, k: int) -> int:
-    return max(p.order(), 0) + 2 * k + 4
+        return self.remainder.is_zero()
 
 
 def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> MembershipCertificate:
@@ -67,13 +62,10 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
     if p.is_zero():
         raise ValueError("the zero operator is a trivial member; nothing to reduce")
     check_space(p, sigma_space(k))
-    bound = default_newton_bound(p, k) if newton_bound is None else newton_bound
-    cert = MembershipCertificate(k=k, newton_bound=bound)
+    bound = default_max_m(k, p.order()) if newton_bound is None else newton_bound
     fails = check_images({"p": p}, family_members(k, "newton", bound))
     if fails:
-        cert.remainder = p
-        cert.failing_newton_index = fails["p"].m
-        return cert
+        return MembershipCertificate(k, (), p, bound, fails["p"].m)
 
     gens = generator_system(k, "newton")
     # the cofactor pieces of each generator, one per descent step it enters
@@ -96,23 +88,21 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
             raise AssertionError("symbol descent failed to lower the order")
         q = q_next
 
-    cert.entries = sorted((gid, WeylOp.sum(p.space, cofs)) for gid, cofs in pieces.items())
-    cert.remainder = q
-    if not q.is_zero():
-        # order <= 1: killing N_0..N_k forces zero, so a nonzero tail here
-        # means the bound was too small to rule out a non-member earlier
-        fails = check_images({"tail": q}, family_members(k, "newton", k))
-        if not fails:
-            raise AssertionError("order-one tail kills N_0..N_k but is nonzero")
-        cert.failing_newton_index = fails["tail"].m
-    return cert
+    entries = tuple(sorted((gid, WeylOp.sum(p.space, cofs)) for gid, cofs in pieces.items()))
+    if q.is_zero():
+        return MembershipCertificate(k, entries, q, bound)
+    # order <= 1: killing N_0..N_k forces zero, so a nonzero tail here
+    # means the bound was too small to rule out a non-member earlier
+    fails = check_images({"tail": q}, family_members(k, "newton", k))
+    if not fails:
+        raise AssertionError("order-one tail kills N_0..N_k but is nonzero")
+    return MembershipCertificate(k, entries, q, bound, fails["tail"].m)
 
 
-def verify_certificate(p: WeylOp, cert: MembershipCertificate, k: int) -> bool:
+def verify_certificate(p: WeylOp, cert: MembershipCertificate) -> bool:
     """Exact recombination: sum cofactor . generator + remainder == p."""
-    gens = generator_system(k, "newton")
-    rest = () if cert.remainder is None else (cert.remainder,)
-    return WeylOp.sum(sigma_space(k), chain((cof * gens[gid] for gid, cof in cert.entries), rest)) == p
+    gens = generator_system(cert.k, "newton")
+    return WeylOp.sum(sigma_space(cert.k), [cert.remainder, *(cof * gens[gid] for gid, cof in cert.entries)]) == p
 
 
 def trace_characterization_x(k: int, p: WeylOp) -> bool:

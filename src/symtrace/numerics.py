@@ -108,9 +108,8 @@ def _nodes(sigma: Sequence[complex]) -> list[complex]:
 
 
 def _mean(values: Sequence[complex]) -> complex:
-    """The mean, as correctly rounded sums of the real and imaginary parts."""
-    n = len(values)
-    return complex(math.fsum(v.real for v in values) / n, math.fsum(v.imag for v in values) / n)
+    """The mean over the NODES nodes of values taken there, any number per node, by correctly rounded sums."""
+    return complex(math.fsum(v.real for v in values) / NODES, math.fsum(v.imag for v in values) / NODES)
 
 
 def trace_contour(f: AnalyticFunction, sigma: Sequence[complex]) -> TraceValue:
@@ -194,6 +193,6 @@ def contour_annihilation_check(op, f: AnalyticFunction, sigma: Sequence) -> Cont
         p = horner(coeffs, z)
         values += [c * w * (z ** d / p ** n if n else cmath.log(p / z ** k)) for c, d, n in terms]
     const = complex(groups.get((0, 0), 0)) * k * complex(f.f(0.0))
-    value = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values)) / NODES
+    value = _mean(values)
     scale = math.fsum(map(abs, values)) / NODES + abs(const)
     return ContourCheck(value=value + const, tolerance=4 * 2.0 ** -53 * scale)

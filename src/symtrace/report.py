@@ -24,6 +24,7 @@ from .annihilators import (
     Witness,
     a_pairs,
     check_images,
+    default_max_m,
     family_members,
     generator_system,
     op_A,
@@ -148,11 +149,6 @@ class RunReport:
 
 # the suites that check a family against its system, by suite name
 SUITE_FAMILIES = {fam.suite: name for name, fam in FAMILIES.items()}
-
-
-def default_max_m(k: int) -> int:
-    """The last family index a family check draws by default."""
-    return 2 * k + 6
 
 
 def _annihilates(rep: RunReport, ops: dict[str, WeylOp], family: str, max_m: int,

@@ -116,8 +116,7 @@ def _multi_indices(k: int, max_total: int):
 
 def apply_partitions(p: SymmetricOperator, f: dict) -> dict:
     """P[f] on partition coefficients, by the apply rule of the module docstring."""
-    k = p.k
-    terms = [(exp[:k], exp[k:], c) for exp, c in p.op.poly.sorted_terms()]
+    terms = [(alpha, beta, c) for beta, coeff in p.op.sorted_terms() for alpha, c in coeff.sorted_terms()]
     candidates = {_partition(map(add, map(sub, nu, beta), alpha))
                   for alpha, beta, _ in terms for nu in f if all(map(ge, nu, beta))}
     out = {}

@@ -84,7 +84,7 @@ def test_rewrite_base_case_and_example():
     u, v = rewrite_eta_product(2, 2, 2)
     assert u == {} and v == eta(2, 2)
     u, v = rewrite_eta_product(2, 1, 1)
-    assert set(u) == {(1, 2)} and u[(1, 2)] == Poly.one(sigma_space(2))
+    assert set(u) == {(1, 2)} and u[(1, 2)] == Poly.one(sigma_eta_space(2))
     assert v == -(sig(2, 1) * eta(2, 1) + sig(2, 2) * eta(2, 2))
 
 
@@ -94,7 +94,7 @@ def test_rewrite_roundtrip_all_pairs():
         for i in range(1, k + 1):
             for j in range(i, k + 1):
                 u, v = rewrite_eta_product(k, i, j)
-                assert all(c.space == sigma_space(k) for c in u.values())
+                assert all(c.space == se and c.degree_in("eta") == 0 for c in u.values())
                 assert v.degree_in("eta") <= 1
                 lhs = eta(k, i) * eta(k, j)
                 assert lhs == recombine(k, u) + eta(k, k) * v
@@ -152,6 +152,9 @@ def test_recombine_rejects_coefficients_over_another_space():
     x1 = Poly.variable(x_space(2), "x", 1)
     with pytest.raises(ValueError):
         recombine(2, {(1, 2): x1})
+    s1 = Poly.variable(sigma_space(2), "sigma", 1)
+    with pytest.raises(ValueError):
+        recombine(2, {(1, 2): s1})
 
 
 def test_decompose_rejects_inhomogeneous():

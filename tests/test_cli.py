@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtrace.annihilators import FAMILIES, Witness, check_images, family_members, generator_system
+from symtrace.charvar import minors
 from symtrace.cli import dispatch
 from symtrace.numerics import NODES, contour_radius
 from symtrace.report import first_mismatch, golden_check, run_suite
 from symtrace.serialize import dumps, poly_to_dict, weyl_from_dict, weyl_to_dict
 from symtrace.spaces import sigma_eta_space, sigma_space, x_space
+from symtrace.transport import elementary_symmetric_op, xi_transport
 from symtrace.poly import Poly
 from symtrace.weyl import WeylOp
 
@@ -533,6 +535,16 @@ def test_numcheck_bad_sigma_count(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--sigma", "1,2", "--f", "pow:x"], "unknown function 'pow:x'"),
+    (["--sigma", "1,,2"], "sigma entry 2 is not a number: ''"),
+])
+def test_numcheck_names_the_bad_input(args, message, capsys):
+    code, out, err = run_cli(["numcheck", "--k", "2", *args], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_golden_check_fresh_checkout(capsys):
     rep = golden_check()
     counts = rep.counts
@@ -832,3 +844,36 @@ def test_xi_s6_at_k6_output_hash(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         "ae125d6cf80dfd7b789091a976d1cbd63fdf84c5b3ec59b17671ffbd68223b89"
+
+
+def _decompose_inputs(k):
+    """The top-order symbol of xi S_k, and a seeded combination of the minors
+    whose coefficients depend on sigma and have eta-degree 2."""
+    se = sigma_eta_space(k)
+    rng = random.Random(k)
+    eta_pairs = [tuple(int(i == a) + int(i == b) for i in range(k)) for a in range(k) for b in range(a, k)]
+    combo = Poly.sum(se, (
+        Poly(se, {tuple(rng.randint(0, 1) for _ in range(k)) + e: rng.randint(-3, 3) for e in rng.sample(eta_pairs, 2)})
+        * m for m in minors(k).values()))
+    return {"symbol": xi_transport(elementary_symmetric_op(k, k)).symbol(), "combination": combo}
+
+
+DECOMPOSE_SHA256 = {
+    (3, "symbol"): "4e08e3c8bdc158cb21ffddac7c2ea7ece83b52a165e6c500224eb3890edf0ed6",
+    (3, "combination"): "69537c553cf5d7ee05fcf1e308fcbf489f9bf4169cc5b1f2a74bb4bfb46bb317",
+    (4, "symbol"): "ce1582ee1f76912e70a6911058f74c9eeca3191ce70c4229844dc520787265c3",
+    (4, "combination"): "bc756a025986303481645eb143e7b800bf94c72e34be8a37f9f738efe3c6cf2f",
+    (5, "symbol"): "f8d943c0dda11d23ee7e63e46318fdfd267f558db1951b83a470dbfde6e418df",
+    (5, "combination"): "9bd9955a91da4dfee104a06630717a3d8cfafc1a9c8196ebf01619ceeb20e179",
+}
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_decompose_outputs_match_the_recorded_hashes(k, capsys, tmp_path):
+    # the minor coefficients printed by charvar --decompose, byte for byte
+    for name, f in _decompose_inputs(k).items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(dumps(poly_to_dict(f)), encoding="utf-8")
+        code, out, _ = run_cli(["charvar", "--k", str(k), "--decompose", str(path)], capsys)
+        assert code == 0 and json.loads(out)["recombines"] is True
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DECOMPOSE_SHA256[k, name], (k, name)

@@ -24,7 +24,7 @@ def test_constructed_member_reduces_to_zero():
     )
     cert = reduce_modulo_system(p, 3)
     assert cert.is_member
-    assert verify_certificate(p, cert, 3)
+    assert verify_certificate(p, cert)
     assert {gid for gid, _ in cert.entries} <= set(generator_system(3, "newton"))
 
 
@@ -32,7 +32,7 @@ def test_transported_operator_is_T_at_k2():
     op = xi_transport(elementary_symmetric_op(2, 2))
     assert op == op_T(2, 2)
     cert = reduce_modulo_system(op, 2)
-    assert cert.is_member and verify_certificate(op, cert, 2)
+    assert cert.is_member and verify_certificate(op, cert)
 
 
 def test_transported_operators_reduce_for_all_k():
@@ -42,7 +42,7 @@ def test_transported_operators_reduce_for_all_k():
             op = xi_transport(elementary_symmetric_op(k, h))
             cert = reduce_modulo_system(op, k)
             assert cert.is_member, (k, h)
-            assert verify_certificate(op, cert, k)
+            assert verify_certificate(op, cert)
             assert cert.remainder.is_zero()
             for gid, cof in cert.entries:
                 assert (cof * gens[gid]).order() <= op.order()
@@ -54,7 +54,7 @@ def test_non_member_partial():
     assert not cert.is_member
     assert cert.failing_newton_index == 1
     assert cert.remainder == WeylOp.partial(S, 1)
-    assert verify_certificate(WeylOp.partial(S, 1), cert, 3)
+    assert verify_certificate(WeylOp.partial(S, 1), cert)
 
 
 def test_non_member_forms_variant_with_failing_index():
@@ -73,11 +73,11 @@ def test_tampered_certificate_fails():
     gid, cof = cert.entries[0]
     tampered = MembershipCertificate(
         k=2,
-        entries=[(gid, cof + WeylOp.partial(sigma_space(2), 1))],
+        entries=((gid, cof + WeylOp.partial(sigma_space(2), 1)),),
         remainder=cert.remainder,
         newton_bound=cert.newton_bound,
     )
-    assert not verify_certificate(op, tampered, 2)
+    assert not verify_certificate(op, tampered)
 
 
 def test_left_ideal_closure_randomized():
@@ -104,7 +104,7 @@ def test_left_ideal_closure_randomized():
             continue
         cert = reduce_modulo_system(product, k)
         assert cert.is_member
-        assert verify_certificate(product, cert, k)
+        assert verify_certificate(product, cert)
 
 
 def test_order_descends_strictly():
@@ -113,7 +113,7 @@ def test_order_descends_strictly():
     op = xi_transport(elementary_symmetric_op(3, 3))
     q = op * op  # order 6 member
     cert = reduce_modulo_system(q, k)
-    assert cert.is_member and verify_certificate(q, cert, k)
+    assert cert.is_member and verify_certificate(q, cert)
 
 
 def test_zero_operator_rejected():
@@ -128,7 +128,7 @@ def test_low_bound_gives_nonmember_with_exact_remainder():
     tt = generator_system(k, "dnewton")["T~(3)"]
     cert = reduce_modulo_system(tt, k, newton_bound=2)
     assert not cert.is_member
-    assert verify_certificate(tt, cert, k)
+    assert verify_certificate(tt, cert)
 
 
 def test_trace_characterization_in_x():
