@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .poly import Poly
@@ -116,16 +118,21 @@ def _family(name: str) -> Family:
     return FAMILIES[name]
 
 
-def generator_system(k: int, family: str) -> dict[str, WeylOp]:
-    """The system killing a family of `FAMILIES` as id -> generator, the
-    A(p,q,1) first, then the T(m) + tail d_m."""
+def generator_system(k: int, family: str) -> Mapping[str, WeylOp]:
+    """The system killing a family of `FAMILIES`, built once, as a read-only
+    map id -> generator: the A(p,q,1) first, then the T(m) + tail d_m."""
+    return _systems(k, family)
+
+
+@cache  # generator_system stays a plain function for bench/tracer.py, as `symfun.family` does
+def _systems(k: int, family: str) -> Mapping[str, WeylOp]:
     if k < 2:
         raise ValueError("the system needs k >= 2")
     fam = _family(family)
     gens = {A_ID.format(p=p, q=q): op_A(k, p, q, 1) for p, q in a_pairs(k)}
     for m in range(2, k + 1):
         gens[fam.t_id.format(m=m)] = op_T(k, m) + _partial(k, m).scale(fam.tail)
-    return gens
+    return MappingProxyType(gens)
 
 
 def default_max_m(k: int, order: int = 2) -> int:

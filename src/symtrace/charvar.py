@@ -237,27 +237,26 @@ class ZPoint:
 def sample_z_points(k: int, seed: int, n: int) -> list[ZPoint]:
     """Draw n exact points: integer t != 0 and s_1..s_{k-1} in [-10,10],
     s_k solved from P_s(t) = 0, then sigma_h = (-1)^h s_h and
-    eta_h = t^(k-h).  Every returned point kills all minors."""
+    eta_h = t^(k-h).  Every returned point kills all minors.  Points are
+    drawn and checked in ints; only the returned fields are Fractions."""
     if n < 1:
         raise ValueError("need n >= 1")
     rng = random.Random(seed)
     ms = minors(k)
     out = []
     for _ in range(n):
-        t = Fraction(0)
+        t = 0
         while t == 0:
-            t = Fraction(rng.randint(-10, 10))
-        s = [Fraction(rng.randint(-10, 10)) for _ in range(k - 1)]
+            t = rng.randint(-10, 10)
+        s = [rng.randint(-10, 10) for _ in range(k - 1)]
         # P_s(t) = P_(s_1..s_(k-1), 0)(t) + (-1)^k s_k = 0, solved for s_k
         s.append((-1) ** (k + 1) * horner(char_poly(s + [0]), t))
-        sigma = tuple(char_poly(s)[1:])
-        eta = tuple(t ** (k - h) for h in range(1, k + 1))
-        point = ZPoint(sigma=sigma, eta=eta, s=tuple(s), zeta0=Fraction(1), zeta1=t)
+        sigma = char_poly(s)[1:]
+        eta = [t ** (k - h) for h in range(1, k + 1)]
         for mid, m in ms.items():
-            value = m.evaluate({"sigma": sigma, "eta": eta})
-            if value != 0:
+            if m.evaluate({"sigma": sigma, "eta": eta}) != 0:
                 raise AssertionError(f"sampled point misses minor {mid}")
-        out.append(point)
+        out.append(ZPoint(*(tuple(map(Fraction, v)) for v in (sigma, eta, s)), Fraction(1), Fraction(t)))
     return out
 
 

@@ -208,6 +208,16 @@ def test_sampled_points_satisfy_ray_and_root_identities():
             assert pt.sigma == tuple(Fraction((-1) ** h) * pt.s[h - 1] for h in range(1, k + 1))
 
 
+def test_every_field_of_a_sampled_point_is_a_fraction():
+    # the sampler draws and checks in ints; the fields stay Fractions, so
+    # l / eta_1 in the symbols suite is exact division
+    for k in (2, 3, 5):
+        for pt in sample_z_points(k, seed=5, n=20):
+            values = [*pt.sigma, *pt.eta, *pt.s, pt.zeta0, pt.zeta1]
+            assert len(values) == 3 * k + 2
+            assert {type(v) for v in values} == {Fraction}
+
+
 def test_sampling_deterministic_and_mostly_nondegenerate():
     a = sample_z_points(3, seed=4, n=30)
     b = sample_z_points(3, seed=4, n=30)

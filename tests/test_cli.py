@@ -7,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -392,6 +393,9 @@ def test_failing_weight_check_names_its_case(monkeypatch):
 
     _t3_plus_d1(monkeypatch)
     monkeypatch.setattr(symtrace.annihilators, "op_T", symtrace.report.op_T)
+    # generator_system builds each system once: this test builds its own,
+    # and the cached one comes back untouched when the patches are undone
+    monkeypatch.setattr(symtrace.annihilators, "_systems", cache(symtrace.annihilators._systems.__wrapped__))
     checks = {e.id: e.to_dict() for e in run_suite("weights", 3).entries}
     # [T(3) + d_1, U0] - 3 (T(3) + d_1) = -2 d_1
     assert checks["weight:T"]["witness"] == {"case": "[T(3), U0]", "terms": 1, "image": "-2*ds1"}
@@ -844,6 +848,25 @@ def test_xi_s6_at_k6_output_hash(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         "ae125d6cf80dfd7b789091a976d1cbd63fdf84c5b3ec59b17671ffbd68223b89"
+
+
+# recorded before the sampler moved to int arithmetic; the benchmark
+# hashes neither the default seed nor k = 2
+SAMPLE_SHA256 = {
+    ("charvar", "--k", "2", "--sample", "10"): "ef06ef64a99932d9cf4c8247eba94c6e4012acb456f57241b4fb6c437625cfa8",
+    ("charvar", "--k", "3", "--sample", "10"): "1d2b1043fb7a4c3e03394a1157db98420d38e4e665f5b8c0d67006b66773147d",
+    ("charvar", "--k", "4", "--sample", "10"): "8bf452e3680a85f9c16e3cb7385144f898f6795eff89abd238b2a6fde72ea4dd",
+    ("charvar", "--k", "5", "--sample", "10"): "7be2aefb7c0c349058c22fb71dc9200c45765521856091128dcefc3c1a81060c",
+    ("charvar", "--k", "6", "--sample", "10"): "c5dfb841d8207e07548519534fcfb144af22f84eb2d96598ccce00c5c8af4cbf",
+    ("verify", "--k", "2", "--suite", "symbols"): "9cba6b5b6c5d4f893a72ff3dac70bd11117b28cf31cb9df253013b7957ab05fb",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SAMPLE_SHA256), ids=" ".join)
+def test_sampled_points_match_the_recorded_hashes(argv, capsys):
+    code, out, _ = run_cli(list(argv), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SAMPLE_SHA256[argv]
 
 
 def _decompose_inputs(k):

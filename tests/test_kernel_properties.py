@@ -334,3 +334,59 @@ def test_a_high_order_partial_multiplies_and_acts_exactly():
     expected = {(0, 1200 - j): Poly.monomial(S, (0, 1200 - j), comb(1200, j) * perm(1200, j))
                 for j in range(1201)}
     assert d * WeylOp.from_poly(s2 ** 1200) == WeylOp(S, expected)
+
+
+# -- evaluate -------------------------------------------------------------------
+
+POINT_VALUES = {
+    "int": st.integers(-5, 5),
+    "integral Fraction": st.integers(-5, 5).map(Fraction),
+    "proper Fraction": st.fractions(-4, 4, max_denominator=6).filter(lambda v: v.denominator > 1),
+    "float": st.floats(-4, 4),
+    "complex": st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+}
+
+
+def evaluate_term_by_term(p: Poly, point: list):
+    """sum of c * v**e over p.sorted_terms(), in that order, with the values
+    as given; None for the zero polynomial."""
+    acc = None
+    for exp, c in p.sorted_terms():
+        term = c
+        for v, e in zip(point, exp):
+            if e:
+                term = term * v ** e
+        acc = term if acc is None else acc + term
+    return acc
+
+
+# 200 draws, so that a change of summation order shows in some float sum
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 3), st.sampled_from([*POINT_VALUES, "mixed"]))
+def test_evaluate_matches_the_term_by_term_formula(data, k, kind):
+    space = sigma_eta_space(k)
+    # built from its sorted terms, p stores them in that order, so the
+    # float sums of evaluate and of the formula run in one order
+    p = Poly(space, terms_of(data.draw(polys(space, 5, 3))))
+    values = st.one_of(*POINT_VALUES.values()) if kind == "mixed" else POINT_VALUES[kind]
+    point = data.draw(st.lists(values, min_size=2 * k, max_size=2 * k))
+    got = p.evaluate({"sigma": point[:k], "eta": point[k:]})
+    want = evaluate_term_by_term(p, point)
+    if isinstance(want, (float, complex)):
+        assert type(got) is type(want) and repr(got) == repr(want)  # bit for bit, signed zeros included
+    else:
+        assert got == (want or 0)
+        # exact: a Fraction where a value is one or p is zero, else what the terms give
+        assert type(got) is (Fraction if want is None or Fraction in map(type, point) else type(want))
+
+
+def test_evaluate_return_types():
+    space = sigma_space(2)
+    s1_plus_1 = Poly(space, {(1, 0): 1, (0, 0): 1})
+    assert type(s1_plus_1.evaluate({"sigma": [2, 5]})) is int
+    assert Poly.zero(space).evaluate({"sigma": [2, 5]}) == Fraction(0)
+    for p in (s1_plus_1, Poly.constant(space, 3), Poly.zero(space)):
+        assert type(p.evaluate({"sigma": [Fraction(2), 5]})) is Fraction
+        assert type(p.evaluate({"sigma": [2, 5]})) is (Fraction if p.is_zero() else int)
+    assert type(s1_plus_1.evaluate({"sigma": [Fraction(2), 0.5]})) is Fraction
+    assert type(Poly(space, {(0, 1): 1}).evaluate({"sigma": [Fraction(2), 0.5]})) is float
