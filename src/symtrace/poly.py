@@ -20,10 +20,8 @@ display read), ``evaluate`` and ``max_exponents``.
 Every stored coefficient has one canonical form: a nonzero int, or a
 Fraction with denominator > 1.  Most coefficients in the kernel are
 integral, and int arithmetic pays no gcd; ``_canon`` demotes an
-integral Fraction to its numerator wherever one can arise, and
-``evaluate`` so reads its point values (an integral point runs in ints;
-a Fraction value still gives a Fraction).  No method mutates ``terms``
-after construction, so polynomials can be shared.
+integral Fraction to its numerator wherever one can arise.  No method
+mutates ``terms`` after construction, so polynomials can be shared.
 
 Polynomials are built and summed in one way each:
 
@@ -341,10 +339,7 @@ class Poly:
         """Evaluate at a point given as {family: sequence of values}.
 
         Exact when all values are int/Fraction; floats or complexes
-        propagate through ordinary numeric promotion, c * v^e term by
-        term in storage order.  Each v^e is taken once, of v in canonical
-        form; an exact result is a Fraction where any value is one, and
-        the zero polynomial gives Fraction(0).
+        propagate through ordinary numeric promotion.
         """
         point = []
         for fam, count in self.space.families:
@@ -352,20 +347,14 @@ class Poly:
             if len(vals) != count:
                 raise ValueError(f"family {fam!r} expects {count} values")
             point.extend(vals)
-        frac = Fraction in {*map(type, point)}
-        point = [*map(_canon, point)] if frac else point
-        powers: dict[tuple[int, int], object] = {}  # (position, e) -> point[position] ** e
         acc = None
         for exp, c in zip(_fields(self.terms, self.space.nvars), self.terms.values()):
             term = c
-            for i, e in enumerate(exp):
+            for v, e in zip(point, exp):
                 if e:
-                    p = powers.get((i, e))
-                    if p is None:
-                        p = powers[i, e] = point[i] ** e
-                    term = term * p
+                    term = term * v ** e
             acc = term if acc is None else acc + term
-        return Fraction(0) if acc is None else Fraction(acc) if frac and type(acc) is int else acc
+        return Fraction(0) if acc is None else acc
 
     def compose(self, target: VarSpace, images: Mapping[tuple[str, int], Poly]) -> Poly:
         """Substitute every variable by its image polynomial over ``target``.

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symtrace.poly import BITS, MAX_DEGREE, Poly, term_sort_key
@@ -360,33 +360,36 @@ def evaluate_term_by_term(p: Poly, point: list):
     return acc
 
 
-# 200 draws, so that a change of summation order shows in some float sum
-@settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(1, 3), st.sampled_from([*POINT_VALUES, "mixed"]))
-def test_evaluate_matches_the_term_by_term_formula(data, k, kind):
+@st.composite
+def polys_and_points(draw):
+    k = draw(st.integers(1, 3))
     space = sigma_eta_space(k)
     # built from its sorted terms, p stores them in that order, so the
     # float sums of evaluate and of the formula run in one order
-    p = Poly(space, terms_of(data.draw(polys(space, 5, 3))))
+    p = Poly(space, terms_of(draw(polys(space, 5, 3))))
+    kind = draw(st.sampled_from([*POINT_VALUES, "mixed"]))
     values = st.one_of(*POINT_VALUES.values()) if kind == "mixed" else POINT_VALUES[kind]
-    point = data.draw(st.lists(values, min_size=2 * k, max_size=2 * k))
+    return p, draw(st.lists(values, min_size=2 * k, max_size=2 * k))
+
+
+S1 = sigma_eta_space(1)
+
+
+# 200 draws, so that a change of summation order shows in some float sum
+@settings(max_examples=200, deadline=None)
+@given(polys_and_points())
+@example((Poly(S1, {(1, 0): 1, (0, 0): 1}), [Fraction(2), 5]))  # integral Fraction point: a Fraction
+@example((Poly.constant(S1, 3), [Fraction(2), 5]))  # no value raised: the coefficient, an int
+@example((Poly.zero(S1), [2, 5]))  # zero polynomial: Fraction(0)
+@example((Poly(S1, {(0, 1): 1}), [Fraction(2), 0.5]))  # only the float raised: a float
+def test_evaluate_matches_the_term_by_term_formula(p_and_point):
+    p, point = p_and_point
+    k = len(point) // 2
     got = p.evaluate({"sigma": point[:k], "eta": point[k:]})
     want = evaluate_term_by_term(p, point)
     if isinstance(want, (float, complex)):
         assert type(got) is type(want) and repr(got) == repr(want)  # bit for bit, signed zeros included
     else:
+        # exact: the value and the type the terms give, Fraction(0) for zero
         assert got == (want or 0)
-        # exact: a Fraction where a value is one or p is zero, else what the terms give
-        assert type(got) is (Fraction if want is None or Fraction in map(type, point) else type(want))
-
-
-def test_evaluate_return_types():
-    space = sigma_space(2)
-    s1_plus_1 = Poly(space, {(1, 0): 1, (0, 0): 1})
-    assert type(s1_plus_1.evaluate({"sigma": [2, 5]})) is int
-    assert Poly.zero(space).evaluate({"sigma": [2, 5]}) == Fraction(0)
-    for p in (s1_plus_1, Poly.constant(space, 3), Poly.zero(space)):
-        assert type(p.evaluate({"sigma": [Fraction(2), 5]})) is Fraction
-        assert type(p.evaluate({"sigma": [2, 5]})) is (Fraction if p.is_zero() else int)
-    assert type(s1_plus_1.evaluate({"sigma": [Fraction(2), 0.5]})) is Fraction
-    assert type(Poly(space, {(0, 1): 1}).evaluate({"sigma": [Fraction(2), 0.5]})) is float
+        assert type(got) is (Fraction if want is None else type(want))
