@@ -31,13 +31,3 @@ cert_bad = reduce_modulo_system(bad, k)
 print("\nshifted variant T(2) + d_2 is a member?", cert_bad.is_member)
 print("first failing power-sum index:", cert_bad.failing_newton_index)
 
-# In root coordinates membership in the mixed-partials ideal is a
-# normal-form glance: every term must touch two coordinates.
-from symtrace.membership import trace_characterization_x
-from symtrace.spaces import x_space
-
-X = x_space(k)
-print("\nS_2 over x is a member of the mixed-partials ideal:",
-      trace_characterization_x(k, elementary_symmetric_op(k, 2).op))
-print("d/dx_1^2 is:",
-      trace_characterization_x(k, WeylOp.partial(X, 1, 2)))

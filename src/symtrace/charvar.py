@@ -4,10 +4,11 @@ The symbols of the system generate the ideal of 2x2 minors of the
 (k, 2) matrix with rows (eta_1, -l), (eta_2, eta_1), .., (eta_k,
 eta_{k-1}) where l = sum_h s_h eta_h.  This module provides the minors
 and the one table naming the generator each minor is the symbol of,
-the rewriting of any eta_i eta_j through them, the constructive
-decomposition of a polynomial in the minors, an independent chart
-check of vanishing on the variety cut out by the minors (via its
-rational parametrization), and exact sampled points of the variety.
+the constructive decomposition of a polynomial in the minors, an
+independent chart check of vanishing on the variety cut out by the
+minors (via its rational parametrization), and exact sampled points of
+the variety.  The rewriting of eta_i eta_j through the minors is one
+descent step on that product alone.
 
 The decomposition is also the decision.  The descent leaves
 f = eta_k^(d-1) r modulo the minors, with r linear in eta.  On the
@@ -77,34 +78,57 @@ def minor_generator(mid: MinorId) -> tuple[str, int]:
 
 def rewrite_eta_product(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Poly]:
     """Write eta_i eta_j = sum_a u_a m_a + eta_k v with u_a in Q[s] and v
-    of eta-degree <= 1, by descending induction on the smaller index:
-
-        eta_i eta_j = m_(i,j+1) + eta_{i-1} eta_{j+1}        (2 <= i <= j < k)
-        eta_1 eta_j = m_(1,j+1) - sum_p s_p eta_p eta_{j+1}   (j < k)
-        eta_i eta_k = eta_k * eta_i                           (base)
+    of eta-degree <= 1: one descent step on the product alone.
 
     Returns (u as {minor-id: eta-free Poly}, v), both over (sigma, eta).
     """
     if not (1 <= i <= k and 1 <= j <= k):
         raise ValueError("indices out of range")
-    return _rewrite(k, min(i, j), max(i, j))
+    return _descent_step((_eta(k, i) * _eta(k, j)).collect("eta"), k)
 
 
-@cache  # keyed by i <= j; rewrite_eta_product stays plain, as `symfun.family` does
-def _rewrite(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Poly]:
+def _descent_step(blocks: dict[tuple[int, ...], Poly], k: int) -> tuple[dict[MinorId, Poly], Poly]:
+    """u and v with g = sum_a u_a m_a + eta_k v, for g given as its
+    eta-blocks g.collect("eta"), each of eta-degree >= 2.
+
+    Each block is eta_i eta_j w, with eta_i its first eta factor and
+    eta_j its second, or eta_k if it has one; it joins pair (i, j).  The
+    sum W of all that reached a pair is rewritten by
+
+        eta_i eta_j W = m_(i,j+1) W + eta_{i-1} eta_{j+1} W          (2 <= i <= j < k)
+        eta_1 eta_j W = m_(1,j+1) W - sum_p s_p eta_p eta_{j+1} W     (j < k)
+        eta_i eta_k W = eta_k eta_i W
+
+    Every rule raises j and only pair (i, j) reaches m_(i,j+1), so with
+    the pairs taken in order of j each W is final when taken, and it is
+    only ever multiplied by a variable.
+    """
     se = sigma_eta_space(k)
-    if j == k:
-        return {}, _eta(k, i)
-    # every minor in a rewrite of eta_p eta_(j+1) has second index >= j + 2,
-    # so m_(i,j+1) is not among them
-    if i == 1:
-        rows = [(Poly.variable(se, "sigma", p), *rewrite_eta_product(k, p, j + 1)) for p in range(1, k + 1)]
-        u = {mid: Poly.sum_of_products(se, ((s, up[mid], -1) for s, up, _ in rows if mid in up))
-             for mid in dict.fromkeys(mid for _, up, _ in rows for mid in up)}
-        v = Poly.sum_of_products(se, ((s, vp, -1) for s, _, vp in rows))
-        return {(1, j + 1): Poly.one(se), **{mid: c for mid, c in u.items() if c}}, v
-    up, vp = rewrite_eta_product(k, i - 1, j + 1)
-    return {**up, (i, j + 1): Poly.one(se)}, vp
+    one = Poly.one(se)
+    pairs: dict[tuple[int, int], list[tuple[Poly, Poly, int]]] = {}  # the product triples of each W
+    for e, c in blocks.items():
+        low = list(e)
+        i = next(h for h in range(k) if low[h])
+        low[i] -= 1
+        j = k - 1 if e[-1] else next(h for h in range(k) if low[h])
+        low[j] -= 1
+        pairs.setdefault((i + 1, j + 1), []).append((c.embed(se, "eta", low), one, 1))
+    u: dict[MinorId, Poly] = {}
+    vs = []
+    for j in range(1, k + 1):
+        for i in range(1, j + 1):
+            w = Poly.sum_of_products(se, pairs.pop((i, j), ()))
+            if not w:
+                continue
+            if j == k:
+                vs.append((_eta(k, i), w, 1))
+                continue
+            u[i, j + 1] = w
+            # the eta_0 slot of row 1 holds -l
+            lower = [(i - 1, one, 1)] if i > 1 else [(p, Poly.variable(se, "sigma", p), -1) for p in range(1, k + 1)]
+            for p, s, c in lower:
+                pairs.setdefault((min(p, j + 1), max(p, j + 1)), []).append((s, w, c))
+    return u, Poly.sum_of_products(se, vs)
 
 
 def recombine(k: int, coeffs: dict[MinorId, Poly]) -> Poly:
@@ -184,7 +208,7 @@ def decompose_in_minors(f: Poly, k: int) -> dict[MinorId, Poly]:
 def _descend(blocks: dict[tuple[int, ...], Poly], k: int) -> dict[MinorId, Poly]:
     """The minor coefficients of an eta-homogeneous f, given as its eta-blocks f.collect("eta")."""
     se = sigma_eta_space(k)
-    # the (u, w, 1) product triples of each minor coefficient, over all levels
+    # the (u_a, eta_k^level, 1) product triples of each minor coefficient, one per level
     factors: dict[MinorId, list[tuple[Poly, Poly, int]]] = {}
     # f = eta_k^level * g modulo the minors, with blocks = g.collect("eta") and
     # the triples of the levels above in factors
@@ -193,31 +217,10 @@ def _descend(blocks: dict[tuple[int, ...], Poly], k: int) -> dict[MinorId, Poly]
         if d <= 1:
             # a nonzero eta-linear cofactor does not vanish on the variety
             raise NotOnVarietyError("polynomial does not vanish on the variety")
-        # g = eta_k * rest + sum over (i, j) of eta_i eta_j * w_(i,j), where
-        # eta_i eta_j is the first pair of eta factors of an eta_k-free block
-        rest: list[Poly] = []
-        groups: dict[tuple[int, int], list[Poly]] = {}
-        for e, c in blocks.items():
-            low = list(e)
-            if e[-1]:
-                low[-1] -= 1
-                rest.append(c.embed(se, "eta", low))
-                continue
-            i = next(h for h in range(k) if low[h])
-            low[i] -= 1
-            j = next(h for h in range(k) if low[h])
-            low[j] -= 1
-            groups.setdefault((i + 1, j + 1), []).append(c.embed(se, "eta", low))
+        u, g = _descent_step(blocks, k)
         lift = _eta(k, k) ** level
-        vw = []
-        for (i, j), ws in groups.items():
-            w = Poly.sum(se, ws)
-            u, v = rewrite_eta_product(k, i, j)
-            for mid, uc in u.items():
-                factors.setdefault(mid, []).append((uc * lift, w, 1))
-            vw.append((v, w, 1))
-        # eta_i eta_j w = sum_a u_a m_a w + eta_k v w, so the next g is rest + sum v w
-        g = Poly.sum(se, [*rest, Poly.sum_of_products(se, vw)])
+        for mid, c in u.items():
+            factors.setdefault(mid, []).append((c, lift, 1))
         blocks, level, d = g.collect("eta"), level + 1, d - 1
     coeffs = {mid: Poly.sum_of_products(se, triples) for mid, triples in factors.items()}
     return {mid: c for mid, c in coeffs.items() if c}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .annihilators import check_images, default_max_m, family_members, generator_system
 from .charvar import NotOnVarietyError, decompose_in_minors, minor_generator
 from .poly import Poly
-from .spaces import check_space, sigma_space, x_space
+from .spaces import check_space, sigma_space
 from .weyl import WeylOp
 
 
@@ -104,16 +104,3 @@ def verify_certificate(p: WeylOp, cert: MembershipCertificate) -> bool:
     gens = generator_system(cert.k, "newton")
     return WeylOp.sum(sigma_space(cert.k), [cert.remainder, *(cof * gens[gid] for gid, cof in cert.entries)]) == p
 
-
-def trace_characterization_x(k: int, p: WeylOp) -> bool:
-    """Membership in the left ideal of the mixed second partials over x.
-
-    In normal form that ideal is exactly the span of terms whose partial
-    multi-index touches at least two coordinates, so p belongs iff no
-    term concentrates its partials on a single coordinate.
-    """
-    check_space(p, x_space(k))
-    for dexp, _ in p.sorted_terms():
-        if sum(1 for e in dexp if e) < 2:
-            return False
-    return True

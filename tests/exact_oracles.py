@@ -3,15 +3,23 @@
 `newton_varouchas` writes N_m from its closed multinomial sum, apart
 from the Newton recurrences of `NewtonFamily.newton`; `symmetrize`
 averages a polynomial over an orbit, the input strategy of the sympy
-oracle.
+oracle.  `rewrite_table` expands eta_i eta_j through the minors by
+recursion on the rewrite rules, and `descend_by_table` multiplies each
+group of a descent step by that expanded table: the minor descent as it
+was before its step acted on each group directly.
+`trace_characterization_x` decides membership in the mixed-partials
+ideal over x by a glance at the normal form.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 
+from symtrace.charvar import MinorId, NotOnVarietyError
 from symtrace.poly import Poly
-from symtrace.spaces import check_space, sigma_space, x_space
+from symtrace.spaces import check_space, sigma_eta_space, sigma_space, x_space
+from symtrace.weyl import WeylOp
 
 
 def newton_varouchas(k: int, m: int) -> Poly:
@@ -54,3 +62,95 @@ def symmetrize(p: Poly, h: int, k: int) -> Poly:
     orbit = Poly.sum(space, (p.compose(space, {("x", slot): xs[i] for slot, i in enumerate(image, start=1)})
                              for image in permutations(range(k), h)))
     return orbit.scale(Fraction(factorial(k - h), factorial(k)))
+
+
+def trace_characterization_x(k: int, p: WeylOp) -> bool:
+    """Membership in the left ideal of the mixed second partials over x.
+
+    In normal form that ideal is exactly the span of terms whose partial
+    multi-index touches at least two coordinates, so p belongs iff no
+    term concentrates its partials on a single coordinate.
+    """
+    check_space(p, x_space(k))
+    for dexp, _ in p.sorted_terms():
+        if sum(1 for e in dexp if e) < 2:
+            return False
+    return True
+
+
+def _eta(k: int, h: int) -> Poly:
+    return Poly.variable(sigma_eta_space(k), "eta", h)
+
+
+def rewrite_table(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Poly]:
+    """Write eta_i eta_j = sum_a u_a m_a + eta_k v with u_a in Q[s] and v
+    of eta-degree <= 1, by descending induction on the smaller index:
+
+        eta_i eta_j = m_(i,j+1) + eta_{i-1} eta_{j+1}        (2 <= i <= j < k)
+        eta_1 eta_j = m_(1,j+1) - sum_p s_p eta_p eta_{j+1}   (j < k)
+        eta_i eta_k = eta_k * eta_i                           (base)
+
+    Returns (u as {minor-id: eta-free Poly}, v), both over (sigma, eta).
+    """
+    if not (1 <= i <= k and 1 <= j <= k):
+        raise ValueError("indices out of range")
+    return _rewrite(k, min(i, j), max(i, j))
+
+
+@cache  # keyed by i <= j
+def _rewrite(k: int, i: int, j: int) -> tuple[dict[MinorId, Poly], Poly]:
+    se = sigma_eta_space(k)
+    if j == k:
+        return {}, _eta(k, i)
+    # every minor in a rewrite of eta_p eta_(j+1) has second index >= j + 2,
+    # so m_(i,j+1) is not among them
+    if i == 1:
+        rows = [(Poly.variable(se, "sigma", p), *rewrite_table(k, p, j + 1)) for p in range(1, k + 1)]
+        u = {mid: Poly.sum_of_products(se, ((s, up[mid], -1) for s, up, _ in rows if mid in up))
+             for mid in dict.fromkeys(mid for _, up, _ in rows for mid in up)}
+        v = Poly.sum_of_products(se, ((s, vp, -1) for s, _, vp in rows))
+        return {(1, j + 1): Poly.one(se), **{mid: c for mid, c in u.items() if c}}, v
+    up, vp = rewrite_table(k, i - 1, j + 1)
+    return {**up, (i, j + 1): Poly.one(se)}, vp
+
+
+def descend_by_table(blocks: dict[tuple[int, ...], Poly], k: int) -> dict[MinorId, Poly]:
+    """The minor coefficients of an eta-homogeneous f, given as its eta-blocks f.collect("eta")."""
+    se = sigma_eta_space(k)
+    # the (u, w, 1) product triples of each minor coefficient, over all levels
+    factors: dict[MinorId, list[tuple[Poly, Poly, int]]] = {}
+    # f = eta_k^level * g modulo the minors, with blocks = g.collect("eta") and
+    # the triples of the levels above in factors
+    level, d = 0, max(map(sum, blocks), default=-1)
+    while blocks:
+        if d <= 1:
+            # a nonzero eta-linear cofactor does not vanish on the variety
+            raise NotOnVarietyError("polynomial does not vanish on the variety")
+        # g = eta_k * rest + sum over (i, j) of eta_i eta_j * w_(i,j), where
+        # eta_i eta_j is the first pair of eta factors of an eta_k-free block
+        rest: list[Poly] = []
+        groups: dict[tuple[int, int], list[Poly]] = {}
+        for e, c in blocks.items():
+            low = list(e)
+            if e[-1]:
+                low[-1] -= 1
+                rest.append(c.embed(se, "eta", low))
+                continue
+            i = next(h for h in range(k) if low[h])
+            low[i] -= 1
+            j = next(h for h in range(k) if low[h])
+            low[j] -= 1
+            groups.setdefault((i + 1, j + 1), []).append(c.embed(se, "eta", low))
+        lift = _eta(k, k) ** level
+        vw = []
+        for (i, j), ws in groups.items():
+            w = Poly.sum(se, ws)
+            u, v = rewrite_table(k, i, j)
+            for mid, uc in u.items():
+                factors.setdefault(mid, []).append((uc * lift, w, 1))
+            vw.append((v, w, 1))
+        # eta_i eta_j w = sum_a u_a m_a w + eta_k v w, so the next g is rest + sum v w
+        g = Poly.sum(se, [*rest, Poly.sum_of_products(se, vw)])
+        blocks, level, d = g.collect("eta"), level + 1, d - 1
+    coeffs = {mid: Poly.sum_of_products(se, triples) for mid, triples in factors.items()}
+    return {mid: c for mid, c in coeffs.items() if c}

@@ -4,8 +4,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import shallow_stack
+from exact_oracles import descend_by_table, rewrite_table
 from symtrace.annihilators import generator_system, op_A, op_T
 from symtrace.charvar import (
     NotOnVarietyError,
@@ -98,6 +101,39 @@ def test_rewrite_roundtrip_all_pairs():
                 assert v.degree_in("eta") <= 1
                 lhs = eta(k, i) * eta(k, j)
                 assert lhs == recombine(k, u) + eta(k, k) * v
+
+
+def test_rewrite_matches_reference_table():
+    # the decomposition is not unique, so the round trip alone would pass
+    # a valid rewrite with other cofactors; the table pins these ones
+    for k in range(1, 8):
+        for i in range(1, k + 1):
+            for j in range(i, k + 1):
+                assert rewrite_eta_product(k, i, j) == rewrite_table(k, i, j), (k, i, j)
+
+
+@st.composite
+def minor_combinations(draw):
+    """(k, sum_a c_a m_a) with every c_a eta-homogeneous of one degree."""
+    k = draw(st.integers(2, 4))
+    se = sigma_eta_space(k)
+    ms = list(minors(k).values())
+    degree = draw(st.integers(0, 2))
+    f = Poly.zero(se)
+    for _ in range(draw(st.integers(1, 6))):
+        exp = [draw(st.integers(0, 2)) for _ in range(k)] + [0] * k
+        for h in draw(st.lists(st.integers(k, 2 * k - 1), min_size=degree, max_size=degree)):
+            exp[h] += 1
+        f = f + Poly.monomial(se, exp, draw(st.integers(-4, 4).filter(bool))) * draw(st.sampled_from(ms))
+    return k, f
+
+
+@settings(max_examples=60, deadline=None)
+@given(minor_combinations())
+def test_descent_matches_reference_descent(case):
+    k, f = case
+    assume(not f.is_zero())
+    assert decompose_in_minors(f, k) == descend_by_table(f.collect("eta"), k)
 
 
 def test_vanishes_on_variety():

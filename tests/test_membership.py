@@ -3,11 +3,11 @@ import random
 import pytest
 
 from conftest import random_sigma_poly
+from exact_oracles import trace_characterization_x
 from symtrace.annihilators import generator_system, op_A, op_T
 from symtrace.membership import (
     MembershipCertificate,
     reduce_modulo_system,
-    trace_characterization_x,
     verify_certificate,
 )
 from symtrace.poly import Poly

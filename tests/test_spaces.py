@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import symmetrize
+from exact_oracles import symmetrize, trace_characterization_x
 from symtrace.charvar import decompose_in_minors, vanishes_on_Z
-from symtrace.membership import reduce_modulo_system, trace_characterization_x
+from symtrace.membership import reduce_modulo_system
 from symtrace.poly import Poly
 from symtrace.spaces import FAMILY_ORDER, SpaceMismatchError, VarSpace, sigma_eta_space, sigma_space, x_space
 from symtrace.symfun import reduce_to_sigma, sigma_to_x
