@@ -6,7 +6,9 @@ Generators over sigma-space:
     T(m)     = d_1 d_{m-1} + (sum_h s_h d_h) d_m + d_m     m in [2,k]
 
 with companions: the integral-formula forms T0(mu), the Euler operator
-U0 = sum h s_h d_h and the lowering derivation nabla.
+U0 = sum h s_h d_h and the lowering derivation nabla.  A and T are
+written as their symbols, d_h as eta_h, and multiply no operators; their
+definitions as products of partials are the tests' oracle.
 
 The system has three shifted forms, one per family of the table
 `FAMILIES`: each keeps the A(p,q,1) and adds c d_m to T(m), c = 0 for
@@ -25,7 +27,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .poly import Poly
-from .spaces import sigma_space
+from .spaces import sigma_eta_space, sigma_space
 from .symfun import NewtonFamily
 from .symfun import family as newton_family
 from .weyl import WeylOp
@@ -33,6 +35,11 @@ from .weyl import WeylOp
 
 def _partial(k: int, h: int) -> WeylOp:
     return WeylOp.partial(sigma_space(k), h)
+
+
+def _eta(k: int, *hs: int) -> Poly:
+    """The symbol eta_h1 eta_h2 .. of d_h1 d_h2 .., over sigma_eta_space(k)."""
+    return Poly.monomial(sigma_eta_space(k), [0] * k + [hs.count(h) for h in range(1, k + 1)])
 
 
 def _s(k: int, h: int) -> Poly:
@@ -45,15 +52,16 @@ def op_A(k: int, p: int, q: int, i: int) -> WeylOp:
     for name, idx in (("p", p), ("q", q), ("p+i", p + i), ("q-i", q - i)):
         if not 1 <= idx <= k:
             raise ValueError(f"index {name}={idx} out of range [1,{k}]")
-    return _partial(k, p) * _partial(k, q) - _partial(k, p + i) * _partial(k, q - i)
+    return WeylOp.of_symbol(_eta(k, p, q) - _eta(k, p + i, q - i))
 
 
 def op_T(k: int, m: int) -> WeylOp:
     """d_1 d_{m-1} + (sum_h s_h d_h) d_m + d_m."""
     if not 2 <= m <= k:
         raise ValueError(f"need 2 <= m <= k, got m={m}")
-    euler_like = _field(k, (_s(k, h) for h in range(1, k + 1)))
-    return _partial(k, 1) * _partial(k, m - 1) + euler_like * _partial(k, m) + _partial(k, m)
+    se = sigma_eta_space(k)
+    return WeylOp.of_symbol(Poly.sum(se, [_eta(k, 1, m - 1), _eta(k, m), *(
+        Poly.variable(se, "sigma", h) * _eta(k, h, m) for h in range(1, k + 1))]))
 
 
 def op_T0(k: int, mu: int) -> WeylOp:

@@ -12,6 +12,7 @@ constant nonzero diagonal).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .annihilators import check_images, default_max_m, family_members, generator_system
 from .charvar import NotOnVarietyError, decompose_in_minors, minor_generator
@@ -100,7 +101,7 @@ def reduce_modulo_system(p: WeylOp, k: int, newton_bound: int | None = None) -> 
 
 
 def verify_certificate(p: WeylOp, cert: MembershipCertificate) -> bool:
-    """Exact recombination: sum cofactor . generator + remainder == p."""
+    """Exact recombination: sum cofactor . generator + remainder == p, each product drawn once and not kept."""
     gens = generator_system(cert.k, "newton")
-    return WeylOp.sum(sigma_space(cert.k), [cert.remainder, *(cof * gens[gid] for gid, cof in cert.entries)]) == p
+    return WeylOp.sum(sigma_space(cert.k), chain([cert.remainder], (cof * gens[gid] for gid, cof in cert.entries))) == p
 

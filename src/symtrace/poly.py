@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
+from math import comb
 from operator import mul, neg
 from struct import Struct
 from typing import Iterable, Mapping
@@ -322,6 +323,27 @@ class Poly:
             e = key >> shift & _MASK
             if e:
                 out[key - unit] = c if e == 1 else _canon(c * e)
+        return Poly._trusted(self.space, out)
+
+    def divided_partial(self, family: str, delta: Iterable[int]) -> Poly:
+        """(1/delta!) d^delta along one family, delta its exponent block: each
+        term c x^e becomes binom(e, delta) c x^(e - delta), int for an int c."""
+        count, low, width = _block(self.space, family)
+        if not _is_exponent(delta := tuple(delta), count):
+            raise ValueError(f"bad {family} exponent block {delta}")
+        fields = [(low + BITS * (count - 1 - i), d) for i, d in enumerate(delta) if d]
+        if not fields:
+            return self
+        drop = ((_key(delta) & (1 << width) - 1) << low) + (sum(delta) << BITS * self.space.nvars)
+        out: dict[int, int | Fraction] = {}
+        for key, c in self.terms.items():
+            b = 1
+            for shift, d in fields:
+                if (e := key >> shift & _MASK) < d:
+                    break
+                b *= comb(e, d)
+            else:  # lowering by delta is injective, so no two terms collide
+                out[key - drop] = c * b if type(c) is int else _canon(c * b)
         return Poly._trusted(self.space, out)
 
     def weight(self) -> int | None:

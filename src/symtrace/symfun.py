@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import lcm
 from operator import add, ge, sub
 
 from .poly import Poly, _canon, term_sort_key
@@ -222,12 +223,14 @@ class NewtonFamily:
         return cache[m]
 
     def primitive(self, m: int) -> Poly:
-        """PN_m = -sum_h c_h N_(m-h)/(m-h), h <= min(k, m-1)."""
+        """PN_m = -sum_h c_h N_(m-h)/(m-h), h <= min(k, m-1), over one denominator L = lcm(m-h)."""
         if m < 1:
             raise ValueError("primitive newton index must be >= 1")
         if m not in self._primitive:
+            hs = range(min(self.k, m - 1) + 1)
+            L = lcm(*(m - h for h in hs))
             self._primitive[m] = Poly.sum_of_products(self.space, (
-                (self._row[h], self.newton(m - h), Fraction(-1, m - h)) for h in range(min(self.k, m - 1) + 1)))
+                (self._row[h], self.newton(m - h), -(L // (m - h))) for h in hs)).scale(Fraction(1, L))
         return self._primitive[m]
 
 

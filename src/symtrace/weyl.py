@@ -11,20 +11,19 @@ composition formula for normally ordered symbols,
     sigma(A . B) = sum_delta (1/delta!) d_eta^delta sigma(A) . d_s^delta sigma(B)
 
 with delta! = prod_h delta_h! and d_s^delta acting on the coefficient
-variables only.  Against d_eta^delta the 1/delta! gives the binomials
-binom(beta, delta) of the Leibniz rule, so integral symbols keep integral
-coefficients.  The nonzero derivatives d_s^delta sigma(B) are found once
-per product, through the derivative memo that ``apply`` uses too, and
-only those delta enter the sum.  Structural equality decides operator
+variables only.  ``Poly.divided_partial`` takes (1/delta!) d_eta^delta
+in one walk over sigma(A) with no Fraction: a_beta eta^beta becomes
+binom(beta, delta) a_beta eta^(beta-delta), the binomials of the Leibniz
+rule.  The nonzero derivatives d_s^delta sigma(B) are found once per
+product, through the derivative memo that ``apply`` uses too, and only
+those delta enter the sum.  Structural equality decides operator
 identity.  ``terms`` is the nested view {beta: a_beta}.  Every operation
-goes through the Poly API (embed, collect, sum, sum_of_products), so no
-term dict is built here.
+goes through the Poly API, so no term dict is built here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
 from operator import gt
 from typing import Iterable, Mapping
 
@@ -34,9 +33,9 @@ from .spaces import VarSpace, check_space, sigma_eta_space, sigma_space, x_space
 _DUAL = {"x": "xi", "sigma": "eta"}
 
 
-def _carrier_family(space: VarSpace) -> str:
-    if len(space.families) == 1 and space.families[0][0] in _DUAL:
-        return space.families[0][0]
+def _carrier(space: VarSpace) -> tuple[str, VarSpace]:
+    if len(space.families) == 1 and (family := space.families[0][0]) in _DUAL:
+        return family, (sigma_eta_space if family == "sigma" else x_xi_space)(space.nvars)
     raise ValueError(f"operators need a pure x- or sigma-space, got {space}")
 
 
@@ -76,9 +75,8 @@ class WeylOp:
     __slots__ = ("space", "family", "poly", "_blocks")
 
     def __init__(self, space: VarSpace, terms: Mapping[tuple[int, ...], Poly] | None = None):
-        family = _carrier_family(space)
+        family, dual = _carrier(space)
         k = space.nvars
-        dual = sigma_eta_space(k) if family == "sigma" else x_xi_space(k)
 
         def blocks():  # a_beta eta^beta, embedded one at a time
             for dexp, coeff in (terms or {}).items():
@@ -120,9 +118,11 @@ class WeylOp:
         k = space.nvars
         if not 1 <= index <= k:
             raise ValueError(f"partial index {index} out of range 1..{k}")
-        dexp = [0] * k
-        dexp[index - 1] = power
-        return WeylOp(space, {tuple(dexp): Poly.one(space)})
+        dual = _carrier(space)[1]
+        dexp = (0,) * (index - 1) + (power,) + (0,) * (k - index)
+        if not _is_exponent(dexp, k):
+            raise ValueError(f"bad partial multi-index {dexp}")
+        return WeylOp.of_symbol(Poly.monomial(dual, (0,) * k + dexp))
 
     @staticmethod
     def of_symbol(p: Poly) -> WeylOp:
@@ -180,12 +180,8 @@ class WeylOp:
                 up = delta[:pos] + (delta[pos] + 1,) + delta[pos + 1:]
                 if up not in derivs and _derivative(derivs, up):
                     fan.append(up)
-        # d_eta^delta A / delta! from a memo over the 2k variables of A's symbol;
-        # it takes a_beta eta^beta to binom(beta, delta) a_beta eta^(beta-delta)
-        eta_derivs = {zero + zero: self.poly}
         return self._like(Poly.sum_of_products(self.poly.space, (
-            (_derivative(eta_derivs, zero + delta).scale(Fraction(1, prod(map(factorial, delta)))), derivs[delta], 1)
-            for delta in fan)))
+            (self.poly.divided_partial(_DUAL[self.family], delta), derivs[delta], 1) for delta in fan)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

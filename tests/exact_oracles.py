@@ -8,7 +8,11 @@ recursion on the rewrite rules, and `descend_by_table` multiplies each
 group of a descent step by that expanded table: the minor descent as it
 was before its step acted on each group directly.
 `trace_characterization_x` decides membership in the mixed-partials
-ideal over x by a glance at the normal form.
+ideal over x by a glance at the normal form.  `op_A_by_products` and
+`op_T_by_products` build the generators A(p,q,i) and T(m) by multiplying
+partials, and `primitive_by_fractions` sums PN_m with one Fraction per
+term of its recurrence: the constructions the library used before it
+wrote A and T as their symbols and summed PN_m over one denominator.
 """
 
 from fractions import Fraction
@@ -19,6 +23,7 @@ from math import factorial
 from symtrace.charvar import MinorId, NotOnVarietyError
 from symtrace.poly import Poly
 from symtrace.spaces import check_space, sigma_eta_space, sigma_space, x_space
+from symtrace.symfun import char_poly, family
 from symtrace.weyl import WeylOp
 
 
@@ -154,3 +159,28 @@ def descend_by_table(blocks: dict[tuple[int, ...], Poly], k: int) -> dict[MinorI
         blocks, level, d = g.collect("eta"), level + 1, d - 1
     coeffs = {mid: Poly.sum_of_products(se, triples) for mid, triples in factors.items()}
     return {mid: c for mid, c in coeffs.items() if c}
+
+
+def _d(k: int, h: int) -> WeylOp:
+    return WeylOp.partial(sigma_space(k), h)
+
+
+def op_A_by_products(k: int, p: int, q: int, i: int) -> WeylOp:
+    """A(p,q,i) = d_p d_q - d_{p+i} d_{q-i} as a difference of products."""
+    return _d(k, p) * _d(k, q) - _d(k, p + i) * _d(k, q - i)
+
+
+def op_T_by_products(k: int, m: int) -> WeylOp:
+    """T(m) = d_1 d_{m-1} + (sum_h s_h d_h) d_m + d_m as a sum of products."""
+    S = sigma_space(k)
+    euler_like = WeylOp.sum(S, (_d(k, h).left_mul_poly(Poly.variable(S, "sigma", h)) for h in range(1, k + 1)))
+    return _d(k, 1) * _d(k, m - 1) + euler_like * _d(k, m) + _d(k, m)
+
+
+def primitive_by_fractions(k: int, m: int) -> Poly:
+    """PN_m = -sum_h c_h N_(m-h)/(m-h), h <= min(k, m-1), with the
+    coefficient -1/(m-h) on each product."""
+    S = sigma_space(k)
+    row = char_poly([Poly.variable(S, "sigma", h) for h in range(1, k + 1)], Poly.one(S))
+    return Poly.sum_of_products(S, ((row[h], family(k).newton(m - h), Fraction(-1, m - h))
+                                    for h in range(min(k, m - 1) + 1)))

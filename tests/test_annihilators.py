@@ -1,6 +1,12 @@
+from itertools import product
+
 import pytest
 
+from exact_oracles import op_A_by_products, op_T_by_products
 from symtrace.annihilators import (
+    A_ID,
+    FAMILIES,
+    a_pairs,
     check_images,
     family_members,
     generator_system,
@@ -45,6 +51,24 @@ def test_op_T_closed_form_k2():
     assert op_T(2, 2).apply(family(2).newton(2)).is_zero()
     with pytest.raises(ValueError):
         op_T(3, 4)
+
+
+def test_every_legal_op_A_equals_its_product_definition():
+    # |i| <= k - 1 whenever p + i and q - i both lie in [1, k]
+    for k in range(1, 7):
+        for p, q, i in product(range(1, k + 1), range(1, k + 1), range(1 - k, k)):
+            if 1 <= p + i <= k and 1 <= q - i <= k:
+                assert op_A(k, p, q, i) == op_A_by_products(k, p, q, i), (k, p, q, i)
+
+
+def test_every_generator_equals_its_product_definition():
+    for k in range(2, 9):
+        for name, fam in FAMILIES.items():
+            expected = {A_ID.format(p=p, q=q): op_A_by_products(k, p, q, 1) for p, q in a_pairs(k)}
+            for m in range(2, k + 1):
+                expected[fam.t_id.format(m=m)] = op_T_by_products(k, m) + d(k, m).scale(fam.tail)
+            gens = generator_system(k, name)
+            assert list(gens) == list(expected) and dict(gens) == expected, (k, name)
 
 
 def test_op_T0_matches_T_at_top_index():

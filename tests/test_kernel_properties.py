@@ -15,14 +15,14 @@ refuse a degree it cannot hold rather than carry into the next field.
 
 from collections import defaultdict
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symtrace.poly import BITS, MAX_DEGREE, Poly, term_sort_key
-from symtrace.spaces import SpaceMismatchError, VarSpace, sigma_eta_space, sigma_space, x_space
+from symtrace.spaces import SpaceMismatchError, VarSpace, sigma_eta_space, sigma_space, x_space, x_xi_space
 from symtrace.weyl import WeylOp
 
 BOUNDED = settings(max_examples=40, deadline=None)
@@ -177,6 +177,39 @@ def test_partial_and_swap_match_reference(pair, data):
         f[i - 1], f[j - 1] = f[j - 1], f[i - 1]
         swapped[tuple(f)] = c
     assert_matches(a.swap("sigma", i, j), a.space, swapped)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_divided_partial_is_the_partial_chain_over_delta_factorial(k, over_x, data):
+    space, families = (x_xi_space(k), ("x", "xi")) if over_x else (sigma_eta_space(k), ("sigma", "eta"))
+    family = data.draw(st.sampled_from(families))
+    p = data.draw(polys(space, 6, 4))
+    delta = data.draw(exponents(k, 4))
+    chain = p
+    for pos, d in enumerate(delta, start=space.offset(family)):
+        for _ in range(d):
+            chain = chain.partial_pos(pos)
+    got = p.divided_partial(family, delta)
+    assert_clean(got)
+    assert got == chain.scale(Fraction(1, prod(map(factorial, delta))))
+
+
+def test_divided_partial_at_zero_past_the_degree_and_on_bad_input():
+    for space, family in ((sigma_eta_space(2), "eta"), (x_xi_space(2), "xi"), (x_xi_space(2), "x")):
+        p = Poly(space, {(1, 2, 3, 1): Fraction(1, 3), (0, 0, 1, 0): 2, (3, 1, 0, 0): Fraction(-5, 2)})
+        assert p.divided_partial(family, (0, 0)) == p
+        assert p.divided_partial(family, (4, 0)).is_zero() and p.divided_partial(family, (0, 3)).is_zero()
+        for bad in ((1,), (1, 0, 0), (-1, 0), (True, 0), (1.0, 0)):
+            with pytest.raises(ValueError):
+                p.divided_partial(family, bad)
+    se = sigma_eta_space(2)
+    p = Poly(se, {(1, 2, 3, 1): Fraction(1, 3), (0, 0, 4, 2): Fraction(1, 2)})
+    # binom(3, 3) binom(1, 1) / 3 and binom(4, 3) binom(2, 1) / 2
+    assert p.divided_partial("eta", (3, 1)) == Poly(se, {(1, 2, 0, 0): Fraction(1, 3), (0, 0, 1, 1): 4})
+    for bad in ("xi", "x", "t"):
+        with pytest.raises(KeyError):
+            p.divided_partial(bad, (1, 0))
 
 
 @BOUNDED

@@ -13,7 +13,7 @@ from conftest import (
     rational_point,
     shallow_stack,
 )
-from exact_oracles import newton_varouchas, symmetrize
+from exact_oracles import newton_varouchas, primitive_by_fractions, symmetrize
 from symtrace.numerics import _coefficients
 from symtrace.poly import Poly
 from symtrace.spaces import sigma_space, x_space
@@ -209,6 +209,14 @@ def test_primitive_newton_values():
         (4, 0, 0, 0): Fraction(1, 12), (2, 1, 0, 0): Fraction(-1, 2),
         (0, 2, 0, 0): Fraction(1, 2), (1, 0, 1, 0): 1, (0, 0, 0, 1): 1,
     })
+
+
+def test_primitive_equals_its_sum_with_one_fraction_per_term():
+    for k in range(1, 7):
+        for m in range(1, 31):
+            pn = family(k).primitive(m)
+            assert pn == primitive_by_fractions(k, m), (k, m)
+            assert all(type(c) is int or c.denominator > 1 for _, c in pn.sorted_terms()), (k, m)
 
 
 def test_primitive_newton_gradient_signs():

@@ -12,6 +12,7 @@ d^beta a chain of `Poly.partial_pos`, apart from `WeylOp.__mul__` and
 `WeylOp.apply`.
 """
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -69,6 +70,36 @@ def test_the_product_agrees_with_taylors_identity(k, over_x, data):
     space = x_space(k) if over_x else sigma_space(k)
     a, b = data.draw(weylops(space)), data.draw(weylops(space))
     assert product_holds(a, b, a * b)
+
+
+def high_order_pair(space) -> tuple[WeylOp, WeylOp]:
+    """Two operators with Fraction coefficients whose product runs delta_h >= 3:
+    the drawn operators above stop at d-exponents of 2."""
+    k = space.nvars
+
+    def op(*terms):  # (partial multi-index, coefficient exponent, coefficient) per term
+        return WeylOp(space, {beta: Poly.monomial(space, exp, c) for beta, exp, c in terms})
+
+    if k == 1:
+        return (op(((3,), (0,), Fraction(1, 2)), ((4,), (1,), Fraction(2, 3))),
+                op(((1,), (4,), Fraction(1, 3)), ((0,), (3,), Fraction(5, 7))))
+    if k == 2:  # d_1^3 d_2^2 . (s_1^3 s_2^2 / 3), plus a term on each side
+        return (op(((3, 2), (0, 0), 1), ((3, 0), (0, 1), Fraction(1, 2))),
+                op(((0, 0), (3, 2), Fraction(1, 3)), ((0, 1), (4, 0), Fraction(-3, 4))))
+    return (op(((3, 0, 3), (0, 0, 1), Fraction(2, 3)), ((0, 1, 0), (0, 0, 0), 1)),
+            op(((0, 1, 0), (3, 0, 4), Fraction(1, 5)), ((0, 0, 0), (0, 1, 3), Fraction(-1, 3))))
+
+
+@pytest.mark.parametrize("over_x", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_product_agrees_with_taylors_identity_at_high_order(k, over_x):
+    space = x_space(k) if over_x else sigma_space(k)
+    a, b = high_order_pair(space)
+    assert product_holds(a, b, a * b)
+    assert product_holds(b, a, b * a)
+    if k == 2:  # the order-zero part of d_1^3 d_2^2 . (s_1^3 s_2^2 / 3) is 3! 2! / 3
+        d, c = WeylOp.partial(space, 1, 3) * WeylOp.partial(space, 2, 2), Poly.monomial(space, (3, 2), Fraction(1, 3))
+        assert (d * WeylOp.from_poly(c)).coefficient((0, 0)) == Poly.constant(space, 4)
 
 
 def test_the_product_oracle_catches_a_wrong_product():
