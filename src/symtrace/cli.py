@@ -26,20 +26,12 @@ from .charvar import (
 from .membership import reduce_modulo_system, verify_certificate
 from .numerics import EXP, NODES, SIN, contour_radius, power_function, trace_contour
 from .report import SUITES, golden_check, golden_dir, run_suite
-from .serialize import (
-    SCHEMA,
-    dumps,
-    poly_from_dict,
-    poly_to_dict,
-    rational_to_str,
-    weyl_from_dict,
-    weyl_to_dict,
-)
+from .serialize import SCHEMA, dump, poly_from_dict, rational_to_str, weyl_from_dict
 from .transport import SymmetricOperator, elementary_symmetric_op, xi_transport
 
 
 def _print(doc: dict):
-    sys.stdout.write(dumps(doc))
+    dump(doc, sys.stdout.write)  # every value and check in doc is final before the first byte
 
 
 def _print_report(rep, args) -> int:
@@ -54,7 +46,7 @@ def _print_report(rep, args) -> int:
 def cmd_gen(args) -> int:
     members = family_members(args.k, args.family, args.max_m)
     if args.format == "json":
-        entries = [{"m": m, "poly": poly_to_dict(f)} for m, f in members]
+        entries = [{"m": m, "poly": f} for m, f in members]
         _print({"schema": SCHEMA, "object": "family", "family": args.family,
                 "k": args.k, "max_m": args.max_m, "entries": entries})
     else:
@@ -95,8 +87,7 @@ def cmd_xi(args) -> int:
         sym = SymmetricOperator(weyl_from_dict(_load_value(args.op, "value", "op")), k)
     transported = xi_transport(sym)
     if args.format == "json":
-        _print({"schema": SCHEMA, "object": "weylop", "k": k, "source": args.op,
-                "op": weyl_to_dict(transported)})
+        _print({"schema": SCHEMA, "object": "weylop", "k": k, "source": args.op, "op": transported})
     else:
         print(transported)
     return 0
@@ -141,7 +132,7 @@ def cmd_charvar(args) -> int:
     _print({
         "schema": SCHEMA, "object": "minor-decomposition", "k": k,
         "member_of_minor_ideal": True,
-        "coefficients": {f"m({i},{j})": poly_to_dict(c) for (i, j), c in sorted(coeffs.items())},
+        "coefficients": {f"m({i},{j})": c for (i, j), c in sorted(coeffs.items())},
         "recombines": recombine(k, coeffs) == f,
     })
     return 0
@@ -157,10 +148,8 @@ def cmd_member(args) -> int:
         "member": cert.is_member,
         "newton_bound": cert.newton_bound,
         "failing_newton_index": cert.failing_newton_index,
-        "entries": [
-            {"generator": gid, "cofactor": weyl_to_dict(cof)} for gid, cof in cert.entries
-        ],
-        "remainder": weyl_to_dict(cert.remainder),
+        "entries": [{"generator": gid, "cofactor": cof} for gid, cof in cert.entries],
+        "remainder": cert.remainder,
         "verified": verify_certificate(op, cert),
     }
     _print(doc)

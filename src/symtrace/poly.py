@@ -15,7 +15,7 @@ field, and the validated constructor, ``embed`` and ``sum_of_products``
 refuse a higher degree with a ValueError.  Only this module packs and
 decodes keys; exponent tuples stay at its edges: the validated
 constructor, ``coefficient``, ``sorted_terms`` (which serialization and
-display read), ``evaluate`` and ``max_exponents``.
+display read), ``evaluate``, ``max_exponents`` and ``exponent_bound``.
 
 Every stored coefficient has one canonical form: a nonzero int, or a
 Fraction with denominator > 1.  Most coefficients in the kernel are
@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 from math import comb
-from operator import mul, neg
+from operator import mul, neg, or_
 from struct import Struct
 from typing import Iterable, Mapping
 
@@ -267,7 +267,12 @@ class Poly:
             return Poly.zero(self.space)
         if c == 1:
             return self
-        return Poly._trusted(self.space, {e: _canon(c * v) for e, v in self.terms.items()})
+        p, q = c.numerator, c.denominator  # an int v becomes v*p // q where q divides v*p
+        out: dict[int, int | Fraction] = {}
+        for e, v in self.terms.items():
+            n, r = divmod(v * p, q) if type(v) is int else (_canon(c * v), 0)
+            out[e] = Fraction(v * p, q) if r else n
+        return Poly._trusted(self.space, out)
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
@@ -297,6 +302,11 @@ class Poly:
     def degree_in(self, family: str) -> int:
         count, low, width = _block(self.space, family)
         return max(map(sum, _fields({key >> low & ((1 << width) - 1) for key in self.terms}, count)), default=-1)
+
+    def exponent_bound(self, family: str) -> tuple[int, ...]:
+        """A bound on each exponent of one family: the fields of the OR of the keys."""
+        count, low, width = _block(self.space, family)
+        return _fields([reduce(or_, self.terms, 0) >> low & (1 << width) - 1], count)[0]
 
     def max_exponents(self) -> tuple[int, ...]:
         """The largest exponent of each variable over the terms; zeros for zero."""

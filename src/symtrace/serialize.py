@@ -2,7 +2,9 @@
 
 Rationals are decimal strings "p/q" (reduced, q > 0).  Terms are emitted
 in canonical graded-lex order, largest first, so serialize . parse is the
-identity and equal objects serialize to identical bytes.  Parsing
+identity and equal objects serialize to identical bytes.  One writer,
+`dump`, writes a document through a write callback, and each Poly and
+WeylOp value in it straight from its sorted terms, never as dicts.  Parsing
 accepts only documents of that shape, space codes spelled as ``code()``
 writes them, with integer coefficients allowed too, and refuses anything
 else with a ValueError.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii as _string
 
 from .poly import Poly
@@ -96,40 +99,63 @@ def weyl_from_dict(d: dict) -> WeylOp:
     return WeylOp(VarSpace.from_code(_field(d, "space", str)), _terms(d, "dexp", poly_from_dict))
 
 
-def dumps(obj: dict) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"`` for a document whose keys are all
-    strings, written without json's pure-Python indenting encoder: strings
-    go through its C string encoder, a list of ints is joined in one step,
-    and other scalars are json's own."""
+def dump(obj, write) -> None:
+    """Write ``json.dumps(obj, indent=2) + "\\n"`` through write, where each key
+    is a string and a Poly or WeylOp stands for its `poly_to_dict` /
+    `weyl_to_dict`; strings go through json's C string encoder."""
+    _write(obj, "\n", write)
+    write("\n")
+
+
+def dumps(obj) -> str:
+    """The text `dump` writes, as one string: the same writer into a list."""
     out: list[str] = []
-    _write(obj, "\n", out)
-    out.append("\n")
+    dump(obj, out.append)
     return "".join(out)
 
 
-def _write(o, nl: str, out: list) -> None:
-    """Append the JSON of o to out, where nl is the newline and indent of its line."""
+def _write(o, nl: str, write) -> None:
+    """Write the JSON of o, where nl is the newline and indent of its line."""
     inner = nl + "  "
     if isinstance(o, str):
-        out.append(_string(o))
+        write(_string(o))
+    elif isinstance(o, Poly):  # poly_to_dict(o), each term through one %-format
+        item = inner + "  "
+        term = _term_format(o.space.nvars, item)
+        terms = ("," + item).join([term % (c, 1, *e) if type(c) is int else term % (c.numerator, c.denominator, *e)
+                                   for e, c in o.sorted_terms()])
+        write("{" + inner + '"space": ' + _string(o.space.code()) + "," + inner + '"terms": '
+              + ("[" + item + terms + inner + "]" if terms else "[]") + nl + "}")
+    elif isinstance(o, WeylOp):  # weyl_to_dict(o), each coefficient left a Poly
+        _write({"space": o.space.code(), "terms": [{"dexp": list(d), "coeff": c} for d, c in o.sorted_terms()]},
+               nl, write)
     elif not isinstance(o, (list, tuple, dict)) or not o:
-        out.append(json.dumps(o))
+        write(json.dumps(o))
     elif isinstance(o, dict):
         sep = "{" + inner
         for key, v in o.items():
             if type(v) is str:
-                out.append(sep + _string(key) + ": " + _string(v))
+                write(sep + _string(key) + ": " + _string(v))
             else:
-                out.append(sep + _string(key) + ": ")
-                _write(v, inner, out)
+                write(sep + _string(key) + ": ")
+                _write(v, inner, write)
             sep = "," + inner
-        out.append(nl + "}")
-    elif all(type(v) is int for v in o):
-        out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+        write(nl + "}")
+    elif (kinds := {*map(type, o)}) == {int} or kinds == {str}:
+        write("[" + inner + ("," + inner).join(map(_string if str in kinds else int.__repr__, o)) + nl + "]")
     else:
         sep = "[" + inner
         for v in o:
-            out.append(sep)
-            _write(v, inner, out)
+            write(sep)
+            _write(v, inner, write)
             sep = "," + inner
-        out.append(nl + "]")
+        write(nl + "]")
+
+
+@cache
+def _term_format(n: int, item: str) -> str:
+    """The %-format, from (numerator, denominator, *exp), of a term of n
+    variables whose object opens on the line item."""
+    field, entry = item + "  ", item + "    "
+    ints = "[" + entry + ("," + entry).join(["%d"] * n) + field + "]" if n else "[]"
+    return "{" + field + '"coeff": "%d/%d",' + field + '"exp": ' + ints + item + "}"

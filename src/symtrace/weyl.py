@@ -14,11 +14,13 @@ with delta! = prod_h delta_h! and d_s^delta acting on the coefficient
 variables only.  ``Poly.divided_partial`` takes (1/delta!) d_eta^delta
 in one walk over sigma(A) with no Fraction: a_beta eta^beta becomes
 binom(beta, delta) a_beta eta^(beta-delta), the binomials of the Leibniz
-rule.  The nonzero derivatives d_s^delta sigma(B) are found once per
-product, through the derivative memo that ``apply`` uses too, and only
-those delta enter the sum.  Structural equality decides operator
-identity.  ``terms`` is the nested view {beta: a_beta}.  Every operation
-goes through the Poly API, so no term dict is built here.
+rule.  The fan of delta is bounded by both factors, by B's degree and by
+``Poly.exponent_bound`` of A's eta (xi) exponents; inside it the nonzero
+d_s^delta sigma(B) are found once per product, through the derivative
+memo that ``apply`` uses too, and only those delta enter the sum.
+Structural equality decides operator identity.  ``terms`` is the nested
+view {beta: a_beta}.  Every operation goes through the Poly API, so no
+term dict is built here.
 """
 
 from __future__ import annotations
@@ -172,14 +174,16 @@ class WeylOp:
         check_space(other, self.space)
         k = self.space.nvars
         zero = (0,) * k
-        derivs = {zero: other.poly}
-        # the delta with d_s^delta B nonzero, grown from 0 one partial at a time
+        derivs = {zero: other.poly, None: other.poly.max_exponents()}
+        # the delta with d_s^delta B nonzero within both bounds, grown from 0 one partial at a time
+        reach = tuple(map(min, derivs[None], self.poly.exponent_bound(_DUAL[self.family])))
         fan = [zero]
         for delta in fan:
             for pos in range(k):
-                up = delta[:pos] + (delta[pos] + 1,) + delta[pos + 1:]
-                if up not in derivs and _derivative(derivs, up):
-                    fan.append(up)
+                if delta[pos] + 1 <= reach[pos]:
+                    up = delta[:pos] + (delta[pos] + 1,) + delta[pos + 1:]
+                    if up not in derivs and _derivative(derivs, up):
+                        fan.append(up)
         return self._like(Poly.sum_of_products(self.poly.space, (
             (self.poly.divided_partial(_DUAL[self.family], delta), derivs[delta], 1) for delta in fan)))
 

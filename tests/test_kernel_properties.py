@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symtrace.poly import BITS, MAX_DEGREE, Poly, term_sort_key
+from symtrace.poly import BITS, MAX_DEGREE, Poly, _canon, term_sort_key
 from symtrace.spaces import SpaceMismatchError, VarSpace, sigma_eta_space, sigma_space, x_space, x_xi_space
 from symtrace.weyl import WeylOp
 
@@ -157,6 +157,20 @@ def test_mul_and_scale_match_reference(pair, c):
     assert_matches(a * b, a.space, product)
     assert_matches(a.scale(c), a.space, {e: c * v for e, v in a.sorted_terms()})
     assert_matches(a * 0, a.space, {})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_scale_is_the_termwise_canonical_product(k, data):
+    # int coefficients that c = p/q divides and that it does not, Fraction
+    # coefficients, and c negative, integral, or an integral Fraction
+    p = data.draw(polys(sigma_space(k), 6) | st.builds(
+        Poly, st.just(sigma_space(k)), st.dictionaries(exponents(k), st.integers(-24, 24), max_size=6)))
+    c = data.draw(st.integers(-6, 6) | st.fractions(min_value=-6, max_value=6, max_denominator=6)
+                  | st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3])))
+    got = p.scale(c)
+    assert_clean(got)
+    assert terms_of(got) == {e: _canon(c * v) for e, v in p.sorted_terms() if c * v}
 
 
 @BOUNDED

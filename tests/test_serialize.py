@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from symtrace.poly import Poly
 from symtrace.serialize import (
+    dump,
     dumps,
     poly_from_dict,
     poly_to_dict,
@@ -16,7 +18,8 @@ from symtrace.serialize import (
     weyl_from_dict,
     weyl_to_dict,
 )
-from symtrace.spaces import VarSpace, sigma_eta_space, sigma_space
+from symtrace.spaces import VarSpace, sigma_eta_space, sigma_space, x_space, x_xi_space
+from symtrace.transport import elementary_symmetric_op, xi_transport
 from symtrace.weyl import WeylOp
 
 
@@ -175,3 +178,120 @@ def test_dumps_matches_json_on_one_output_of_each_subcommand(tmp_path):
         with contextlib.redirect_stdout(out):
             assert dispatch(argv) == 0, argv
         assert out.getvalue() == json_reference(json.loads(out.getvalue())), argv
+
+
+# -- Poly and WeylOp values, written from their terms ---------------------------
+
+
+def plain(doc):
+    """doc with every Poly and WeylOp value replaced by its dict."""
+    if isinstance(doc, Poly):
+        return poly_to_dict(doc)
+    if isinstance(doc, WeylOp):
+        return weyl_to_dict(doc)
+    if isinstance(doc, dict):
+        return {key: plain(v) for key, v in doc.items()}
+    if isinstance(doc, list):
+        return [plain(v) for v in doc]
+    return doc
+
+
+wide_coeffs = st.one_of(st.integers(-5, 5), st.integers(-2 ** 80, 2 ** 80),
+                        st.fractions(min_value=-4, max_value=4, max_denominator=4),
+                        st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 70)))
+
+
+@st.composite
+def values(draw):
+    """A Poly over a sigma, x, (sigma, eta) or (x, xi) space, or a WeylOp
+    over a sigma or x space, k = 1..3; either may be zero."""
+    k, over_x = draw(st.integers(1, 3)), draw(st.booleans())
+    base = x_space(k) if over_x else sigma_space(k)
+
+    def polys(space):
+        exps = st.tuples(*[st.integers(0, 3)] * space.nvars)
+        return st.builds(Poly, st.just(space), st.dictionaries(exps, wide_coeffs, max_size=4))
+
+    kind = draw(st.sampled_from(["poly", "symbol", "op"]))
+    if kind == "op":
+        dexps = st.tuples(*[st.integers(0, 2)] * k)
+        return WeylOp(base, draw(st.dictionaries(dexps, polys(base), max_size=3)))
+    return draw(polys((x_xi_space(k) if over_x else sigma_eta_space(k)) if kind == "symbol" else base))
+
+
+@st.composite
+def documents_with_values(draw):
+    """A Poly or WeylOp value nested 0..3 levels deep in lists and objects
+    that hold other values and scalars beside it."""
+    doc = draw(values())
+    for _ in range(draw(st.integers(0, 3))):
+        items = [doc, *draw(st.lists(scalars | values(), max_size=2))]
+        if draw(st.booleans()):
+            doc = draw(st.permutations(items))
+        else:
+            keys = draw(st.lists(st.text(max_size=3), min_size=len(items), max_size=len(items), unique=True))
+            doc = dict(zip(keys, items))
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(documents_with_values())
+def test_values_are_written_as_json_writes_their_dicts(doc):
+    chunks = []
+    dump(doc, chunks.append)
+    assert "".join(chunks) == dumps(doc) == json_reference(plain(doc))
+
+
+def test_edge_values_are_written_as_json_writes_their_dicts():
+    big = 2 ** 64 + 1
+    X1, S1 = x_space(1), sigma_space(1)
+    edge = [
+        Poly.zero(sigma_eta_space(1)),
+        WeylOp(X1),
+        Poly(x_xi_space(1), {(2, 1): -big, (0, 0): Fraction(-3, big)}),
+        WeylOp(X1, {(1,): Poly(X1, {(3,): Fraction(-big, 7)}), (0,): Poly.constant(X1, big * big)}),
+        WeylOp(S1, {(2,): Poly.zero(S1), (1,): Poly.constant(S1, -1)}),
+    ]
+    for depth, doc in enumerate([edge[0], {"a": edge[1]}, [edge[2], {"b": [edge[3]]}], {"c": [{"d": edge}]}]):
+        assert dumps(doc) == json_reference(plain(doc)), depth
+
+
+class _Stdout(io.StringIO):
+    """A stdout that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_every_subcommand_streams_what_dumps_writes(tmp_path, monkeypatch):
+    import contextlib
+
+    from symtrace import cli
+    from symtrace.charvar import minors
+
+    documents = []
+
+    def recording_dump(doc, write):
+        documents.append(doc)
+        dump(doc, write)
+
+    monkeypatch.setattr(cli, "dump", recording_dump)
+    minor = tmp_path / "minor.json"
+    minor.write_text(dumps(minors(2)[1, 2]), encoding="utf-8")
+    commands = [["gen", "--family", "newton", "--k", "3", "--max-m", "6"], ["xi", "--k", "3", "--op", "S3"],
+                ["verify", "--k", "3", "--suite", "relations"], ["charvar", "--k", "3", "--sample", "2"],
+                ["charvar", "--k", "2", "--decompose", str(minor)], ["member", "--k", "3", "--op", "S3.json"],
+                ["numcheck", "--k", "2", "--sigma", "3,2", "--f", "exp"], ["golden"]]
+    (tmp_path / "S3.json").write_text(dumps(xi_transport(elementary_symmetric_op(3, 3))), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        documents.clear()
+        out = _Stdout()
+        with contextlib.redirect_stdout(out):
+            assert cli.dispatch(argv) == 0, argv
+        (doc,) = documents
+        assert out.getvalue() == dumps(doc) == json_reference(plain(doc)), argv
+        assert out.writes > 1, argv

@@ -111,6 +111,10 @@ def test_only_the_kernel_reads_the_keys_of_a_term_dict():
 
 UNCALLED_OUTSIDE_TESTS = {  # public function -> why it stays with no caller in src/ or demos/
     "symfun.discriminant": "bench/tracer.py wraps it; ROADMAP items 1 and 9 retire it",
+    # the CLI streams through serialize.dump; until the tracer wraps that
+    # writer, these two keep the names its serialize metrics read
+    "serialize.dumps": "bench/tracer.py wraps it; ROADMAP item 1 points the tracer at serialize.dump",
+    "serialize.weyl_to_dict": "bench/tracer.py wraps it; ROADMAP item 1 points the tracer at serialize.dump",
 }
 
 

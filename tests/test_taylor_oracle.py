@@ -102,6 +102,20 @@ def test_the_product_agrees_with_taylors_identity_at_high_order(k, over_x):
         assert (d * WeylOp.from_poly(c)).coefficient((0, 0)) == Poly.constant(space, 4)
 
 
+@pytest.mark.parametrize("over_x", [False, True])
+@pytest.mark.parametrize("a", [2, 3, 4])
+def test_the_fan_bounded_by_both_factors_agrees_with_taylors_identity(a, over_x):
+    # A's d_1-degree a runs below, at and above B's s_1-degree 3, and each
+    # field of the OR of A's keys equals its largest exponent, so the fan
+    # reaches min(a, 3) in d_1 and 1 in d_2 exactly; a bound one short
+    # drops the delta there, whose term is not zero
+    space = x_space(2) if over_x else sigma_space(2)
+    A = WeylOp(space, {(a, 1): Poly.monomial(space, (0, 1), Fraction(-2, 3)), (0, 1): Poly.monomial(space, (0, 1))})
+    B = WeylOp(space, {(0, 0): Poly(space, {(3, 2): Fraction(1, 5), (1, 0): 4}), (1, 0): Poly.monomial(space, (2, 1))})
+    assert product_holds(A, B, A * B)
+    assert product_holds(B, A, B * A)
+
+
 def test_the_product_oracle_catches_a_wrong_product():
     S = sigma_space(2)
     d1, s1 = WeylOp.partial(S, 1), WeylOp.from_poly(Poly.variable(S, "sigma", 1))
