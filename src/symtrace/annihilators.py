@@ -6,9 +6,10 @@ Generators over sigma-space:
     T(m)     = d_1 d_{m-1} + (sum_h s_h d_h) d_m + d_m     m in [2,k]
 
 with companions: the integral-formula forms T0(mu), the Euler operator
-U0 = sum h s_h d_h and the lowering derivation nabla.  A and T are
-written as their symbols, d_h as eta_h, and multiply no operators; their
-definitions as products of partials are the tests' oracle.
+U0 = sum h s_h d_h and the lowering derivation nabla.  Every generator
+and companion is written as its symbol, d_h as eta_h, and no operator is
+multiplied to build one; their definitions as products of partials are
+the tests' oracle.
 
 The system has three shifted forms, one per family of the table
 `FAMILIES`: each keeps the A(p,q,1) and adds c d_m to T(m), c = 0 for
@@ -33,18 +34,14 @@ from .symfun import family as newton_family
 from .weyl import WeylOp
 
 
-def _partial(k: int, h: int) -> WeylOp:
-    return WeylOp.partial(sigma_space(k), h)
-
-
 def _eta(k: int, *hs: int) -> Poly:
     """The symbol eta_h1 eta_h2 .. of d_h1 d_h2 .., over sigma_eta_space(k)."""
     return Poly.monomial(sigma_eta_space(k), [0] * k + [hs.count(h) for h in range(1, k + 1)])
 
 
 def _s(k: int, h: int) -> Poly:
-    """s_h over sigma_space(k), with s_0 = 1."""
-    return Poly.one(sigma_space(k)) if h == 0 else Poly.variable(sigma_space(k), "sigma", h)
+    """s_h over sigma_eta_space(k), with s_0 = 1."""
+    return Poly.one(sigma_eta_space(k)) if h == 0 else Poly.variable(sigma_eta_space(k), "sigma", h)
 
 
 def op_A(k: int, p: int, q: int, i: int) -> WeylOp:
@@ -59,36 +56,29 @@ def op_T(k: int, m: int) -> WeylOp:
     """d_1 d_{m-1} + (sum_h s_h d_h) d_m + d_m."""
     if not 2 <= m <= k:
         raise ValueError(f"need 2 <= m <= k, got m={m}")
-    se = sigma_eta_space(k)
-    return WeylOp.of_symbol(Poly.sum(se, [_eta(k, 1, m - 1), _eta(k, m), *(
-        Poly.variable(se, "sigma", h) * _eta(k, h, m) for h in range(1, k + 1))]))
+    return WeylOp.of_symbol(Poly.sum(sigma_eta_space(k), [
+        _eta(k, 1, m - 1), _eta(k, m), *(_s(k, h) * _eta(k, h, m) for h in range(1, k + 1))]))
 
 
 def op_T0(k: int, mu: int) -> WeylOp:
     """sum_{h=0}^{k-1} s_h d_{k-mu-1} d_{h+1} + s_k d_{k-mu} d_k + d_{k-mu}, s_0 = 1."""
     if not 0 <= mu <= k - 2:
         raise ValueError(f"need 0 <= mu <= k-2, got mu={mu}")
-    lower = _partial(k, k - mu - 1)
-    return WeylOp.sum(sigma_space(k), [
-        *((lower * _partial(k, h + 1)).left_mul_poly(_s(k, h)) for h in range(k)),
-        (_partial(k, k - mu) * _partial(k, k)).left_mul_poly(_s(k, k)),
-        _partial(k, k - mu),
-    ])
-
-
-def _field(k: int, coeffs) -> WeylOp:
-    """The derivation sum_h c_h d_h with coefficients c_1..c_k in turn."""
-    return WeylOp.sum(sigma_space(k), (_partial(k, h).left_mul_poly(c) for h, c in enumerate(coeffs, 1)))
+    return WeylOp.of_symbol(Poly.sum(sigma_eta_space(k), [
+        *(_s(k, h) * _eta(k, k - mu - 1, h + 1) for h in range(k)),
+        _s(k, k) * _eta(k, k - mu, k), _eta(k, k - mu)]))
 
 
 def op_U0(k: int) -> WeylOp:
     """The weight operator U0 = sum_h h s_h d_h."""
-    return _field(k, (_s(k, h).scale(h) for h in range(1, k + 1)))
+    return WeylOp.of_symbol(Poly.sum(sigma_eta_space(k), (
+        _s(k, h).scale(h) * _eta(k, h) for h in range(1, k + 1))))
 
 
 def op_nabla(k: int) -> WeylOp:
     """The lowering derivation sum_{h=0}^{k-1} (k-h) s_h d_{h+1}, s_0 = 1."""
-    return _field(k, (_s(k, h).scale(k - h) for h in range(k)))
+    return WeylOp.of_symbol(Poly.sum(sigma_eta_space(k), (
+        _s(k, h).scale(k - h) * _eta(k, h + 1) for h in range(k))))
 
 
 def a_pairs(k: int):
@@ -139,7 +129,7 @@ def _systems(k: int, family: str) -> Mapping[str, WeylOp]:
     fam = _family(family)
     gens = {A_ID.format(p=p, q=q): op_A(k, p, q, 1) for p, q in a_pairs(k)}
     for m in range(2, k + 1):
-        gens[fam.t_id.format(m=m)] = op_T(k, m) + _partial(k, m).scale(fam.tail)
+        gens[fam.t_id.format(m=m)] = op_T(k, m) + WeylOp.partial(sigma_space(k), m).scale(fam.tail)
     return MappingProxyType(gens)
 
 

@@ -15,7 +15,7 @@ field, and the validated constructor, ``embed`` and ``sum_of_products``
 refuse a higher degree with a ValueError.  Only this module packs and
 decodes keys; exponent tuples stay at its edges: the validated
 constructor, ``coefficient``, ``sorted_terms`` (which serialization and
-display read), ``evaluate``, ``max_exponents`` and ``exponent_bound``.
+display read), ``evaluate`` and ``exponent_bound``.
 
 Every stored coefficient has one canonical form: a nonzero int, or a
 Fraction with denominator > 1.  Most coefficients in the kernel are
@@ -307,10 +307,6 @@ class Poly:
         """A bound on each exponent of one family: the fields of the OR of the keys."""
         count, low, width = _block(self.space, family)
         return _fields([reduce(or_, self.terms, 0) >> low & (1 << width) - 1], count)[0]
-
-    def max_exponents(self) -> tuple[int, ...]:
-        """The largest exponent of each variable over the terms; zeros for zero."""
-        return tuple(map(max, zip((0,) * self.space.nvars, *_fields(self.terms, self.space.nvars))))
 
     def coefficient(self, exp: Iterable[int]) -> int | Fraction:
         exp = tuple(exp)

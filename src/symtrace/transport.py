@@ -47,7 +47,7 @@ from math import comb, factorial, perm, prod
 from operator import add, ge, sub
 
 from .poly import Poly, _canon
-from .spaces import check_space, sigma_aux_space, sigma_space, x_space
+from .spaces import check_space, sigma_aux_space, sigma_space, x_space, x_xi_space
 from .symfun import (
     NotSymmetricError,
     _partition,
@@ -80,32 +80,22 @@ class SymmetricOperator:
 
 
 def elementary_symmetric_op(k: int, h: int) -> SymmetricOperator:
-    """S_h = sum over index sets of size h of the mixed partial in those x's."""
+    """S_h = sum over index sets of size h of the mixed partial in those x's, as its symbol e_h(xi)."""
     if not 1 <= h <= k:
         raise ValueError(f"need 1 <= h <= k, got h={h}")
-    space = x_space(k)
-    terms = {}
-    for subset in combinations(range(k), h):
-        dexp = [0] * k
-        for i in subset:
-            dexp[i] = 1
-        terms[tuple(dexp)] = Poly.one(space)
-    return SymmetricOperator(WeylOp(space, terms), k)
+    xx = x_xi_space(k)
+    symbol = Poly.sum(xx, (Poly.monomial(xx, [0] * k + [int(i in subset) for i in range(k)])
+                           for subset in combinations(range(k), h)))
+    return SymmetricOperator(WeylOp.of_symbol(symbol), k)
 
 
 def u_operator(k: int, d: int) -> WeylOp:
-    """U_d = sum_j x_j^d d/dx_j over the x-variables."""
+    """U_d = sum_j x_j^d d/dx_j over the x-variables, written as its symbol sum_j x_j^d xi_j."""
     if d < 0:
         raise ValueError("derivation degree must be >= 0")
-    space = x_space(k)
-    terms = {}
-    for j in range(k):
-        dexp = [0] * k
-        dexp[j] = 1
-        exp = [0] * k
-        exp[j] = d
-        terms[tuple(dexp)] = Poly.monomial(space, exp)
-    return WeylOp(space, terms)
+    xx = x_xi_space(k)
+    return WeylOp.of_symbol(Poly.sum(xx, (
+        Poly.monomial(xx, [d * (i == j) for i in range(k)] + [int(i == j) for i in range(k)]) for j in range(k))))
 
 
 def _multi_indices(k: int, max_total: int):

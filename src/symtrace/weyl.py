@@ -14,10 +14,10 @@ with delta! = prod_h delta_h! and d_s^delta acting on the coefficient
 variables only.  ``Poly.divided_partial`` takes (1/delta!) d_eta^delta
 in one walk over sigma(A) with no Fraction: a_beta eta^beta becomes
 binom(beta, delta) a_beta eta^(beta-delta), the binomials of the Leibniz
-rule.  The fan of delta is bounded by both factors, by B's degree and by
-``Poly.exponent_bound`` of A's eta (xi) exponents; inside it the nonzero
-d_s^delta sigma(B) are found once per product, through the derivative
-memo that ``apply`` uses too, and only those delta enter the sum.
+rule.  The fan of delta is bounded by ``Poly.exponent_bound`` of both
+factors, of B's sigma (x) and A's eta (xi) exponents; inside it the
+nonzero d_s^delta sigma(B) are found once per product, through the
+derivative memo that ``apply`` uses too, and only those delta enter the sum.
 Structural equality decides operator identity.  ``terms`` is the nested
 view {beta: a_beta}.  Every operation goes through the Poly API, so no
 term dict is built here.
@@ -48,15 +48,15 @@ def _derivative(derivs: dict, beta: tuple[int, ...]) -> Poly:
     memoised in derivs, so the derivatives of one polynomial share their
     chains; the chain down to the nearest memoised prefix is walked in a
     loop, so its length costs no stack depth.  Positions run over the
-    first len(beta) variables.  A beta that exceeds the polynomial's
-    degree in some variable gives zero at once, without a chain; the
-    per-variable degrees are memoised in derivs under the key None.
+    first len(beta) variables.  A beta past ``Poly.exponent_bound`` of
+    the first family, at least the degree in each variable, gives zero at
+    once, without a chain; that bound is memoised in derivs under None.
     """
     g = derivs.get(beta)
     if g is None:
         f = derivs[(0,) * len(beta)]
         if None not in derivs:
-            derivs[None] = f.max_exponents()
+            derivs[None] = f.exponent_bound(f.space.families[0][0])
         if any(map(gt, beta, derivs[None])):
             derivs[beta] = Poly.zero(f.space)
             return derivs[beta]
@@ -174,7 +174,7 @@ class WeylOp:
         check_space(other, self.space)
         k = self.space.nvars
         zero = (0,) * k
-        derivs = {zero: other.poly, None: other.poly.max_exponents()}
+        derivs = {zero: other.poly, None: other.poly.exponent_bound(self.family)}
         # the delta with d_s^delta B nonzero within both bounds, grown from 0 one partial at a time
         reach = tuple(map(min, derivs[None], self.poly.exponent_bound(_DUAL[self.family])))
         fan = [zero]

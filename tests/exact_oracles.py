@@ -8,17 +8,20 @@ recursion on the rewrite rules, and `descend_by_table` multiplies each
 group of a descent step by that expanded table: the minor descent as it
 was before its step acted on each group directly.
 `trace_characterization_x` decides membership in the mixed-partials
-ideal over x by a glance at the normal form.  `op_A_by_products` and
-`op_T_by_products` build the generators A(p,q,i) and T(m) by multiplying
-partials, and `primitive_by_fractions` sums PN_m with one Fraction per
-term of its recurrence: the constructions the library used before it
-wrote A and T as their symbols and summed PN_m over one denominator.
+ideal over x by a glance at the normal form.  The `*_by_products`
+functions build the generators A(p,q,i) and T(m), the companions T0(mu),
+U0 and nabla, and over x the operators S_h and U_d by multiplying
+partials and multiplying polynomials into them on the left, and
+`primitive_by_fractions` sums PN_m with one Fraction per term of its
+recurrence: the constructions the library used before it wrote every
+operator as its symbol and summed PN_m over one denominator.
 """
 
 from fractions import Fraction
-from functools import cache
-from itertools import permutations
+from functools import cache, reduce
+from itertools import combinations, permutations
 from math import factorial
+from operator import mul
 
 from symtrace.charvar import MinorId, NotOnVarietyError
 from symtrace.poly import Poly
@@ -175,6 +178,50 @@ def op_T_by_products(k: int, m: int) -> WeylOp:
     S = sigma_space(k)
     euler_like = WeylOp.sum(S, (_d(k, h).left_mul_poly(Poly.variable(S, "sigma", h)) for h in range(1, k + 1)))
     return _d(k, 1) * _d(k, m - 1) + euler_like * _d(k, m) + _d(k, m)
+
+
+def _s(k: int, h: int) -> Poly:
+    """s_h over sigma_space(k), with s_0 = 1."""
+    return Poly.one(sigma_space(k)) if h == 0 else Poly.variable(sigma_space(k), "sigma", h)
+
+
+def op_T0_by_products(k: int, mu: int) -> WeylOp:
+    """T0(mu) = sum_{h=0}^{k-1} s_h d_{k-mu-1} d_{h+1} + s_k d_{k-mu} d_k + d_{k-mu} as a sum of products."""
+    lower = _d(k, k - mu - 1)
+    return WeylOp.sum(sigma_space(k), [
+        *((lower * _d(k, h + 1)).left_mul_poly(_s(k, h)) for h in range(k)),
+        (_d(k, k - mu) * _d(k, k)).left_mul_poly(_s(k, k)),
+        _d(k, k - mu),
+    ])
+
+
+def _field_by_products(k: int, coeffs) -> WeylOp:
+    """The derivation sum_h c_h d_h with coefficients c_1..c_k in turn."""
+    return WeylOp.sum(sigma_space(k), (_d(k, h).left_mul_poly(c) for h, c in enumerate(coeffs, 1)))
+
+
+def op_U0_by_products(k: int) -> WeylOp:
+    """U0 = sum_h h s_h d_h."""
+    return _field_by_products(k, (_s(k, h).scale(h) for h in range(1, k + 1)))
+
+
+def op_nabla_by_products(k: int) -> WeylOp:
+    """nabla = sum_{h=0}^{k-1} (k-h) s_h d_{h+1}."""
+    return _field_by_products(k, (_s(k, h).scale(k - h) for h in range(k)))
+
+
+def elementary_symmetric_op_by_products(k: int, h: int) -> WeylOp:
+    """S_h = sum over index sets of size h of the product of the x-partials in it."""
+    X = x_space(k)
+    return WeylOp.sum(X, (reduce(mul, (WeylOp.partial(X, i) for i in subset))
+                          for subset in combinations(range(1, k + 1), h)))
+
+
+def u_operator_by_products(k: int, d: int) -> WeylOp:
+    """U_d = sum_j x_j^d d/dx_j, each x_j^d multiplied into d/dx_j on the left."""
+    X = x_space(k)
+    return WeylOp.sum(X, (WeylOp.partial(X, j).left_mul_poly(Poly.variable(X, "x", j) ** d)
+                          for j in range(1, k + 1)))
 
 
 def primitive_by_fractions(k: int, m: int) -> Poly:

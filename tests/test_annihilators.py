@@ -2,7 +2,13 @@ from itertools import product
 
 import pytest
 
-from exact_oracles import op_A_by_products, op_T_by_products
+from exact_oracles import (
+    op_A_by_products,
+    op_nabla_by_products,
+    op_T0_by_products,
+    op_T_by_products,
+    op_U0_by_products,
+)
 from symtrace.annihilators import (
     A_ID,
     FAMILIES,
@@ -69,6 +75,10 @@ def test_every_generator_equals_its_product_definition():
                 expected[fam.t_id.format(m=m)] = op_T_by_products(k, m) + d(k, m).scale(fam.tail)
             gens = generator_system(k, name)
             assert list(gens) == list(expected) and dict(gens) == expected, (k, name)
+        # the companions: identity:T-from-T0 compares two symbol-built sides, so this is the cross-check
+        for mu in range(k - 1):
+            assert op_T0(k, mu) == op_T0_by_products(k, mu), (k, mu)
+        assert op_U0(k) == op_U0_by_products(k) and op_nabla(k) == op_nabla_by_products(k), k
 
 
 def test_op_T0_matches_T_at_top_index():

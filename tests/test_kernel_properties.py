@@ -15,7 +15,9 @@ refuse a degree it cannot hold rather than carry into the next field.
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, perm, prod
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -330,11 +332,12 @@ def test_every_family_of_a_three_family_space_matches_reference(p):
             assert_matches(coeff, space.drop(family), reference[block])
         assert Poly.sum(space, (c.embed(space, family, b) for b, c in parts.items())) == p
         assert p.degree_in(family) == max(map(sum, reference), default=-1)
+        # one bound per exponent, the OR of its values, so at least their maximum
+        assert p.exponent_bound(family) == tuple(reduce(or_, column, 0) for column in zip((0,) * count, *reference))
     for pos in range(space.nvars):
         derivative = {e[:pos] + (e[pos] - 1,) + e[pos + 1:]: c * e[pos] for e, c in p.sorted_terms() if e[pos]}
         assert_matches(p.partial_pos(pos), space, derivative)
     assert_matches(p.swap("eta", 1, 2), space, {e[:2] + (e[3], e[2]) + e[4:]: c for e, c in p.sorted_terms()})
-    assert p.max_exponents() == tuple(map(max, zip((0,) * space.nvars, *terms_of(p))))
 
 
 HALF = 1 << BITS - 1

@@ -9,6 +9,7 @@ from conftest import (
     elementary_values,
     random_sigma_poly,
 )
+from exact_oracles import elementary_symmetric_op_by_products, u_operator_by_products
 from symtrace.annihilators import op_nabla
 from symtrace.poly import Poly
 from symtrace.spaces import sigma_aux_space, sigma_eta_space, sigma_space, x_space
@@ -68,6 +69,14 @@ def test_elementary_symmetric_operators():
         + WeylOp.partial(X3, 2) * WeylOp.partial(X3, 3)
     )
     assert s32 == expected
+
+
+def test_every_S_h_and_U_d_equals_its_product_definition():
+    for k in range(1, 6):
+        for h in range(1, k + 1):
+            assert elementary_symmetric_op(k, h).op == elementary_symmetric_op_by_products(k, h), (k, h)
+        for d in range(5):
+            assert u_operator(k, d) == u_operator_by_products(k, d), (k, d)
 
 
 def test_symmetric_operator_rejects_asymmetric():
