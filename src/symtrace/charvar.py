@@ -137,13 +137,6 @@ def recombine(k: int, coeffs: dict[MinorId, Poly]) -> Poly:
     return Poly.sum_of_products(sigma_eta_space(k), ((c, ms[mid], 1) for mid, c in coeffs.items()))
 
 
-def _eta_homogeneous_parts(f: Poly) -> dict[int, Poly]:
-    parts: dict[int, list[Poly]] = {}
-    for e, c in f.collect("eta").items():
-        parts.setdefault(sum(e), []).append(c.embed(f.space, "eta", e))
-    return {d: Poly.sum(f.space, ps) for d, ps in parts.items()}
-
-
 def _chart_space(k: int) -> VarSpace:
     return VarSpace((("sigma", k - 1), ("t", 1))) if k >= 2 else VarSpace((("t", 1),))
 
@@ -170,8 +163,8 @@ def vanishes_on_Z(f: Poly, k: int) -> bool:
         images[("sigma", h)] = Poly.variable(target, "sigma", h)
     for h in range(1, k + 1):
         images[("eta", h)] = t ** (k - h)
-    for part in _eta_homogeneous_parts(f).values():
-        if not part.compose(target, images).is_zero():
+    for d in range(f.degree_in("eta") + 1):
+        if not f.homogeneous_part("eta", d).compose(target, images).is_zero():
             return False
     return True
 

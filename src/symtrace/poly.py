@@ -303,6 +303,14 @@ class Poly:
         count, low, width = _block(self.space, family)
         return max(map(sum, _fields({key >> low & ((1 << width) - 1) for key in self.terms}, count)), default=-1)
 
+    def homogeneous_part(self, family: str, d: int) -> Poly:
+        """The terms of degree d in one family, in one pass over the keys: a
+        block's degree is its value mod 2^BITS - 1, where each field weighs 1
+        and the degree, at most MAX_DEGREE, is below the modulus."""
+        _, low, width = _block(self.space, family)
+        mask = (1 << width) - 1
+        return Poly._trusted(self.space, {key: c for key, c in self.terms.items() if (key >> low & mask) % _MASK == d})
+
     def exponent_bound(self, family: str) -> tuple[int, ...]:
         """A bound on each exponent of one family: the fields of the OR of the keys."""
         count, low, width = _block(self.space, family)

@@ -7,7 +7,8 @@ identity and equal objects serialize to identical bytes.  One writer,
 WeylOp value in it straight from its sorted terms, never as dicts.  Parsing
 accepts only documents of that shape, space codes spelled as ``code()``
 writes them, with integer coefficients allowed too, and refuses anything
-else with a ValueError.
+else with a ValueError.  An operator's document is nested, {beta: a_beta},
+so the parser owns that form and hands ``WeylOp.of_symbol`` the sum.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _string
 
-from .poly import Poly
+from .poly import Poly, _is_exponent
 from .spaces import VarSpace
-from .weyl import WeylOp
+from .weyl import _DUAL, WeylOp, _carrier
 
 SCHEMA = "symtrace/1"
 
@@ -96,7 +97,14 @@ def weyl_to_dict(op: WeylOp) -> dict:
 
 
 def weyl_from_dict(d: dict) -> WeylOp:
-    return WeylOp(VarSpace.from_code(_field(d, "space", str)), _terms(d, "dexp", poly_from_dict))
+    """The operator whose full symbol sums each a_beta embedded at eta^beta (xi^beta)."""
+    space = VarSpace.from_code(_field(d, "space", str))
+    terms = _terms(d, "dexp", poly_from_dict)
+    family, dual = _carrier(space)
+    for dexp in terms:  # embed checks each coefficient's space
+        if not _is_exponent(dexp, space.nvars):
+            raise ValueError(f"bad partial multi-index {dexp}")
+    return WeylOp.of_symbol(Poly.sum(dual, (a.embed(dual, _DUAL[family], dexp) for dexp, a in terms.items())))
 
 
 def dump(obj, write) -> None:

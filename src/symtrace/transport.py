@@ -47,7 +47,7 @@ from math import comb, factorial, perm, prod
 from operator import add, ge, sub
 
 from .poly import Poly, _canon
-from .spaces import check_space, sigma_aux_space, sigma_space, x_space, x_xi_space
+from .spaces import check_space, sigma_aux_space, sigma_eta_space, sigma_space, x_space, x_xi_space
 from .symfun import (
     NotSymmetricError,
     _partition,
@@ -106,7 +106,7 @@ def _multi_indices(k: int, max_total: int):
 
 def apply_partitions(p: SymmetricOperator, f: dict) -> dict:
     """P[f] on partition coefficients, by the apply rule of the module docstring."""
-    terms = [(alpha, beta, c) for beta, coeff in p.op.sorted_terms() for alpha, c in coeff.sorted_terms()]
+    terms = [(e[:p.k], e[p.k:], c) for e, c in p.op.poly.sorted_terms()]
     candidates = {_partition(map(add, map(sub, nu, beta), alpha))
                   for alpha, beta, _ in terms for nu in f if all(map(ge, nu, beta))}
     out = {}
@@ -133,13 +133,13 @@ def xi_transport(p: SymmetricOperator) -> WeylOp:
               for beta in _multi_indices(k, max(p.order(), 0))}
     # (-sigma)^gap once per gap: every gap beta - beta' is itself one of the beta
     signed = {gap: Poly.monomial(target, gap, -1 if sum(gap) % 2 else 1) for gap in images}
-    coeffs: dict[tuple[int, ...], Poly] = {}
-    for beta in images:
-        taylor = Poly.sum_of_products(target, (
+    dual = sigma_eta_space(k)
+    return WeylOp.of_symbol(Poly.sum(dual, (
+        Poly.sum_of_products(target, (
             (signed[tuple(map(sub, beta, low))], images[low], prod(map(comb, beta, low)))
             for low in product(*(range(b + 1) for b in beta))))
-        coeffs[beta] = taylor.scale(Fraction(1, prod(map(factorial, beta))))
-    return WeylOp(target, coeffs)
+        .scale(Fraction(1, prod(map(factorial, beta)))).embed(dual, "eta", beta)
+        for beta in images)))
 
 
 def decompose_derivation(d: SymmetricOperator) -> list[tuple[int, Poly]]:
@@ -155,19 +155,18 @@ def decompose_derivation(d: SymmetricOperator) -> list[tuple[int, Poly]]:
     """
     k = d.k
     op = d.op
-    if op.is_zero():
-        return []
-    if op.order() != 1 or any(sum(b) == 0 for b, _ in op.sorted_terms()):
+    terms = op.poly.sorted_terms()  # none for the zero operator, which decomposes as []
+    if any(sum(e[k:]) != 1 for e, _ in terms):
         raise ValueError("input must be a derivation: order 1 with no order-0 part")
     space = sigma_aux_space(k)  # t plays x_1
     t = Poly.variable(space, "t")
 
-    a1 = op.coefficient(tuple([1] + [0] * (k - 1)))
+    a1 = [(e[:k], c) for e, c in terms if e[k] == 1]  # the coefficient of d/dx_1
     if k == 1:
-        acc = Poly.sum(space, (t ** exp[0] * c for exp, c in a1.sorted_terms()))
+        acc = Poly.sum(space, (t ** exp[0] * c for exp, c in a1))
     else:
         buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for exp, c in a1.sorted_terms():
+        for exp, c in a1:
             buckets.setdefault(exp[0], {})[exp[1:]] = c
         # e_h(x_2..x_k) = Theta_(h+1)(x_1, s), with t playing x_1
         images = {("sigma", h): theta(k, h + 1) for h in range(1, k)}
@@ -177,11 +176,7 @@ def decompose_derivation(d: SymmetricOperator) -> list[tuple[int, Poly]]:
             for x1_exp, rest in sorted(buckets.items())))
     acc = _reduce_aux_powers(acc, k)
 
-    out: list[tuple[int, Poly]] = []
-    for t_exp, b in acc.collect("t").items():
-        if not b.is_zero():
-            out.append((t_exp[0], b))
-    out.sort(key=lambda pair: pair[0])
+    out = [(t_exp, b) for (t_exp,), b in sorted(acc.collect("t").items())]
 
     rebuilt = WeylOp.sum(x_space(k), (u_operator(k, p_low).left_mul_poly(sigma_to_x(b, k))
                                       for p_low, b in out))

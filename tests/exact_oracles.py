@@ -15,6 +15,11 @@ partials and multiplying polynomials into them on the left, and
 `primitive_by_fractions` sums PN_m with one Fraction per term of its
 recurrence: the constructions the library used before it wrote every
 operator as its symbol and summed PN_m over one denominator.
+`weyl_of_blocks` builds an operator from the nested dict {beta: a_beta},
+checking each beta and embedding each a_beta at eta^beta: the
+construction `WeylOp` had before `of_symbol` became its only one, and
+the reference that the parser, which owns that nested form, is tested
+against.
 """
 
 from fractions import Fraction
@@ -24,10 +29,10 @@ from math import factorial
 from operator import mul
 
 from symtrace.charvar import MinorId, NotOnVarietyError
-from symtrace.poly import Poly
-from symtrace.spaces import check_space, sigma_eta_space, sigma_space, x_space
+from symtrace.poly import Poly, _is_exponent
+from symtrace.spaces import VarSpace, check_space, sigma_eta_space, sigma_space, x_space
 from symtrace.symfun import char_poly, family
-from symtrace.weyl import WeylOp
+from symtrace.weyl import _DUAL, WeylOp, _carrier
 
 
 def newton_varouchas(k: int, m: int) -> Poly:
@@ -231,3 +236,18 @@ def primitive_by_fractions(k: int, m: int) -> Poly:
     row = char_poly([Poly.variable(S, "sigma", h) for h in range(1, k + 1)], Poly.one(S))
     return Poly.sum_of_products(S, ((row[h], family(k).newton(m - h), Fraction(-1, m - h))
                                     for h in range(min(k, m - 1) + 1)))
+
+
+def weyl_of_blocks(space: VarSpace, blocks: dict | None = None) -> WeylOp:
+    """sum_beta a_beta d^beta over space, from {beta: a_beta} with each a_beta over space."""
+    family, dual = _carrier(space)
+    k = space.nvars
+
+    def embedded():  # a_beta eta^beta, embedded one at a time
+        for dexp, coeff in (blocks or {}).items():
+            check_space(coeff, space)
+            if not _is_exponent(dexp := tuple(dexp), k):
+                raise ValueError(f"bad partial multi-index {dexp}")
+            yield coeff.embed(dual, _DUAL[family], dexp)
+
+    return WeylOp.of_symbol(Poly.sum(dual, embedded()))

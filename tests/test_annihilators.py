@@ -8,6 +8,7 @@ from exact_oracles import (
     op_T0_by_products,
     op_T_by_products,
     op_U0_by_products,
+    weyl_of_blocks,
 )
 from symtrace.annihilators import (
     A_ID,
@@ -47,7 +48,7 @@ def test_op_A_kills_power_sum():
 
 def test_op_T_closed_form_k2():
     S2 = sigma_space(2)
-    expected = WeylOp(S2, {
+    expected = weyl_of_blocks(S2, {
         (2, 0): Poly.one(S2),
         (1, 1): Poly.variable(S2, "sigma", 1),
         (0, 2): Poly.variable(S2, "sigma", 2),
@@ -155,7 +156,7 @@ def test_bracket_identities_full_range():
             for q in range(2, k + 1):
                 if p == q - 1:
                     continue
-                rhs = WeylOp(S)
+                rhs = WeylOp.sum(S, ())
                 if p + 2 <= k:
                     rhs = rhs + op_A(k, p + 1, q, 1).scale(-(k - p - 1))
                 if q + 1 <= k:

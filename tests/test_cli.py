@@ -850,6 +850,20 @@ def test_xi_s6_at_k6_output_hash(capsys):
         "ae125d6cf80dfd7b789091a976d1cbd63fdf84c5b3ec59b17671ffbd68223b89"
 
 
+# the one output that prints operators through WeylOp.__str__ and Poly.__str__
+XI_TEXT_SHA256 = {
+    "S3": "bf39398012030a353ab9138d348437bdcdbc7c08648bbbb72249e38db4308db5",
+    "S4": "61763bc2c5b7ad2e2e5bdfc3e9f48c2332910d0fa43b976d356d5dca5ad4aaad",
+}
+
+
+@pytest.mark.parametrize("op", sorted(XI_TEXT_SHA256))
+def test_xi_text_output_matches_the_recorded_hash(op, capsys):
+    code, out, _ = run_cli(["xi", "--k", op[1:], "--op", op, "--format", "text"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == XI_TEXT_SHA256[op]
+
+
 # recorded before the sampler moved to int arithmetic; the benchmark
 # hashes neither the default seed nor k = 2
 SAMPLE_SHA256 = {

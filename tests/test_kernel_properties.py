@@ -23,7 +23,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exact_oracles import weyl_of_blocks
 from symtrace.poly import BITS, MAX_DEGREE, Poly, _canon, term_sort_key
+from symtrace.serialize import poly_to_dict, weyl_from_dict, weyl_to_dict
 from symtrace.spaces import SpaceMismatchError, VarSpace, sigma_eta_space, sigma_space, x_space, x_xi_space
 from symtrace.weyl import WeylOp
 
@@ -51,7 +53,7 @@ def poly_pairs(draw):
 @st.composite
 def weylops(draw, space, max_terms: int = 3):
     terms = draw(st.dictionaries(exponents(space.nvars, 2), polys(space, 3, 2), max_size=max_terms))
-    return WeylOp(space, terms)
+    return weyl_of_blocks(space, terms)
 
 
 @st.composite
@@ -141,7 +143,7 @@ def test_weyl_sum_matches_reference(k, data):
 def test_sum_of_nothing_is_zero_and_pieces_share_one_space():
     S = sigma_space(2)
     assert Poly.sum(S, iter(())) == Poly.zero(S)
-    assert WeylOp.sum(S, []) == WeylOp(S)
+    assert WeylOp.sum(S, []) == WeylOp.sum(S, ())
     with pytest.raises(SpaceMismatchError):
         Poly.sum(S, [Poly.one(S), Poly.one(sigma_space(3))])
     with pytest.raises(SpaceMismatchError):
@@ -340,6 +342,48 @@ def test_every_family_of_a_three_family_space_matches_reference(p):
     assert_matches(p.swap("eta", 1, 2), space, {e[:2] + (e[3], e[2]) + e[4:]: c for e, c in p.sorted_terms()})
 
 
+@BOUNDED
+@given(polys(THREE_FAMILIES, 6, 3) | wide_terms().map(lambda case: Poly(*case)))
+def test_homogeneous_part_is_the_termwise_filter(p):
+    # every d from -1 to degree + 1 where the degree is small; past that the
+    # degrees of the blocks present, their neighbours and degree + 1
+    for family, count in p.space.families:
+        off, top = p.space.offset(family), p.degree_in(family)
+        degrees = {sum(e[off:off + count]) for e, _ in p.sorted_terms()}
+        for d in {*range(-1, min(top, 12) + 2), top + 1, *(d + step for d in degrees for step in (-1, 0, 1))}:
+            reference = {e: c for e, c in p.sorted_terms() if sum(e[off:off + count]) == d}
+            assert_matches(p.homogeneous_part(family, d), p.space, reference)
+
+
+@BOUNDED
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_symbol_is_the_top_order_blocks_re_embedded(k, over_x, data):
+    space = x_space(k) if over_x else sigma_space(k)
+    with pytest.raises(ValueError, match="the zero operator has no symbol"):
+        WeylOp.sum(space, ()).symbol()
+    op = data.draw(weylops(space))
+    blocks = op.sorted_terms()
+    if not blocks:
+        return
+    top = max(sum(beta) for beta, _ in blocks)
+    dual = op.poly.space
+    expected = Poly.sum(dual, (a.embed(dual, dual.families[1][0], beta) for beta, a in blocks if sum(beta) == top))
+    assert_clean(op.symbol())
+    assert op.symbol() == expected
+
+
+@BOUNDED
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_the_parser_builds_what_the_nested_reference_builds(k, over_x, data):
+    # blocks in any order, zero coefficients included, as a document may hold them
+    space = x_space(k) if over_x else sigma_space(k)
+    blocks = data.draw(st.dictionaries(exponents(k, 2), polys(space, 3, 2), max_size=4))
+    doc = {"space": space.code(), "terms": [{"dexp": list(b), "coeff": poly_to_dict(a)} for b, a in blocks.items()]}
+    op = weyl_of_blocks(space, blocks)
+    assert weyl_from_dict(doc) == op
+    assert weyl_from_dict(weyl_to_dict(op)) == weyl_of_blocks(space, dict(op.sorted_terms())) == op
+
+
 HALF = 1 << BITS - 1
 
 
@@ -383,7 +427,7 @@ def test_a_high_order_partial_multiplies_and_acts_exactly():
     # Leibniz: d^n s^n = sum_j C(n, j) n!/(n-j)! s^(n-j) d^(n-j)
     expected = {(0, 1200 - j): Poly.monomial(S, (0, 1200 - j), comb(1200, j) * perm(1200, j))
                 for j in range(1201)}
-    assert d * WeylOp.from_poly(s2 ** 1200) == WeylOp(S, expected)
+    assert d * WeylOp.from_poly(s2 ** 1200) == weyl_of_blocks(S, expected)
 
 
 # -- evaluate -------------------------------------------------------------------

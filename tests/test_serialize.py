@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from conftest import random_sigma_poly
+from exact_oracles import weyl_of_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,7 +46,7 @@ def test_poly_roundtrip_randomized():
 def test_weylop_roundtrip():
     k = 3
     space = sigma_space(k)
-    op = WeylOp(space, {
+    op = weyl_of_blocks(space, {
         (2, 0, 0): Poly.one(space),
         (1, 1, 0): Poly.variable(space, "sigma", 1),
         (0, 0, 1): Poly.constant(space, Fraction(-7, 3)),
@@ -88,7 +89,7 @@ def spaced_polys(draw):
 def weylops(draw):
     space = sigma_space(draw(st.integers(1, 3)))
     dexps = st.tuples(*[st.integers(0, 2)] * space.nvars)
-    return WeylOp(space, draw(st.dictionaries(dexps, polys(space, 3), max_size=3)))
+    return weyl_of_blocks(space, draw(st.dictionaries(dexps, polys(space, 3), max_size=3)))
 
 
 def assert_canonical(p: Poly) -> None:
@@ -215,7 +216,7 @@ def values(draw):
     kind = draw(st.sampled_from(["poly", "symbol", "op"]))
     if kind == "op":
         dexps = st.tuples(*[st.integers(0, 2)] * k)
-        return WeylOp(base, draw(st.dictionaries(dexps, polys(base), max_size=3)))
+        return weyl_of_blocks(base, draw(st.dictionaries(dexps, polys(base), max_size=3)))
     return draw(polys((x_xi_space(k) if over_x else sigma_eta_space(k)) if kind == "symbol" else base))
 
 
@@ -247,10 +248,10 @@ def test_edge_values_are_written_as_json_writes_their_dicts():
     X1, S1 = x_space(1), sigma_space(1)
     edge = [
         Poly.zero(sigma_eta_space(1)),
-        WeylOp(X1),
+        WeylOp.sum(X1, ()),
         Poly(x_xi_space(1), {(2, 1): -big, (0, 0): Fraction(-3, big)}),
-        WeylOp(X1, {(1,): Poly(X1, {(3,): Fraction(-big, 7)}), (0,): Poly.constant(X1, big * big)}),
-        WeylOp(S1, {(2,): Poly.zero(S1), (1,): Poly.constant(S1, -1)}),
+        weyl_of_blocks(X1, {(1,): Poly(X1, {(3,): Fraction(-big, 7)}), (0,): Poly.constant(X1, big * big)}),
+        weyl_of_blocks(S1, {(2,): Poly.zero(S1), (1,): Poly.constant(S1, -1)}),
     ]
     for depth, doc in enumerate([edge[0], {"a": edge[1]}, [edge[2], {"b": [edge[3]]}], {"c": [{"d": edge}]}]):
         assert dumps(doc) == json_reference(plain(doc)), depth

@@ -90,7 +90,7 @@ def test_only_the_kernel_reads_the_keys_of_a_term_dict():
     # a Poly's term dict is keyed by packed ints that only poly.py packs and
     # decodes; everything else reads terms through sorted_terms, coefficient
     # and the other accessors, WeylOp's as well, and may count them with
-    # len().  weyl.py reads its own nested view as self.terms.
+    # len().
     root = Path(__file__).parent.parent
     found = []
     for path in sorted(SRC.rglob("*.py")) + sorted((root / "demos").glob("*.py")) + sorted((root / "tests").glob("*.py")):
@@ -102,8 +102,6 @@ def test_only_the_kernel_reads_the_keys_of_a_term_dict():
                        and getattr(node.func, "id", None) == "len" for arg in node.args)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Attribute) or node.attr != "terms" or id(node) in allowed:
-                continue
-            if path.name == "weyl.py" and getattr(node.value, "id", None) == "self":
                 continue
             found.append(f"{path.parent.name}/{path.name}:{node.lineno}")
     assert found == []

@@ -20,6 +20,7 @@ from exact_oracles import symmetrize, trace_characterization_x
 from symtrace.charvar import decompose_in_minors, vanishes_on_Z
 from symtrace.membership import reduce_modulo_system
 from symtrace.poly import Poly
+from symtrace.serialize import poly_to_dict, weyl_from_dict
 from symtrace.spaces import FAMILY_ORDER, SpaceMismatchError, VarSpace, sigma_eta_space, sigma_space, x_space
 from symtrace.symfun import reduce_to_sigma, sigma_to_x
 from symtrace.transport import SymmetricOperator
@@ -169,7 +170,8 @@ def _wrong_space_cases():
         "symmetrize": (lambda: symmetrize(one_s, 2, 3), X, S),
         "SymmetricOperator": (lambda: SymmetricOperator(dx, 3), x_space(3), X),
         "WeylOp.apply": (lambda: d1.apply(one_x), S, X),
-        "WeylOp coefficient": (lambda: WeylOp(S, {(1, 0): one_x}), S, X),
+        "WeylOp coefficient": (lambda: weyl_from_dict(
+            {"space": "sigma:2", "terms": [{"dexp": [1, 0], "coeff": poly_to_dict(one_x)}]}), S, X),
         "WeylOp product": (lambda: d1 * dx, S, X),
         "WeylOp sum": (lambda: d1 + dx, S, X),
         "WeylOp difference": (lambda: d1 - dx, S, X),

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import symmetrize
+from exact_oracles import symmetrize, weyl_of_blocks
 from symtrace.charvar import NotOnVarietyError, decompose_in_minors, minors, recombine, vanishes_on_Z
 from symtrace.poly import Poly
 from symtrace.spaces import sigma_eta_space, sigma_space, x_space
@@ -250,7 +250,7 @@ def symmetric_operators(draw):
             pa = tuple(a[i] for i in perm)
             coeff[pa] = coeff.get(pa, 0) + c
     space = x_space(k)
-    op = SymmetricOperator(WeylOp(space, {d: Poly(space, t) for d, t in terms.items()}), k)
+    op = SymmetricOperator(weyl_of_blocks(space, {d: Poly(space, t) for d, t in terms.items()}), k)
     return op, draw(st.lists(small, min_size=1, max_size=3))
 
 
@@ -279,7 +279,7 @@ def operator_pairs(draw):
     coeffs = st.dictionaries(small, nonzero, min_size=1, max_size=3).map(lambda t: Poly(space, t))
     ops = st.dictionaries(small.filter(lambda b: sum(b) <= 2), coeffs, min_size=1, max_size=3)
     f = st.dictionaries(st.tuples(*[st.integers(0, 4)] * k), nonzero, min_size=1, max_size=4)
-    return WeylOp(space, draw(ops)), WeylOp(space, draw(ops)), Poly(space, draw(f))
+    return weyl_of_blocks(space, draw(ops)), weyl_of_blocks(space, draw(ops)), Poly(space, draw(f))
 
 
 @settings(max_examples=60, deadline=None)

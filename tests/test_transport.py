@@ -9,7 +9,7 @@ from conftest import (
     elementary_values,
     random_sigma_poly,
 )
-from exact_oracles import elementary_symmetric_op_by_products, u_operator_by_products
+from exact_oracles import elementary_symmetric_op_by_products, u_operator_by_products, weyl_of_blocks
 from symtrace.annihilators import op_nabla
 from symtrace.poly import Poly
 from symtrace.spaces import sigma_aux_space, sigma_eta_space, sigma_space, x_space
@@ -96,7 +96,7 @@ def test_transport_matches_closed_forms():
         assert xi_transport(elementary_symmetric_op(k, 1)) == op_nabla(k)
     # the k=2 closed form
     S2 = sigma_space(2)
-    expected = WeylOp(S2, {
+    expected = weyl_of_blocks(S2, {
         (2, 0): Poly.one(S2),
         (1, 1): Poly.variable(S2, "sigma", 1),
         (0, 2): Poly.variable(S2, "sigma", 2),
@@ -213,7 +213,7 @@ def test_decompose_derivation_roundtrip_randomized():
     rng = random.Random(47)
     for k in (2, 3):
         for _ in range(4):
-            op = WeylOp(x_space(k))
+            op = WeylOp.sum(x_space(k), ())
             chosen = {}
             for p in range(0, k):
                 b = random_sigma_poly(rng, k, 1, 2)

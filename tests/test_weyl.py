@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from conftest import random_sigma_poly, shallow_stack
+from exact_oracles import weyl_of_blocks
 from symtrace.annihilators import op_A, op_T, op_U0
 from symtrace.poly import Poly
 from symtrace.spaces import VarSpace, sigma_aux_space, sigma_eta_space, sigma_space, x_space, x_xi_space
@@ -29,7 +30,7 @@ def random_op(rng, k, max_order=3, n_terms=3):
         coeff = random_sigma_poly(rng, k)
         if not coeff.is_zero():
             terms[tuple(dexp)] = coeff
-    return WeylOp(space, terms)
+    return weyl_of_blocks(space, terms)
 
 
 def test_canonical_commutation():
@@ -39,7 +40,7 @@ def test_canonical_commutation():
 def test_square_of_euler_piece():
     k = 2
     e = s_op(k, 2) * d(k, 2)
-    expected = WeylOp(sigma_space(k), {
+    expected = weyl_of_blocks(sigma_space(k), {
         (0, 2): Poly.variable(sigma_space(k), "sigma", 2) ** 2,
         (0, 1): Poly.variable(sigma_space(k), "sigma", 2),
     })
@@ -93,7 +94,7 @@ def test_symbol_of_index_swap():
 
 def test_symbol_of_zero_rejected():
     with pytest.raises(ValueError):
-        WeylOp(sigma_space(2)).symbol()
+        WeylOp.sum(sigma_space(2), ()).symbol()
 
 
 def test_weight_of_generators():
