@@ -1,19 +1,26 @@
 """Command-line entry point.
 
-Subcommands: gen, xi, verify, charvar, member, numcheck, golden.  All
-structured output is UTF-8 JSON with a top-level schema field; exit 0
-means every check passed, 2 is a semantic negative (non-member, failed
-check), 1 a usage or internal error, reported on one `error:` line.
+`symtrace COMMAND -h` describes one command.  All structured output is
+UTF-8 JSON with a top-level schema field; exit 0 means every check passed,
+2 is a semantic negative (non-member, failed check), 1 a usage or internal
+error, reported on one `error:` line.
+
+One table, COMMANDS, names every flag of the seven commands: its type,
+choices, default, help, whether it is required or a switch, and charvar's
+one-of-three mode.  `parse` reads argv against it in one walk, with no
+argparse: it accepts what argparse 3.11 accepted, to the same values and
+with argparse's wording for each error, and the help is written from it.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .annihilators import FAMILIES, family_members
@@ -206,77 +213,145 @@ def cmd_golden(args) -> int:
     return _print_report(golden_check(args.dir), args)
 
 
-class _Parser(argparse.ArgumentParser):
-    """A parser (its subparsers take its class) that raises a usage error
-    for `dispatch` to print, in place of printing the usage block."""
+class Flag:
+    """One flag: a switch stores True, any other flag its value through type,
+    which must then be one of choices where there are any."""
 
-    def error(self, message: str):
-        raise ValueError(message)
+    def __init__(self, metavar="", type=str, choices=(), required=False, default=None, switch=False, help=""):
+        self.metavar = metavar or ("{%s}" if required else "%s") % "|".join(choices)  # names the value in usage
+        self.type, self.choices, self.required, self.switch, self.help = type, tuple(choices), required, switch, help
+        self.default = False if switch else default
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or given argv only of the one its first
-    word that is no option names; the top level names all seven either way."""
-    ap = _Parser(prog="symtrace", description=__doc__)
-    ap.add_argument("--version", action="version", version=f"symtrace {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-    invoked = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
+K, FORMAT = Flag("K", int, required=True, help="the number of roots"), Flag(choices=("json", "text"), default="json")
+STRICT = Flag(switch=True, help="treat deviations from published displays as failures")
+# Each command: its function, its summary, its flags in usage order, and the flags of which one must be given.
+COMMANDS = {
+    "gen": (cmd_gen, "emit a symmetric-function family table", {
+        "--family": Flag(choices=FAMILIES, required=True), "--k": K,
+        "--max-m": Flag("M", int, required=True, help="the last index m"), "--format": FORMAT}, ()),
+    "xi": (cmd_xi, "transport a symmetric x-operator to sigma-coordinates", {
+        "--k": K, "--op": Flag("{S2|S3|...|file.json}", required=True, help="S2..Sk or a JSON operator file"),
+        "--format": FORMAT}, ()),
+    "verify": (cmd_verify, "run an exact verification suite", {
+        "--k": K, "--suite": Flag(choices=sorted(SUITES), required=True),
+        "--max-m": Flag("M", int, help="the last index m of a family suite"), "--format": FORMAT,
+        "--strict-paper": STRICT}, ()),
+    "charvar": (cmd_charvar, "characteristic-variety tools", {
+        "--k": K, "--sample": Flag("N", int, help="sample N points of the variety"),
+        "--check-symbols": Flag(switch=True, help="run the symbols suite"),
+        "--decompose": Flag("f.json", help="JSON polynomial file over (sigma, eta)"),
+        "--seed": Flag("S", int, help="with --sample; 0 by default"), "--format": FORMAT,
+        "--strict-paper": STRICT}, ("--sample", "--check-symbols", "--decompose")),
+    "member": (cmd_member, "left-ideal membership with certificate", {
+        "--k": K, "--op": Flag("file.json", required=True, help="JSON operator file"),
+        "--newton-bound": Flag("B", int, help="check the power sums N_m up to m = B first")}, ()),
+    "numcheck": (cmd_numcheck, "numeric contour evaluation of a trace", {
+        "--k": K, "--sigma": Flag('"a1,...,ak"', required=True, help="comma-separated values"),
+        "--f": Flag("exp|sin|pow:m", default="exp", help="exp, sin, or pow:m")}, ()),
+    "golden": (cmd_golden, "re-derive and compare the stored published formulas", {
+        "--dir": Flag("PATH", help="the directory of golden files"), "--format": FORMAT,
+        "--strict-paper": STRICT}, ()),
+}
 
-    def command(name: str, summary: str, fn):  # its subparser where it is built, else None
-        built = invoked in (None, name)
-        p = sub.add_parser(name, help=summary, add_help=built)
-        p.set_defaults(fn=fn)
-        return p if built else None
 
-    if g := command("gen", "emit a symmetric-function family table", cmd_gen):
-        g.add_argument("--family", required=True, choices=list(FAMILIES))
-        g.add_argument("--k", type=int, required=True)
-        g.add_argument("--max-m", type=int, required=True)
-        g.add_argument("--format", choices=["json", "text"], default="json")
+def _help(command: str | None) -> str:
+    """The usage of every command, or one command's usage, summary and flags."""
+    if command is None:
+        return "\n".join(_help(c).split("\n\n")[0] for c in COMMANDS) + "\n\n" + __doc__.split("\n\n")[1]
+    _, summary, flags, mode = COMMANDS[command]
+    word = {name: f"{name} {f.metavar}".rstrip() for name, f in flags.items()}
+    pieces = [w if flags[name].required else f"[{w}]" for name, w in word.items() if name not in mode]
+    if mode:  # [optional], (exactly one | of these)
+        pieces.insert(list(flags).index(mode[0]), "(" + " | ".join(map(word.get, mode)) + ")")
+    lines = [f"symtrace {command:8}"]
+    for piece in pieces:  # in 80 columns
+        lines += [" " * 17] if len(lines[-1]) + len(piece) >= 80 else []
+        lines[-1] += " " + piece
+    return "\n".join([*lines, "", summary, "", *(f"  {word[n]:20}  {f.help}".rstrip() for n, f in flags.items())])
 
-    if x := command("xi", "transport a symmetric x-operator to sigma-coordinates", cmd_xi):
-        x.add_argument("--k", type=int, required=True)
-        x.add_argument("--op", required=True, help="S2..Sk or a JSON operator file")
-        x.add_argument("--format", choices=["json", "text"], default="json")
 
-    if v := command("verify", "run an exact verification suite", cmd_verify):
-        v.add_argument("--k", type=int, required=True)
-        v.add_argument("--suite", required=True, choices=sorted(SUITES))
-        v.add_argument("--max-m", type=int, default=None)
-        v.add_argument("--format", choices=["json", "text"], default="json")
-        v.add_argument("--strict-paper", action="store_true",
-                       help="treat deviations from published displays as failures")
+def _classify(token: str, options) -> tuple | None:
+    """token as argparse read it against options: None for a value, else
+    (the option it names, or None for none; its =value, or None)."""
+    if token in options:
+        return token, None
+    if len(token) < 2 or token[0] != "-":
+        return None
+    head, eq, tail = token.partition("=")
+    if eq and head in options:
+        return head, tail
+    if token[1] == "-":  # a unique prefix names a long option
+        found, explicit = [o for o in options if o.startswith(head)], tail if eq else None
+    else:
+        found, explicit = ["-h"] if token.startswith("-h") else [], token[2:]
+    if len(found) > 1:
+        raise ValueError(f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return found[0], explicit
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
 
-    if c := command("charvar", "characteristic-variety tools", cmd_charvar):
-        c.add_argument("--k", type=int, required=True)
-        mode = c.add_mutually_exclusive_group(required=True)
-        mode.add_argument("--sample", type=int, default=None)
-        mode.add_argument("--check-symbols", action="store_true")
-        mode.add_argument("--decompose", default=None, help="JSON polynomial file over (sigma, eta)")
-        c.add_argument("--seed", type=int, default=None, help="with --sample; 0 by default")
-        c.add_argument("--format", choices=["json", "text"], default="json")
-        c.add_argument("--strict-paper", action="store_true")
 
-    if m := command("member", "left-ideal membership with certificate", cmd_member):
-        m.add_argument("--k", type=int, required=True)
-        m.add_argument("--op", required=True, help="JSON operator file")
-        m.add_argument("--newton-bound", type=int, default=None)
+def _invalid_choice(name: str, value, choices) -> ValueError:
+    return ValueError(f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
 
-    if n := command("numcheck", "numeric contour evaluation of a trace", cmd_numcheck):
-        n.add_argument("--k", type=int, required=True)
-        n.add_argument("--sigma", required=True, help="comma-separated values")
-        n.add_argument("--f", default="exp", help="exp, sin, or pow:m")
 
-    if d := command("golden", "re-derive and compare the stored published formulas", cmd_golden):
-        d.add_argument("--dir", default=None)
-        d.add_argument("--format", choices=["json", "text"], default="json")
-        d.add_argument("--strict-paper", action="store_true")
-    return ap
+def parse(argv: list[str]) -> SimpleNamespace:
+    """argv as argparse 3.11 read it, in one walk: command, fn and each flag
+    of the command; a usage error raises ValueError in argparse's words."""
+    command, flags, mode, given, extras, i = None, {}, (), [], [], 0
+    cut = argv.index("--") if "--" in argv else len(argv)  # no flag from here on
+    kinds = [_classify(t, ("-h", "--help", "--version")) for t in argv[:cut]] + [None] * (len(argv) - cut)
+    while i < cut or command is None and i < len(argv) - 1:  # argparse took a "--" with more after it for the command
+        token, kind, i = argv[i], kinds[i], i + 1
+        if kind is None and command is None:  # the command: read the rest against its flags
+            if token not in COMMANDS:
+                raise _invalid_choice("command", token, COMMANDS)
+            command, (fn, _, flags, mode) = token, COMMANDS[token]
+            values = {name: f.default for name, f in flags.items()}
+            kinds[i:cut] = [_classify(t, ("-h", "--help", *flags)) for t in argv[i:cut]]
+            continue
+        if kind is None or kind[0] is None:
+            extras.append(token)
+            continue
+        (option, explicit), f = kind, flags.get(kind[0])
+        if f is None or f.switch:  # -h, --help, --version or a switch: no value
+            if option == "-h" and explicit:
+                explicit = explicit.lstrip("h") or None  # -hh is -h twice
+            if explicit is not None:
+                label = "-h/--help" if option in ("-h", "--help") else option
+                raise ValueError(f"argument {label}: ignored explicit argument {explicit!r}")
+            if f is None:
+                print(f"symtrace {__version__}" if option == "--version" else _help(command))
+                raise SystemExit(0)
+        elif explicit is None and (i == cut or kinds[i] is not None):
+            raise ValueError(f"argument {option}: expected one argument")
+        elif explicit is None:
+            explicit, i = argv[i], i + 1
+        try:
+            value = True if f.switch else f.type(explicit)
+        except ValueError:
+            raise ValueError(f"argument {option}: invalid {f.type.__name__} value: {explicit!r}") from None
+        if f.choices and value not in f.choices:
+            raise _invalid_choice(option, value, f.choices)
+        if option in mode and (clash := [m for m in mode if m in given and m != option]):
+            raise ValueError(f"argument {option}: not allowed with argument {clash[0]}")
+        given.append(option)
+        values[option] = value
+    if command is None:
+        raise ValueError("the following arguments are required: command")
+    if missing := [name for name, f in flags.items() if f.required and name not in given]:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if mode and not set(mode) & set(given):
+        raise ValueError(f"one of the arguments {' '.join(mode)} is required")
+    if extras := extras + argv[cut:]:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, fn=fn, **{name[2:].replace("-", "_"): v for name, v in values.items()})
 
 
 def dispatch(argv: list[str]) -> int:
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = parse(argv)
         return args.fn(args)
     except SystemExit as exc:  # --help and --version
         return 1 if exc.code else 0

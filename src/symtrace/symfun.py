@@ -295,12 +295,15 @@ def _sylvester_discriminant(k: int) -> Poly:
 
 def discriminant_at(sigma) -> Fraction:
     """discriminant(len(sigma)) evaluated exactly at a rational point,
-    without building the symbolic polynomial.
+    without building the symbolic polynomial, in int arithmetic.
 
-    Res(P, P') by the Euclidean algorithm over Q, O(k^2) Fraction
-    operations, times (-1)^(k(k-1)/2).  Each step uses
-    Res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A - deg R) Res(B, R) with
-    R = A mod B, and Res(A, c) = c^(deg A) for a constant c.
+    With D the lcm of the denominators, z = w/D turns P_s into the monic
+    integer Q(w) = D^k P_s(w/D), whose roots are D x_j; so the value is
+    (-1)^(k(k-1)/2) Res(Q, Q') / D^(k(k-1)), with one division at the end.
+    Res(Q, Q') comes from the subresultant PRS (Collins 1967; Cohen, *A
+    Course in Computational Algebraic Number Theory*, Alg. 3.3.7), whose
+    divisions are all exact: each step takes the pseudo-remainder
+    lc(B)^(deg A - deg B + 1) A mod B and divides it by g h^delta.
     """
     k = len(sigma)
     if k < 2:
@@ -308,23 +311,23 @@ def discriminant_at(sigma) -> Fraction:
     for s in sigma:
         if isinstance(s, bool) or not isinstance(s, (int, Fraction)):
             raise TypeError(f"discriminant_at needs int or Fraction entries, got {type(s).__name__}")
-    a = [Fraction(c) for c in char_poly(sigma)]
+    d = lcm(*(s.denominator for s in sigma))
+    a = [c.numerator * d**h // c.denominator for h, c in enumerate(char_poly(sigma))]
     b = [(k - h) * c for h, c in enumerate(a[:-1])]
-    res = Fraction((-1) ** (k * (k - 1) // 2))
+    g = h = sign = 1
     while len(b) > 1:
-        m, n = len(a) - 1, len(b) - 1
-        r = a[:]
-        for i in range(m - n + 1):
-            q = r[i] / b[0]
-            if q:
-                for j in range(1, n + 1):
-                    r[i + j] -= q * b[j]
-        start = m - n + 1
-        while start <= m and r[start] == 0:
-            start += 1
-        if start > m:
+        delta = len(a) - len(b)
+        sign *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+        r = a
+        for _ in range(delta + 1):
+            q, r = r[0], [b[0] * c for c in r[1:]]
+            for j in range(1, len(b)):
+                r[j - 1] -= q * b[j]
+        while r and r[0] == 0:
+            r = r[1:]
+        if not r:
             return Fraction(0)
-        r = r[start:]
-        res *= (-1) ** (m * n) * b[0] ** (m - (len(r) - 1))
-        a, b = b, r
-    return res * b[0] ** (len(a) - 1)
+        a, b, g = b, [c // (g * h**delta) for c in r], b[0]
+        h = g**delta // h ** (delta - 1)  # delta >= 1: each remainder drops the degree
+    res = sign * b[0] ** (len(a) - 1) // h ** (len(a) - 2)
+    return Fraction((-1) ** (k * (k - 1) // 2) * res, d ** (k * (k - 1)))

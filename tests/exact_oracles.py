@@ -19,17 +19,23 @@ operator as its symbol and summed PN_m over one denominator.
 checking each beta and embedding each a_beta at eta^beta: the
 construction `WeylOp` had before `of_symbol` became its only one, and
 the reference that the parser, which owns that nested form, is tested
-against.
+against.  `argparse_reference` is the CLI's argparse tree as it stood
+before `cli.parse` read argv from one table: the parse that `cli.parse`
+must agree with, value for value and error for error.
 """
 
+import argparse
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, permutations
 from math import factorial
 from operator import mul
 
+from symtrace import __version__, cli
+from symtrace.annihilators import FAMILIES
 from symtrace.charvar import MinorId, NotOnVarietyError
 from symtrace.poly import Poly, _is_exponent
+from symtrace.report import SUITES
 from symtrace.spaces import VarSpace, check_space, sigma_eta_space, sigma_space, x_space
 from symtrace.symfun import char_poly, family
 from symtrace.weyl import _DUAL, WeylOp, _carrier
@@ -251,3 +257,69 @@ def weyl_of_blocks(space: VarSpace, blocks: dict | None = None) -> WeylOp:
             yield coeff.embed(dual, _DUAL[family], dexp)
 
     return WeylOp.of_symbol(Poly.sum(dual, embedded()))
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser (its subparsers take its class) that raises a usage error
+    for `dispatch` to print, in place of printing the usage block."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+@cache
+def argparse_reference() -> argparse.ArgumentParser:
+    """The parser of every command, built with argparse."""
+    ap = _Parser(prog="symtrace", description=cli.__doc__)
+    ap.add_argument("--version", action="version", version=f"symtrace {__version__}")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def command(name: str, summary: str, fn):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        return p
+
+    g = command("gen", "emit a symmetric-function family table", cli.cmd_gen)
+    g.add_argument("--family", required=True, choices=list(FAMILIES))
+    g.add_argument("--k", type=int, required=True)
+    g.add_argument("--max-m", type=int, required=True)
+    g.add_argument("--format", choices=["json", "text"], default="json")
+
+    x = command("xi", "transport a symmetric x-operator to sigma-coordinates", cli.cmd_xi)
+    x.add_argument("--k", type=int, required=True)
+    x.add_argument("--op", required=True, help="S2..Sk or a JSON operator file")
+    x.add_argument("--format", choices=["json", "text"], default="json")
+
+    v = command("verify", "run an exact verification suite", cli.cmd_verify)
+    v.add_argument("--k", type=int, required=True)
+    v.add_argument("--suite", required=True, choices=sorted(SUITES))
+    v.add_argument("--max-m", type=int, default=None)
+    v.add_argument("--format", choices=["json", "text"], default="json")
+    v.add_argument("--strict-paper", action="store_true",
+                   help="treat deviations from published displays as failures")
+
+    c = command("charvar", "characteristic-variety tools", cli.cmd_charvar)
+    c.add_argument("--k", type=int, required=True)
+    mode = c.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--sample", type=int, default=None)
+    mode.add_argument("--check-symbols", action="store_true")
+    mode.add_argument("--decompose", default=None, help="JSON polynomial file over (sigma, eta)")
+    c.add_argument("--seed", type=int, default=None, help="with --sample; 0 by default")
+    c.add_argument("--format", choices=["json", "text"], default="json")
+    c.add_argument("--strict-paper", action="store_true")
+
+    m = command("member", "left-ideal membership with certificate", cli.cmd_member)
+    m.add_argument("--k", type=int, required=True)
+    m.add_argument("--op", required=True, help="JSON operator file")
+    m.add_argument("--newton-bound", type=int, default=None)
+
+    n = command("numcheck", "numeric contour evaluation of a trace", cli.cmd_numcheck)
+    n.add_argument("--k", type=int, required=True)
+    n.add_argument("--sigma", required=True, help="comma-separated values")
+    n.add_argument("--f", default="exp", help="exp, sin, or pow:m")
+
+    d = command("golden", "re-derive and compare the stored published formulas", cli.cmd_golden)
+    d.add_argument("--dir", default=None)
+    d.add_argument("--format", choices=["json", "text"], default="json")
+    d.add_argument("--strict-paper", action="store_true")
+    return ap

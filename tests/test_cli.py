@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_oracles import argparse_reference
 from symtrace.annihilators import FAMILIES, Witness, check_images, family_members, generator_system
 from symtrace.charvar import minors
-from symtrace.cli import dispatch
+from symtrace.cli import COMMANDS, dispatch, parse
 from symtrace.numerics import NODES, contour_radius
 from symtrace.report import first_mismatch, golden_check, run_suite
 from symtrace.serialize import dumps, poly_to_dict, weyl_from_dict, weyl_to_dict
@@ -310,15 +311,51 @@ def test_charvar_sample_deterministic_in_seed(capsys):
     assert json.loads(outs[2][1])["points"] != json.loads(outs[0][1])["points"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["charvar", "--k", "3"],
-    ["verify", "--k", "3"],
-    ["gen", "--family", "sigma", "--k", "3", "--max-m", "2"],
-])
-def test_usage_error_is_one_error_line(argv, capsys):
+USAGE_ERRORS = [  # one argv per class of usage error, and what its error line names
+    (["charvar", "--k", "3"], "--sample"),  # no mode
+    (["verify", "--k", "3"], "--suite"),  # a required flag missing
+    (["gen", "--family", "sigma", "--k", "3", "--max-m", "2"], "--family"),  # not a choice
+    (["verify", "--k", "x", "--suite", "system"], "--k"),  # not an int
+    (["xi", "--k", "3", "--op"], "--op"),  # no value
+    (["verify", "--k", "3", "--s", "system"], "--s"),  # an ambiguous prefix
+    (["verify", "--k", "3", "--suite", "system", "--strict-paper=1"], "--strict-paper"),  # a value to a switch
+    (["--help=1"], "--help"),
+    (["charvar", "--k", "3", "--sample", "1", "--check-symbols"], "--check-symbols"),  # two modes
+    (["xi", "--k", "3", "--op", "S3", "--bogus"], "--bogus"),  # an unknown flag
+    (["bogus"], "bogus"),  # an unknown command
+    (["--k", "3", "gen"], "command"),  # a flag before the command
+    (["--", "xi"], "command"),
+    ([], "command"),
+]
+
+
+@pytest.mark.parametrize("argv, named", [pytest.param(*case, id=f"argv{i}") for i, case in enumerate(USAGE_ERRORS)])
+def test_usage_error_is_one_error_line(argv, named, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err
+
+
+def _outcome(parse, argv):
+    """A parse's outcome: ("parsed", its values), ("error", the message) or
+    ("exit", the code) for help and version."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "parsed", vars(parse(argv))
+    except ValueError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+def _agrees_with_argparse(argv):
+    ref = _outcome(argparse_reference().parse_args, argv)
+    assert _outcome(parse, argv) == ref, argv
+    if ref[0] != "parsed":  # a parsed argv runs the one function both name, on equal values
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert dispatch(argv) == (0 if ref[0] == "exit" else 1)
+        assert err.getvalue() == ("" if ref[0] == "exit" else f"error: {ref[1]}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -327,20 +364,65 @@ def test_usage_error_is_one_error_line(argv, capsys):
     ["--k", "3", "gen"], ["xi", "--k", "3", "--op", "S3", "--bogus"], ["member", "--k", "2", "--op", "a.json"],
     ["numcheck", "--k", "2", "--sigma", "3,2"], ["golden", "--format", "text"], ["--", "xi"],
     ["charvar", "--k", "3", "--sample", "1", "--check-symbols"],
+    ["xi", "--k", "-3", "--op", "S3"], ["xi", "--k=-3", "--op", "S3"], ["xi", "--k", "3", "--op", "-"],
+    ["xi", "--k", "3", "--op", ""], ["numcheck", "--k", "2", "--sigma", "-1, 2"],
+    ["numcheck", "--k", "2", "--sigma", "-1,2"], ["gen", "--family", "newton", "--k", "3", "--max", "5"],
+    ["verify", "--k", "3", "--s", "system"], ["charvar", "--k", "3", "--s", "1"], ["--vers"],
+    ["xi", "--k", "3", "--k", "4", "--op", "S3"], ["verify", "--k", "3", "--suite", "system", "--strict-paper=1"],
+    ["gen", "-h", "--k", "x"], ["gen", "--k", "x", "-h"], ["xi", "--", "--k", "3", "--op", "S3"],
+    ["xi", "--k", "3", "--op", "S3", "--"], ["xi", "--k", "--", "3", "--op", "S3"], ["--"],
+    ["-hh"], ["gen", "-hx"], ["gen", "-h=h"], ["gen", "-h="], ["gen", "-hh=x"], ["--help="], ["--version=1"],
+    ["gen", "--family", "newton", "--=x"], ["xi", "--="], ["verify", "--=x", "-h"],
 ], ids=lambda argv: " ".join(argv) or "(none)")
-def test_the_parser_built_for_one_command_parses_as_the_full_one(argv, capsys):
-    # dispatch builds only the invoked subcommand; errors, help and exits stay those of the full tree
-    from symtrace.cli import build_parser
+def test_the_parser_built_for_one_command_parses_as_the_full_one(argv):
+    # parse reads argv against one command's entry of the table; it must read
+    # it as the full argparse tree did
+    _agrees_with_argparse(argv)
 
-    def outcome(parser):
-        try:
-            return "parsed", vars(parser.parse_args(argv))
-        except ValueError as exc:
-            return "error", str(exc)
-        except SystemExit as exc:
-            return "exit", exc.code, capsys.readouterr()
 
-    assert outcome(build_parser(argv)) == outcome(build_parser())
+def test_parse_reads_every_benchmark_argv_as_argparse_did(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    import workloads
+
+    argvs = [op.argv for make in workloads.WORKLOADS.values() for op in make(1, tmp_path)]
+    assert len(argvs) > 60
+    for argv in argvs:
+        _agrees_with_argparse(argv)
+
+
+_ODD = ["x", "-", "", "+3", " 3", "-3", "-1, 2"]
+
+
+def _valid(flag) -> list[str]:
+    return list(flag.choices) or (["3", "2"] if flag.type is int else ["S3", "3,2", "exp", "pow:3"])
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A command (or bogus) among tokens of its grammar: each flag spelled in
+    full, by a unique or an ambiguous prefix, or with =value; values valid
+    or not; --, -h, --help and --version; often after a valid base argv.
+    A flag's value is never "--" after its =: argparse 3.11 stores [] there."""
+    command = draw(st.sampled_from([*COMMANDS, *COMMANDS, "bogus"]))
+    flags = COMMANDS[command][2] if command in COMMANDS else COMMANDS["charvar"][2]
+    names = [*flags, *flags, *sorted({f[:n] for f in [*flags, "--help", "--version"] for n in range(3, len(f))})]
+    values = sorted({v for flag in flags.values() for v in _valid(flag)}) + _ODD
+    base = [t for f, flag in flags.items() if flag.required for t in (f, draw(st.sampled_from(_valid(flag))))]
+    if command == "charvar":
+        base += draw(st.sampled_from([["--sample", "2"], ["--check-symbols"], ["--decompose", "f.json"]]))
+    chunks = st.lists(st.one_of(
+        st.tuples(st.sampled_from(names), st.sampled_from(values)).map(list),
+        st.tuples(st.sampled_from(names), st.sampled_from(values)).map(lambda t: ["=".join(t)]),
+        st.sampled_from(names * 3 + _ODD + ["--", "-h", "-hh", "--help", "--version", "--=x"]).map(lambda t: [t])),
+        max_size=4)
+    before = draw(st.sampled_from([[]] * 6 + [["--"], ["-h"], ["--version"], ["--vers"], ["--k"]]))
+    return before + [command] + (base if draw(st.booleans()) else []) + [t for c in draw(chunks) for t in c]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_argv())
+def test_parse_reads_drawn_argv_as_argparse_did(argv):
+    _agrees_with_argparse(argv)
 
 
 def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
@@ -358,6 +440,30 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
 def test_help_and_version_exit_zero(capsys):
     assert run_cli(["--version"], capsys)[0] == 0
     assert run_cli(["verify", "--help"], capsys)[0] == 0
+    assert run_cli(["--version"], capsys) == (0, "symtrace 1.0.0\n", "")
+    code, out, err = run_cli(["xi", "-h"], capsys)
+    assert code == 0 and err == "" and out.startswith("symtrace xi ")
+    assert "transport a symmetric x-operator to sigma-coordinates" in out
+    assert "S2..Sk or a JSON operator file" in out
+
+
+def test_readme_usage_block_is_the_usage_that_help_prints(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    code, out, _ = run_cli(["--help"], capsys)
+    assert code == 0 and out.split("\n\n")[0] + "\n" == block
+    assert block.count("\nsymtrace ") == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family=--", "--k", "3", "--max-m", "2"], ["xi", "--k=--", "--op", "S3"], ["xi", "--k", "2", "--op=--"],
+    ["numcheck", "--k", "2", "--sigma=--"], ["golden", "--dir=--"], ["charvar", "--k", "2", "--decompose=--"],
+])
+def test_a_value_of_two_dashes_after_equals_is_read_as_text(argv, capsys):
+    # argparse 3.11 stored [] for --flag=--, and each command then ended in a traceback
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def _t3_plus_d1(monkeypatch):

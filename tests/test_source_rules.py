@@ -262,3 +262,29 @@ def test_no_command_loads_numpy(argv, tmp_path):
                           text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"code": 0, "numpy": False}
+
+
+_ARGPARSE_PROBE = """
+import contextlib, io, json, sys
+from symtrace import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.dispatch(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "loaded": sorted({"argparse", "gettext"} & set(sys.modules))}))
+"""
+
+
+def test_no_command_loads_argparse_or_gettext(tmp_path):
+    # one cheap run of each command, help, version and a usage error, in one
+    # fresh interpreter: cli.parse reads argv without argparse, whose parsers
+    # and gettext's locale import cost every command about 3 ms
+    argvs = [
+        ["gen", "--family", "newton", "--k", "2", "--max-m", "3"], ["xi", "--k", "2", "--op", "S2"],
+        ["verify", "--k", "2", "--suite", "weights"], ["charvar", "--k", "2", "--sample", "1"],
+        ["member", "--k", "2", "--op", "golden/sigma2_k2.json"], ["numcheck", "--k", "2", "--sigma", "3,2"],
+        ["golden"], ["gen", "-h"], ["--version"], ["verify", "--k", "x"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _ARGPARSE_PROBE, json.dumps(argvs)], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * 9 + [1], "loaded": []}

@@ -139,6 +139,19 @@ def test_discriminant_at_zero_at_repeated_root():
     assert discriminant_at([2, 1]) == 0  # (z - 1)^2, plain ints
 
 
+@pytest.mark.parametrize("xs", [
+    [10**20, -3, 7], [2**64 + 1, 2**64, -(2**63), 5, 0], [-(10**12), 10**12, 1, -1, 3**40, 2, -(7**25)],
+    [10**30] * 2 + [1],
+])
+def test_discriminant_at_on_large_plain_ints(xs):
+    # all ints: the scaling by the lcm of the denominators is by 1
+    sigma = [int(s) for s in sigma_of_roots(xs)]
+    expected = prod(((a - b) ** 2 for a, b in combinations(xs, 2)), start=1)
+    assert discriminant_at(sigma) == expected and isinstance(discriminant_at(sigma), Fraction)
+    shrunk = [Fraction(s, 10 ** (9 * h)) for h, s in enumerate(sigma, 1)]  # the roots over 10^9
+    assert discriminant_at(shrunk) == Fraction(expected, 10 ** (9 * len(xs) * (len(xs) - 1)))
+
+
 def test_discriminant_at_refuses_bad_input():
     with pytest.raises(ValueError):
         discriminant_at([Fraction(1)])
